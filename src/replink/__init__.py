@@ -51,12 +51,10 @@ from .protocol import (
 from .engine import (
     ChainModel,
     ChainTrialStats,
-    EventQueue,
     LinkModel,
     LinkTrialStats,
     PurificationPolicy,
     SummaryStats,
-    purify,
     run_chain_trial,
     run_link_trial,
     summarize,

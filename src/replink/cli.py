@@ -368,7 +368,8 @@ def parse_scenario(argv=None, env=None) -> tuple[Scenario, RunOptions]:
                 f"REPLINK_SEED must be an integer, got {env['REPLINK_SEED']!r}"
             ) from None
 
-    scenario = _validate_scenario(merged)
+    explicit_links = file_values.get("link_count") if args.link_count is None else args.link_count
+    scenario = _validate_scenario(merged, explicit_links)
     options = RunOptions(
         report_format=args.format,
         output=args.output,
@@ -386,7 +387,13 @@ def _require(merged: dict, field: str):
     return merged[field]
 
 
-def _validate_scenario(merged: dict) -> Scenario:
+def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
+    """Check the merged fields and build the scenario.
+
+    ``explicit_links`` is the link count given by flag or config file, if
+    any; a single link rejects any other count there, while a preset's chain
+    length is simply replaced by one.
+    """
     protocol_name = _require(merged, "protocol")
     if protocol_name not in _PROTOCOLS:
         raise ConfigurationError(
@@ -402,6 +409,10 @@ def _validate_scenario(merged: dict) -> Scenario:
     merged.setdefault("duration_in_tau_link", 1000 if topology == "chain" else 10_000)
     merged.setdefault("memory_n", 100)
     if topology == "single_link":
+        if explicit_links not in (None, 1):
+            raise ConfigurationError(
+                f"a single-link topology has exactly one link, got link_count {explicit_links}"
+            )
         merged["link_count"] = 1
 
     for field in ("p_bsa", "cycle_time_ns", "emission_fraction", "collection_efficiency"):
@@ -424,8 +435,17 @@ def _validate_scenario(merged: dict) -> Scenario:
         raise ConfigurationError("memory_n must be at least 1")
     if merged["link_count"] < 1:
         raise ConfigurationError("link_count must be at least 1")
+    if merged["base_seed"] < 0:
+        raise ConfigurationError(
+            f"the base seed (--seed, REPLINK_SEED) must be non-negative, got {merged['base_seed']}"
+        )
     if merged["reserved_slots"] < 0:
         raise ConfigurationError("reserved_slots must be non-negative")
+    if topology == "chain" and merged["reserved_slots"] < 1:
+        raise ConfigurationError(
+            "chain scenarios need reserved_slots >= 1: purified pairs wait in the reserved "
+            "slots until every link can swap, so with none no end-to-end pair is ever made"
+        )
     if topology == "chain" and merged["memory_n"] - merged["reserved_slots"] < 1:
         raise ConfigurationError(
             "chain scenarios need memory_n > reserved_slots so some qubits attempt entanglement"

@@ -1,8 +1,8 @@
 """Monte Carlo trial runners for single links and repeater chains.
 
-A trial is a deterministic single-threaded event loop seeded from the
-trial seed: link ``i`` of a trial draws from ``default_rng([seed, i])``
-and purification from its own stream, so disjoint seeds give independent
+A trial is deterministic and single-threaded, seeded from the trial
+seed: link ``i`` of a trial draws from ``default_rng([seed, i])`` and
+purification from its own stream, so disjoint seeds give independent
 trials and equal seeds byte-identical results.
 
 Round outcomes are drawn in bulk with numpy. For the two-sender protocols
@@ -14,13 +14,23 @@ event happening it is a simultaneous both-sides latch (the only way the
 bin can confirm) with probability p''/(p_m(p_l+p_r)-p''). This is the
 same per-attempt process ``protocol.sample_round`` iterates explicitly,
 collapsed to two draws per bin; the tests check the two agree.
+
+A chain trial runs without an event loop and skips rounds that confirm
+no pair. Each link's purification groups follow from its round counts
+alone: from the running pair total while no stashed pair can outlive the
+freshness horizon, otherwise from a walk over the link's non-empty
+rounds. The rounds that form groups are then merged across links in the
+order of a (time, insertion) event queue: by finishing time, then by the
+time the round was queued (a link's first round comes first, and of two
+rounds ending together the longer one was queued earlier), then by link
+index. One vector of uniforms decides every purification in that order,
+and a short pass over the rounds with a success applies the buffer cap
+and the swaps.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections import deque
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +40,9 @@ from .params import ConfigurationError, Duration, ProtocolConfig, ProtocolKind
 from .protocol import LinkProbabilities
 
 __all__ = [
-    "EventQueue",
     "LinkModel",
     "ChainModel",
     "PurificationPolicy",
-    "PurifiedPair",
     "LinkTrialStats",
     "ChainTrialStats",
     "SummaryStats",
@@ -42,7 +50,6 @@ __all__ = [
     "sample_round_counts",
     "run_link_trial",
     "run_chain_trial",
-    "purify",
     "summarize",
 ]
 
@@ -50,30 +57,6 @@ PAIRS_PER_PURIFICATION = 7
 
 # distinct seed-stream index for purification draws; link streams use 0..links-1
 _PURIFY_STREAM = 104729
-
-
-class EventQueue:
-    """Min-heap of (timestamp, insertion sequence, payload).
-
-    Pops come back in non-decreasing (timestamp, sequence) order; the
-    sequence is assigned at insertion and unique, so ties resolve in
-    insertion order.
-    """
-
-    def __init__(self):
-        self._heap: list = []
-        self._sequence = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, time_ps: int, payload) -> None:
-        heapq.heappush(self._heap, (time_ps, next(self._sequence), payload))
-
-    def pop(self) -> tuple[int, int, object]:
-        if not self._heap:
-            raise IndexError("pop from an empty event queue")
-        return heapq.heappop(self._heap)
 
 
 @dataclass(frozen=True)
@@ -113,11 +96,6 @@ class ChainModel:
     def __post_init__(self):
         if not self.links:
             raise ConfigurationError("a chain needs at least one link")
-
-
-@dataclass(frozen=True)
-class PurifiedPair:
-    error: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,67 +202,54 @@ def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialS
     )
 
 
-def purify(pairs, epsilon_in: float, rng, bounds=None) -> PurifiedPair | None:
-    """Consume seven same-link pairs; maybe return one lower-error pair.
+def _link_groups(counts: np.ndarray, round_ps: int, lifetime_ps: int | None):
+    """Purification groups formed on one link of a chain trial.
 
-    Succeeds with probability (1-epsilon_in)^7; on failure all seven pairs
-    are lost. ``bounds`` may carry a precomputed
-    :func:`analytic.purification_bounds` result to avoid recomputing it in
-    tight loops.
+    Returns the indices of the rounds that formed at least one group of
+    seven, the number of groups each formed, and the raw pairs that expired
+    and that are still stashed after the link's last round. Only rounds
+    with pairs are visited: expiry is monotone in time, so dropping stale
+    pairs at the next non-empty round (and at the link's last round) is the
+    same as dropping them at every round in between.
     """
-    if len(pairs) != PAIRS_PER_PURIFICATION:
-        raise ConfigurationError(
-            f"purification consumes exactly {PAIRS_PER_PURIFICATION} pairs, got {len(pairs)}"
-        )
-    if bounds is None:
-        bounds = analytic.purification_bounds(epsilon_in, 1)
-    if rng.random() < bounds.p_success:
-        return PurifiedPair(error=bounds.epsilon_out)
-    return None
+    rounds = np.flatnonzero(counts)
+    if not len(rounds):
+        return rounds, rounds, 0, 0
+    arrivals = counts[rounds]
+    times = (rounds + 1) * round_ps
+    end_ps = len(counts) * round_ps
+    stashed = np.cumsum(arrivals)
+    groups = stashed // PAIRS_PER_PURIFICATION
+    oldest = PAIRS_PER_PURIFICATION * groups  # arrival index of the oldest stashed pair
+    if lifetime_ps is not None:
+        waiting = oldest < stashed
+        arrived = times[np.searchsorted(stashed, oldest[waiting], side="right")]
+        checked_ps = np.append(times[1:], end_ps)[waiting]
+        if np.any(checked_ps - arrived > lifetime_ps):
+            return _walk_stash(rounds, times, arrivals, end_ps, lifetime_ps)
+    # nothing ever expires: groups form from the running total alone
+    formed = np.diff(groups, prepend=0)
+    made = formed > 0
+    return rounds[made], formed[made], 0, int(stashed[-1] - oldest[-1])
 
 
-class _LinkPipeline:
-    """Raw-pair stash and purified buffer for one link of a chain trial."""
-
-    __slots__ = (
-        "stash", "stash_total", "raw", "attempts", "successes",
-        "expired", "discarded",
-    )
-
-    def __init__(self):
-        self.stash: deque = deque()  # (timestamp_ps, count) in arrival order
-        self.stash_total = 0
-        self.raw = 0
-        self.attempts = 0
-        self.successes = 0
-        self.expired = 0
-        self.discarded = 0
-
-    def expire(self, now_ps: int, lifetime_ps: int) -> None:
-        while self.stash and now_ps - self.stash[0][0] > lifetime_ps:
-            _, count = self.stash.popleft()
-            self.stash_total -= count
-            self.expired += count
-
-    def add(self, now_ps: int, count: int) -> None:
-        self.raw += count
-        self.stash.append((now_ps, count))
-        self.stash_total += count
-
-    def take_group(self) -> tuple[int, ...]:
-        taken = []
-        need = PAIRS_PER_PURIFICATION
-        while need:
-            ts, count = self.stash[0]
-            grab = min(count, need)
-            taken.extend([ts] * grab)
-            need -= grab
-            if grab == count:
-                self.stash.popleft()
-            else:
-                self.stash[0] = (ts, count - grab)
-        self.stash_total -= PAIRS_PER_PURIFICATION
-        return tuple(taken)
+def _walk_stash(rounds, times, arrivals, end_ps: int, lifetime_ps: int):
+    """``_link_groups`` for a link whose raw pairs can expire, round by round."""
+    formed = np.zeros(len(rounds), dtype=np.int64)
+    pending: list[int] = []  # arrival times of stashed pairs, oldest first (at most six)
+    expired = 0
+    for k, (now, count) in enumerate(zip(times.tolist(), arrivals.tolist())):
+        stale = bisect.bisect_left(pending, now - lifetime_ps)
+        expired += stale
+        total = len(pending) - stale + count
+        formed[k] = total // PAIRS_PER_PURIFICATION
+        keep = total % PAIRS_PER_PURIFICATION
+        # the newest pairs stay, so stale ones never survive this slice
+        fresh = min(keep, count)
+        pending = pending[len(pending) - keep + fresh:] + [now] * fresh
+    stale = bisect.bisect_left(pending, end_ps - lifetime_ps)
+    made = formed > 0
+    return rounds[made], formed[made], expired + stale, len(pending) - stale
 
 
 def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTrialStats:
@@ -303,79 +268,90 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     policy = chain.purification
     counts = []
     round_ps = []
-    n_rounds = []
     for index, link in enumerate(links):
         rt = link.round_time
         if rt.ps <= 0:
             raise ConfigurationError("the round time must be positive")
-        rounds = duration // rt
-        if rounds < 1:
+        n_rounds = duration // rt
+        if n_rounds < 1:
             raise ConfigurationError(
                 f"duration {duration.ps} ps is shorter than one round of link {index}"
             )
-        counts.append(sample_round_counts(_trial_rng(seed, index), link, rounds))
+        counts.append(sample_round_counts(_trial_rng(seed, index), link, n_rounds))
         round_ps.append(rt.ps)
-        n_rounds.append(rounds)
+    raw = tuple(int(c.sum()) for c in counts)
+    idle = (0,) * len(links)
 
+    if policy is None:
+        # every pair waits until each link holds one, then one per link is swapped
+        ebits = min(raw)
+        return ChainTrialStats(
+            end_to_end_ebits=ebits,
+            elapsed=duration,
+            rate_per_s=ebits / duration.seconds,
+            per_link_purified_counts=idle,
+            ebit_error=0.0,
+            raw_pairs=raw,
+            purify_attempts=idle,
+            raw_expired=idle,
+            raw_pending=idle,
+            purified_discarded=idle,
+            purified_pending=tuple(r - ebits for r in raw),
+        )
+
+    lifetime_ps = None if policy.raw_pair_lifetime is None else policy.raw_pair_lifetime.ps
+    rounds, formed, expired, pending = zip(
+        *(_link_groups(c, r, lifetime_ps) for c, r in zip(counts, round_ps))
+    )
+    # Rounds that formed groups, in the order a (time, insertion) event queue
+    # pops them: by time, then by when the round was queued (the end of the
+    # link's previous round), then by link index.
+    finished_ps = np.concatenate([(r + 1) * rp for r, rp in zip(rounds, round_ps)])
+    queued_ps = np.concatenate([r * rp for r, rp in zip(rounds, round_ps)])
+    link_of = np.concatenate([np.full(len(r), i) for i, r in enumerate(rounds)])
+    order = np.lexsort((link_of, queued_ps, finished_ps))
+    link_of = link_of[order]
+    groups = np.concatenate(formed)[order]
+
+    bounds = analytic.purification_bounds(policy.epsilon_in, len(links))
     aux_rng = _trial_rng(seed, _PURIFY_STREAM)
-    if policy is not None:
-        bounds = analytic.purification_bounds(policy.epsilon_in, len(links))
-        lifetime_ps = None if policy.raw_pair_lifetime is None else policy.raw_pair_lifetime.ps
-        ebit_error = bounds.epsilon_total
-    else:
-        bounds = None
-        lifetime_ps = None
-        ebit_error = 0.0
+    succeeded = np.cumsum(aux_rng.random(int(groups.sum())) < bounds.p_success)
+    succeeded = np.concatenate(([0], succeeded))  # successes before each group
+    ends = np.cumsum(groups)
+    wins = succeeded[ends] - succeeded[ends - groups]
+    won = wins > 0
 
-    pipelines = [_LinkPipeline() for _ in links]
-    ready = [0] * len(links)  # purified pairs (or raw pairs when purification is off)
+    capacity = policy.buffer_capacity
+    ready = [0] * len(links)
+    successes = [0] * len(links)
+    discarded = [0] * len(links)
     ebits = 0
-
-    queue = EventQueue()
-    for index in range(len(links)):
-        queue.push(round_ps[index], (index, 0))
-
-    while len(queue):
-        now_ps, _, (index, round_idx) = queue.pop()
-        new_pairs = int(counts[index][round_idx])
-        pipe = pipelines[index]
-        if policy is None:
-            ready[index] += new_pairs
-            pipe.raw += new_pairs
-        else:
-            if lifetime_ps is not None:
-                pipe.expire(now_ps, lifetime_ps)
-            if new_pairs:
-                pipe.add(now_ps, new_pairs)
-                while pipe.stash_total >= PAIRS_PER_PURIFICATION:
-                    group = pipe.take_group()
-                    pipe.attempts += 1
-                    if purify(group, policy.epsilon_in, aux_rng, bounds=bounds) is not None:
-                        pipe.successes += 1
-                        ready[index] += 1
-                        if ready[index] > policy.buffer_capacity:
-                            # the oldest purified pair is displaced
-                            ready[index] = policy.buffer_capacity
-                            pipe.discarded += 1
-        swappable = min(ready)
-        if swappable:
+    for i, count in zip(link_of[won].tolist(), wins[won].tolist()):
+        successes[i] += count
+        held = ready[i] + count
+        if held > capacity:
+            # the oldest purified pairs are displaced
+            discarded[i] += held - capacity
+            held = capacity
+        was_empty = ready[i] == 0
+        ready[i] = held
+        # after every round some link is empty, so only filling one can
+        # enable a swap
+        if was_empty and (swappable := min(ready)):
             ebits += swappable
-            for i in range(len(ready)):
-                ready[i] -= swappable
-        if round_idx + 1 < n_rounds[index]:
-            queue.push(now_ps + round_ps[index], (index, round_idx + 1))
+            ready = [r - swappable for r in ready]
 
     return ChainTrialStats(
         end_to_end_ebits=ebits,
         elapsed=duration,
         rate_per_s=ebits / duration.seconds,
-        per_link_purified_counts=tuple(p.successes for p in pipelines),
-        ebit_error=ebit_error,
-        raw_pairs=tuple(p.raw for p in pipelines),
-        purify_attempts=tuple(p.attempts for p in pipelines),
-        raw_expired=tuple(p.expired for p in pipelines),
-        raw_pending=tuple(p.stash_total for p in pipelines),
-        purified_discarded=tuple(p.discarded for p in pipelines),
+        per_link_purified_counts=tuple(successes),
+        ebit_error=bounds.epsilon_total,
+        raw_pairs=raw,
+        purify_attempts=tuple(int(f.sum()) for f in formed),
+        raw_expired=expired,
+        raw_pending=pending,
+        purified_discarded=tuple(discarded),
         purified_pending=tuple(ready),
     )
 

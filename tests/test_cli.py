@@ -111,6 +111,25 @@ class TestParsing:
             parse(["--protocol", "mitm", "--preset", "optimistic", "--topology", "chain",
                    "--n", "3", "--distances", "10"])
 
+    def test_chain_needs_a_reserved_slot(self):
+        with pytest.raises(ConfigurationError, match="reserved_slots >= 1"):
+            parse(["--protocol", "mitm", "--preset", "fig8-optimistic", "--reserved-slots", "0"])
+        # a single link reserves nothing, so zero slots stay valid there
+        assert parse(TINY + ["--reserved-slots", "0"]).reserved_slots == 0
+
+    def test_single_link_rejects_other_link_counts(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="exactly one link"):
+            parse(TINY + ["--links", "3"])
+        config = tmp_path / "links.cfg"
+        config.write_text("link_count = 4\n")
+        with pytest.raises(ConfigurationError, match="exactly one link"):
+            parse(TINY + ["--config", str(config)])
+        assert parse(TINY + ["--links", "1"]).link_count == 1
+        # a chain preset's ten links give way to the single-link topology
+        scenario = parse(["--protocol", "mitm", "--preset", "fig8-optimistic",
+                          "--topology", "single-link"])
+        assert scenario.link_count == 1
+
 
 class TestConfigFile:
     def test_file_values_and_flag_precedence(self, tmp_path):
@@ -227,6 +246,13 @@ class TestMain:
     def test_configuration_error_exits_2(self, capsys):
         assert main(["--protocol", "mps", "--preset", "qd", "--distances", "10"]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2(self, capsys, monkeypatch):
+        assert main(TINY + ["--seed", "-1"]) == 2
+        assert "non-negative" in capsys.readouterr().err
+        monkeypatch.setenv("REPLINK_SEED", "-1")
+        assert main(TINY) == 2
+        assert "non-negative" in capsys.readouterr().err
 
     def test_unwritable_destination_exits_1(self, tmp_path, capsys):
         missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chain_reference
+from chain_reference import EventQueue, purify
 from conftest import chi2_homogeneity_pvalue
-from replink import analytic, engine, protocol
+from replink import analytic, cli, engine, protocol
 from replink.engine import (
     ChainModel,
-    EventQueue,
     LinkModel,
     PurificationPolicy,
-    purify,
     run_chain_trial,
     run_link_trial,
     sample_round_counts,
@@ -48,6 +48,8 @@ MPS_LINK = LinkModel(
 
 
 class TestEventQueue:
+    """The reference loop's queue, whose tie order the engine reproduces."""
+
     def test_pop_order_and_tie_breaking(self):
         queue = EventQueue()
         queue.push(5, "a")
@@ -184,6 +186,8 @@ class TestLinkTrial:
 
 
 class TestPurify:
+    """The reference loop's per-group purification step."""
+
     def test_perfect_inputs_always_succeed(self):
         result = purify(tuple(range(7)), 0.0, np.random.default_rng(0))
         assert result is not None and result.error == 0.0
@@ -204,6 +208,18 @@ class TestPurify:
         bounds = analytic.purification_bounds(0.05, 1)
         result = purify(tuple(range(7)), 0.05, np.random.default_rng(1))
         assert result is None or result.error == bounds.epsilon_out
+
+
+def assert_conserved(stats):
+    for i in range(len(stats.raw_pairs)):
+        assert stats.raw_pairs[i] == (
+            engine.PAIRS_PER_PURIFICATION * stats.purify_attempts[i]
+            + stats.raw_expired[i]
+            + stats.raw_pending[i]
+        )
+        assert stats.per_link_purified_counts[i] == (
+            stats.end_to_end_ebits + stats.purified_pending[i] + stats.purified_discarded[i]
+        )
 
 
 def small_chain(link, n_links, lifetime=Duration.from_ms(10), purification=True):
@@ -238,16 +254,7 @@ class TestChainTrial:
     @pytest.mark.parametrize("seed", range(4))
     def test_conservation_identities(self, seed):
         chain = small_chain(MITM_LINK, 4)
-        stats = run_chain_trial(chain, US(200_000), seed)
-        for i in range(4):
-            assert stats.raw_pairs[i] == (
-                engine.PAIRS_PER_PURIFICATION * stats.purify_attempts[i]
-                + stats.raw_expired[i]
-                + stats.raw_pending[i]
-            )
-            assert stats.per_link_purified_counts[i] == (
-                stats.end_to_end_ebits + stats.purified_pending[i] + stats.purified_discarded[i]
-            )
+        assert_conserved(run_chain_trial(chain, US(200_000), seed))
 
     def test_ebits_bounded_by_slowest_link(self):
         chain = small_chain(MITM_LINK, 4)
@@ -276,8 +283,6 @@ class TestChainTrial:
     def test_pessimistic_chain_starves_the_two_sender_protocol(self):
         # low transmission at 25 km: raw pairs arrive far too slowly to
         # assemble purification groups inside the freshness horizon
-        from replink import cli
-
         scenario, _ = cli.parse_scenario(
             ["--protocol", "mitm", "--preset", "fig9-pessimistic",
              "--trials", "25", "--distances", "25", "--seed", "7"],
@@ -308,6 +313,76 @@ class TestChainTrial:
         stats2 = run_chain_trial(unlimited, US(100_000), 2)
         assert sum(stats2.raw_expired) == 0
         assert sum(stats2.purify_attempts) > 0
+
+
+CHAIN_VARIANTS = (("mitm", None), ("sr", None), ("mps", 1.0), ("mps", 0.1), ("mps", 0.02))
+
+US_STEPS = st.sampled_from([US(4), US(6), US(12)])
+
+
+@st.composite
+def chain_links(draw):
+    """A link with a small whole-microsecond round time, so that rounds of
+    different links often end at the same instant."""
+    kind = draw(st.sampled_from(["mitm", "sr", "mps"]))
+    tau_link = draw(US_STEPS)
+    n = draw(st.integers(1, 6))
+    if kind == "mitm":
+        config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(n))
+        probs = LinkProbabilities(p=draw(st.floats(0.05, 0.9)))
+    elif kind == "sr":
+        config = ProtocolConfig(
+            ProtocolKind.SR, MemoryBudget.sender_receiver(n, draw(st.integers(1, n)))
+        )
+        probs = LinkProbabilities(p=draw(st.floats(0.05, 0.9)))
+    else:
+        config = ProtocolConfig(
+            ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=draw(st.integers(1, 4))
+        )
+        side = draw(st.floats(0.05, 0.9))
+        probs = LinkProbabilities(p_mid=draw(st.floats(0.1, 1.0)), p_left=side, p_right=side)
+    return LinkModel(config, probs, tau_link=tau_link, tau_clock=US(1))
+
+
+class TestChainOracle:
+    """The round-skipping engine against the per-event reference loop."""
+
+    @pytest.mark.parametrize("preset", ["fig8-optimistic", "fig9-pessimistic"])
+    @pytest.mark.parametrize("protocol_name,p_mid", CHAIN_VARIANTS)
+    def test_figure_chains_match_reference(self, preset, protocol_name, p_mid):
+        argv = ["--preset", preset, "--protocol", protocol_name, "--distances", "5,30,50"]
+        if p_mid is not None:
+            argv += ["--p-mid", str(p_mid)]
+        scenario, _ = cli.parse_scenario(argv, env={})
+        for distance in scenario.distances_km:
+            chain = cli.build_chain_model(scenario, distance)
+            duration = scenario.duration_in_tau_link * chain.links[0].tau_link
+            for seed in (1, 2):
+                expected = chain_reference.run_chain_trial(chain, duration, seed)
+                assert run_chain_trial(chain, duration, seed) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        links=st.lists(chain_links(), min_size=1, max_size=4),
+        lifetime=st.sampled_from([None, US(20), Duration.from_ms(10)]),
+        capacity=st.sampled_from([0, 1, 3]),
+        purification=st.booleans(),
+        duration=st.sampled_from([US(50), US(400), US(2_000)]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_heterogeneous_chains_match_reference(
+        self, links, lifetime, capacity, purification, duration, seed
+    ):
+        policy = (
+            PurificationPolicy(buffer_capacity=capacity, raw_pair_lifetime=lifetime)
+            if purification
+            else None
+        )
+        chain = ChainModel(links=tuple(links), purification=policy)
+        stats = run_chain_trial(chain, duration, seed)
+        assert stats == chain_reference.run_chain_trial(chain, duration, seed)
+        if purification:
+            assert_conserved(stats)
 
 
 class TestSummarize:
