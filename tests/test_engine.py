@@ -266,7 +266,7 @@ class TestChainTrial:
         assert all(p <= 3 for p in stats.purified_pending)
 
     def test_heterogeneous_round_times_walk_in_time_order(self):
-        # different protocols per link exercise the event-queue merge
+        # different protocols per link exercise the merge across links
         chain = ChainModel(
             links=(MITM_LINK, MPS_LINK, SR_LINK),
             purification=PurificationPolicy(raw_pair_lifetime=None),
@@ -317,15 +317,12 @@ class TestChainTrial:
 
 CHAIN_VARIANTS = (("mitm", None), ("sr", None), ("mps", 1.0), ("mps", 0.1), ("mps", 0.02))
 
-US_STEPS = st.sampled_from([US(4), US(6), US(12)])
-
-
 @st.composite
 def chain_links(draw):
     """A link with a small whole-microsecond round time, so that rounds of
     different links often end at the same instant."""
     kind = draw(st.sampled_from(["mitm", "sr", "mps"]))
-    tau_link = draw(US_STEPS)
+    tau_link = draw(st.sampled_from([US(4), US(6), US(12)]))
     n = draw(st.integers(1, 6))
     if kind == "mitm":
         config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(n))
