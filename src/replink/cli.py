@@ -12,6 +12,9 @@ variable ``REPLINK_SEED`` overrides the base seed last. Figure presets
 (``fig8-optimistic``, ``fig9-pessimistic``, ``fig10-ion``, ``fig10-nv``,
 ``fig10-qd``) bundle whole campaign parameter sets so each headline plot
 is reproducible from one command.
+
+Config keys, flags, defaults and ``--dump-config`` derive from the
+``Scenario`` field declarations; report columns derive from ``ReportRow``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -44,65 +48,8 @@ __all__ = [
     "main",
 ]
 
-CSV_COLUMNS = (
-    "protocol",
-    "preset",
-    "p_mid",
-    "link_km",
-    "trials",
-    "mean_rate_per_s",
-    "ci90_low",
-    "ci90_high",
-    "seed",
-)
-
 _PROTOCOLS = ("mitm", "sr", "mps")
 _TOPOLOGIES = ("single_link", "chain")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    protocol: str
-    preset: str | None
-    p_mid: float | None
-    p_bsa: float
-    cycle_time_ns: float
-    emission_fraction: float
-    collection_efficiency: float
-    topology: str
-    link_count: int
-    memory_n: int
-    distances_km: tuple[float, ...]
-    trials: int
-    duration_in_tau_link: int
-    base_seed: int
-    refractive_index: float = 1.5
-    attenuation_km: float = 22.0
-    reserved_slots: int = 3
-    epsilon_in: float = 0.05
-    raw_lifetime_ms: float | None = 10.0
-    include_analytic: bool = False
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    report_format: str = "csv"
-    output: str = "-"
-    dump_config: bool = False
-    trace_path: str | None = None
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    protocol: str
-    preset: str
-    p_mid: float | None
-    link_km: float
-    trials: int
-    mean_rate_per_s: float
-    ci90_low: float
-    ci90_high: float
-    seed: int
 
 
 # -- presets -------------------------------------------------------------
@@ -164,7 +111,7 @@ def _preset_bundle(name: str) -> dict:
     )
 
 
-# -- scenario parsing ----------------------------------------------------
+# -- field parsers ---------------------------------------------------------
 
 
 def _parse_distances(text: str) -> tuple[float, ...]:
@@ -192,8 +139,13 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
     return tuple(distances)
 
 
-def _parse_optional_float(text: str) -> float | None:
-    return None if text.strip().lower() == "none" else float(text)
+def _or_none(parse):
+    """A parser that also reads 'none' as an explicit None."""
+    return lambda text: None if text.strip().lower() == "none" else parse(text)
+
+
+def _parse_topology(text: str) -> str:
+    return text.replace("-", "_")
 
 
 def _parse_bool(text: str) -> bool:
@@ -205,28 +157,102 @@ def _parse_bool(text: str) -> bool:
     raise ConfigurationError(f"cannot parse boolean {text!r}")
 
 
-_FIELD_PARSERS = {
-    "protocol": str,
-    "preset": lambda s: None if s.lower() == "none" else s,
-    "p_mid": _parse_optional_float,
-    "p_bsa": float,
-    "cycle_time_ns": float,
-    "emission_fraction": float,
-    "collection_efficiency": float,
-    "topology": str,
-    "link_count": int,
-    "memory_n": int,
-    "distances_km": _parse_distances,
-    "trials": int,
-    "duration_in_tau_link": int,
-    "base_seed": int,
-    "refractive_index": float,
-    "attenuation_km": float,
-    "reserved_slots": int,
-    "epsilon_in": float,
-    "raw_lifetime_ms": _parse_optional_float,
-    "include_analytic": _parse_bool,
-}
+# -- schema ----------------------------------------------------------------
+
+
+def _field(flag: str, parse, default=dataclasses.MISSING, **flag_options):
+    """Declare a scenario field: ``parse`` reads its text from a config file
+    or from ``flag``, which gets ``flag_options`` as argparse keywords."""
+    return dataclasses.field(
+        default=default, metadata={"flag": flag, "parse": parse, "flag_options": flag_options}
+    )
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scenario:
+    """One campaign. Fields without a default come from a flag, the config
+    file or a preset; ``link_count`` and ``duration_in_tau_link`` default by
+    topology."""
+
+    protocol: str = _field("--protocol", str, choices=_PROTOCOLS)
+    preset: str | None = _field(
+        "--preset", _or_none(str), None,
+        help="hardware or figure preset: " + ", ".join(PRESET_CHOICES),
+    )
+    p_mid: float | None = _field(
+        "--p-mid", _or_none(float), None,
+        help="pair-generation probability of the midpoint source (mps only)",
+    )
+    p_bsa: float = _field("--p-bsa", float)
+    cycle_time_ns: float = _field("--cycle-time-ns", float)
+    emission_fraction: float = _field("--emission-fraction", float)
+    collection_efficiency: float = _field("--collection-efficiency", float)
+    topology: str = _field(
+        "--topology", _parse_topology, "single_link", choices=("single-link", "chain")
+    )
+    link_count: int = _field("--links", int)
+    memory_n: int = _field("--n", int, 100, help="memory qubits per link interface")
+    distances_km: tuple[float, ...] = _field(
+        "--distances", _parse_distances, help="comma-separated distances in km"
+    )
+    trials: int = _field("--trials", int, 1000)
+    duration_in_tau_link: int = _field(
+        "--duration", int, help="trial duration in units of the one-way link delay"
+    )
+    base_seed: int = _field("--seed", int, 1)
+    refractive_index: float = _field("--refractive-index", float, 1.5)
+    attenuation_km: float = _field("--attenuation-km", float, 22.0)
+    reserved_slots: int = _field("--reserved-slots", int, 3)
+    epsilon_in: float = _field("--epsilon-in", float, 0.05)
+    raw_lifetime_ms: float | None = _field(
+        "--raw-lifetime-ms", _or_none(float), 10.0,
+        help="raw-pair freshness horizon for chain trials; 'none' disables",
+    )
+    # the bare flag stores the text "true", which the field's parser reads
+    include_analytic: bool = _field(
+        "--analytic", _parse_bool, False, action="store_const", const="true",
+        help="emit closed-form rate rows (trials column 0) alongside the Monte Carlo rows",
+    )
+
+
+_SCENARIO_FIELDS = {field.name: field for field in dataclasses.fields(Scenario)}
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    report_format: str = "csv"
+    output: str = "-"
+    dump_config: bool = False
+    trace_path: str | None = None
+
+
+@dataclass(frozen=True)
+class ReportRow:
+    protocol: str
+    preset: str
+    p_mid: float | None
+    link_km: float
+    trials: int
+    mean_rate_per_s: float
+    ci90_low: float
+    ci90_high: float
+    seed: int
+
+
+CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(ReportRow))
+
+
+# -- scenario parsing ----------------------------------------------------
+
+
+def _parse_field(name: str, text: str, where: str = ""):
+    """Read one scenario field from its text in a config file or a flag."""
+    try:
+        return _SCENARIO_FIELDS[name].metadata["parse"](text)
+    except ConfigurationError:
+        raise
+    except ValueError:
+        raise ConfigurationError(f"{where}bad value for {name}: {text!r}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -244,121 +270,67 @@ def _read_config_file(path: str) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in _SCENARIO_FIELDS:
             raise ConfigurationError(f"{path}:{lineno}: unknown scenario field {key!r}")
-        try:
-            values[key] = _FIELD_PARSERS[key](value)
-        except ConfigurationError:
-            raise
-        except ValueError:
-            raise ConfigurationError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+        values[key] = _parse_field(key, value, f"{path}:{lineno}: ")
     return values
 
 
 def dump_config(scenario: Scenario) -> str:
     """Flat key/value text that re-parses to an identical scenario."""
     lines = []
-    for field in dataclasses.fields(Scenario):
-        value = getattr(scenario, field.name)
-        if field.name == "distances_km":
-            rendered = ",".join(_format_number(d) for d in value)
-        elif value is None:
-            rendered = "none"
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        else:
-            rendered = _format_number(value) if isinstance(value, float) else str(value)
-        lines.append(f"{field.name} = {rendered}")
+    for name in _SCENARIO_FIELDS:
+        lines.append(f"{name} = {_format_value(getattr(scenario, name), none='none')}")
     return "\n".join(lines) + "\n"
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
+    # Flags left off the command line stay out of the namespace, so an
+    # explicit 'none' is told apart from a field no source set.
     parser = argparse.ArgumentParser(
         prog="replink",
         description="Simulate and tabulate entanglement-distribution rates for repeater link protocols.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--config", help="config file of 'key = value' scenario fields")
-    parser.add_argument("--protocol", choices=_PROTOCOLS)
-    parser.add_argument("--preset", help="hardware or figure preset: " + ", ".join(PRESET_CHOICES))
-    parser.add_argument("--p-mid", type=float, dest="p_mid",
-                        help="pair-generation probability of the midpoint source (mps only)")
-    parser.add_argument("--p-bsa", type=float, dest="p_bsa")
-    parser.add_argument("--cycle-time-ns", type=float, dest="cycle_time_ns")
-    parser.add_argument("--emission-fraction", type=float, dest="emission_fraction")
-    parser.add_argument("--collection-efficiency", type=float, dest="collection_efficiency")
-    parser.add_argument("--topology", choices=("single-link", "chain"))
-    parser.add_argument("--links", type=int, dest="link_count")
-    parser.add_argument("--n", type=int, dest="memory_n", help="memory qubits per link interface")
+    for field in _SCENARIO_FIELDS.values():
+        flag, options = field.metadata["flag"], field.metadata["flag_options"]
+        parser.add_argument(flag, dest=field.name, **options)
     parser.add_argument("--sweep", help="distances as start:stop:step in km, inclusive")
-    parser.add_argument("--distances", help="comma-separated distances in km")
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--duration", type=int, dest="duration_in_tau_link",
-                        help="trial duration in units of the one-way link delay")
-    parser.add_argument("--seed", type=int, dest="base_seed")
-    parser.add_argument("--refractive-index", type=float, dest="refractive_index")
-    parser.add_argument("--attenuation-km", type=float, dest="attenuation_km")
-    parser.add_argument("--reserved-slots", type=int, dest="reserved_slots")
-    parser.add_argument("--epsilon-in", type=float, dest="epsilon_in")
-    parser.add_argument("--raw-lifetime-ms", dest="raw_lifetime_ms",
-                        help="raw-pair freshness horizon for chain trials; 'none' disables")
-    parser.add_argument("--analytic", action="store_true", dest="include_analytic",
-                        help="emit closed-form rate rows (trials column 0) alongside the Monte Carlo rows")
     parser.add_argument("--dump-config", action="store_true",
                         help="print the fully resolved scenario and exit")
     parser.add_argument("--trace", dest="trace_path",
                         help="write one stepped round's state transitions to this file")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--output", default="-", help="report destination path, '-' for stdout")
+    parser.add_argument("--format", choices=("csv", "json"), dest="report_format")
+    parser.add_argument("--output", help="report destination path, '-' for stdout")
     return parser
-
-
-_BASE_DEFAULTS = {
-    "preset": None,
-    "p_mid": None,
-    "topology": "single_link",
-    "refractive_index": 1.5,
-    "attenuation_km": 22.0,
-    "trials": 1000,
-    "base_seed": 1,
-    "reserved_slots": 3,
-    "epsilon_in": 0.05,
-    "raw_lifetime_ms": 10.0,
-    "include_analytic": False,
-}
 
 
 def parse_scenario(argv=None, env=None) -> tuple[Scenario, RunOptions]:
     """Resolve flags, optional config file, and environment into a scenario."""
     env = os.environ if env is None else env
-    parser = _build_arg_parser()
-    args = parser.parse_args(argv)
+    given = vars(_build_arg_parser().parse_args(argv))
+    options = RunOptions(
+        **{f.name: given.pop(f.name) for f in dataclasses.fields(RunOptions) if f.name in given}
+    )
+    config = given.pop("config", None)
+    sweep = given.pop("sweep", None)
 
-    merged = dict(_BASE_DEFAULTS)
-    file_values = _read_config_file(args.config) if args.config else {}
-    preset = args.preset if args.preset is not None else file_values.get("preset")
-    if preset is not None:
-        merged.update(_preset_bundle(preset))
-    merged.update(file_values)
+    flag_values = {name: _parse_field(name, text) for name, text in given.items()}
+    if sweep is not None:
+        # an explicit distance list wins over a sweep
+        flag_values.setdefault("distances_km", _parse_sweep(sweep))
+    explicit = _read_config_file(config) if config else {}
+    explicit.update(flag_values)
 
-    for field in _FIELD_PARSERS:
-        flag_value = getattr(args, field, None)
-        if flag_value is not None and field != "include_analytic":
-            merged[field] = flag_value
-    if args.include_analytic:
-        merged["include_analytic"] = True
-    if args.topology is not None:
-        merged["topology"] = args.topology.replace("-", "_")
-    if args.sweep is not None:
-        merged["distances_km"] = _parse_sweep(args.sweep)
-    if args.distances is not None:
-        merged["distances_km"] = _parse_distances(args.distances)
-    if isinstance(merged.get("raw_lifetime_ms"), str):
-        try:
-            merged["raw_lifetime_ms"] = _parse_optional_float(merged["raw_lifetime_ms"])
-        except ValueError:
-            raise ConfigurationError(
-                f"raw_lifetime_ms must be a number or 'none', got {merged['raw_lifetime_ms']!r}"
-            ) from None
+    merged = {
+        name: field.default
+        for name, field in _SCENARIO_FIELDS.items()
+        if field.default is not dataclasses.MISSING
+    }
+    if explicit.get("preset") is not None:
+        merged.update(_preset_bundle(explicit["preset"]))
+    merged.update(explicit)
 
     if "REPLINK_SEED" in env:
         try:
@@ -368,23 +340,7 @@ def parse_scenario(argv=None, env=None) -> tuple[Scenario, RunOptions]:
                 f"REPLINK_SEED must be an integer, got {env['REPLINK_SEED']!r}"
             ) from None
 
-    explicit_links = file_values.get("link_count") if args.link_count is None else args.link_count
-    scenario = _validate_scenario(merged, explicit_links)
-    options = RunOptions(
-        report_format=args.format,
-        output=args.output,
-        dump_config=args.dump_config,
-        trace_path=args.trace_path,
-    )
-    return scenario, options
-
-
-def _require(merged: dict, field: str):
-    if field not in merged or merged[field] is None:
-        raise ConfigurationError(
-            f"missing required scenario field {field!r}; set it via flag, config file, or preset"
-        )
-    return merged[field]
+    return _validate_scenario(merged, explicit.get("link_count")), options
 
 
 def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
@@ -394,20 +350,24 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
     any; a single link rejects any other count there, while a preset's chain
     length is simply replaced by one.
     """
-    protocol_name = _require(merged, "protocol")
+    topology = merged["topology"]
+    merged.setdefault("link_count", 10 if topology == "chain" else 1)
+    merged.setdefault("duration_in_tau_link", 1000 if topology == "chain" else 10_000)
+    for name in _SCENARIO_FIELDS:
+        if name not in merged:
+            raise ConfigurationError(
+                f"missing required scenario field {name!r}; set it via flag, config file, or preset"
+            )
+
+    protocol_name = merged["protocol"]
     if protocol_name not in _PROTOCOLS:
         raise ConfigurationError(
             f"unknown protocol {protocol_name!r}; choose one of {', '.join(_PROTOCOLS)}"
         )
-    topology = _require(merged, "topology")
     if topology not in _TOPOLOGIES:
         raise ConfigurationError(
             f"unknown topology {topology!r}; choose one of {', '.join(_TOPOLOGIES)}"
         )
-
-    merged.setdefault("link_count", 10 if topology == "chain" else 1)
-    merged.setdefault("duration_in_tau_link", 1000 if topology == "chain" else 10_000)
-    merged.setdefault("memory_n", 100)
     if topology == "single_link":
         if explicit_links not in (None, 1):
             raise ConfigurationError(
@@ -415,13 +375,18 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
             )
         merged["link_count"] = 1
 
-    for field in ("p_bsa", "cycle_time_ns", "emission_fraction", "collection_efficiency"):
-        _require(merged, field)
-    distances = tuple(_require(merged, "distances_km"))
+    for name, value in merged.items():
+        for number in value if isinstance(value, tuple) else (value,):
+            # an infinite attenuation length is lossless fiber
+            lossless = name == "attenuation_km" and number == math.inf
+            if isinstance(number, float) and not math.isfinite(number) and not lossless:
+                raise ConfigurationError(f"{name} must be a finite number, got {number!r}")
+
+    distances = merged["distances_km"]
     if not distances or any(d <= 0 for d in distances):
         raise ConfigurationError("distances_km must be a non-empty list of positive distances")
 
-    p_mid = merged.get("p_mid")
+    p_mid = merged["p_mid"]
     if protocol_name == "mps" and p_mid is None:
         raise ConfigurationError("the mps protocol requires --p-mid")
     if protocol_name != "mps" and p_mid is not None:
@@ -451,32 +416,11 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
             "chain scenarios need memory_n > reserved_slots so some qubits attempt entanglement"
         )
 
-    raw_lifetime = merged.get("raw_lifetime_ms")
+    raw_lifetime = merged["raw_lifetime_ms"]
     if raw_lifetime is not None and raw_lifetime <= 0:
         raise ConfigurationError("raw_lifetime_ms must be positive (or 'none' to disable)")
 
-    return Scenario(
-        protocol=protocol_name,
-        preset=merged.get("preset"),
-        p_mid=p_mid,
-        p_bsa=merged["p_bsa"],
-        cycle_time_ns=merged["cycle_time_ns"],
-        emission_fraction=merged["emission_fraction"],
-        collection_efficiency=merged["collection_efficiency"],
-        topology=topology,
-        link_count=merged["link_count"],
-        memory_n=merged["memory_n"],
-        distances_km=distances,
-        trials=merged["trials"],
-        duration_in_tau_link=merged["duration_in_tau_link"],
-        base_seed=merged["base_seed"],
-        refractive_index=merged["refractive_index"],
-        attenuation_km=merged["attenuation_km"],
-        reserved_slots=merged["reserved_slots"],
-        epsilon_in=merged["epsilon_in"],
-        raw_lifetime_ms=raw_lifetime,
-        include_analytic=merged["include_analytic"],
-    )
+    return Scenario(**merged)
 
 
 # -- model construction --------------------------------------------------
@@ -585,63 +529,47 @@ def run_sweep(scenario: Scenario, progress=None) -> list[ReportRow]:
         rates = [runner(scenario.base_seed + trial) for trial in range(scenario.trials)]
         summary = engine.summarize(rates)
         print(
-            f"[replink] {scenario.protocol} {preset_label} L={_format_number(distance)} km: "
+            f"[replink] {scenario.protocol} {preset_label} L={_format_value(distance)} km: "
             f"{scenario.trials} trials, mean {summary.mean:.6g} /s",
             file=progress,
         )
-        rows.append(
-            ReportRow(
-                protocol=scenario.protocol,
-                preset=preset_label,
-                p_mid=scenario.p_mid,
-                link_km=float(distance),
-                trials=scenario.trials,
-                mean_rate_per_s=summary.mean,
-                ci90_low=summary.ci90_low,
-                ci90_high=summary.ci90_high,
-                seed=scenario.base_seed,
-            )
+        row = ReportRow(
+            protocol=scenario.protocol,
+            preset=preset_label,
+            p_mid=scenario.p_mid,
+            link_km=float(distance),
+            trials=scenario.trials,
+            mean_rate_per_s=summary.mean,
+            ci90_low=summary.ci90_low,
+            ci90_high=summary.ci90_high,
+            seed=scenario.base_seed,
         )
+        rows.append(row)
         if scenario.include_analytic:
-            bundle = analytic_rate(scenario, distance)
-            rows.append(
-                ReportRow(
-                    protocol=scenario.protocol,
-                    preset=preset_label,
-                    p_mid=scenario.p_mid,
-                    link_km=float(distance),
-                    trials=0,
-                    mean_rate_per_s=bundle.rate_per_s,
-                    ci90_low=bundle.rate_per_s,
-                    ci90_high=bundle.rate_per_s,
-                    seed=scenario.base_seed,
-                )
+            rate = analytic_rate(scenario, distance).rate_per_s
+            overlay = dataclasses.replace(
+                row, trials=0, mean_rate_per_s=rate, ci90_low=rate, ci90_high=rate
             )
+            rows.append(overlay)
     return rows
 
 
-def _format_number(value: float) -> str:
-    # repr keeps full round-trip precision (well past 6 significant digits)
-    return repr(float(value))
+def _format_value(value, none: str = "") -> str:
+    """Text of a report cell or a config value, with ``none`` for None."""
+    if value is None:
+        return none
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        # repr keeps full round-trip precision (well past 6 significant digits)
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ",".join(_format_value(item, none) for item in value)
+    return str(value)
 
 
 def report_dicts(rows) -> list[dict]:
-    dicts = []
-    for row in rows:
-        dicts.append(
-            {
-                "protocol": row.protocol,
-                "preset": row.preset,
-                "p_mid": row.p_mid,
-                "link_km": row.link_km,
-                "trials": row.trials,
-                "mean_rate_per_s": row.mean_rate_per_s,
-                "ci90_low": row.ci90_low,
-                "ci90_high": row.ci90_high,
-                "seed": row.seed,
-            }
-        )
-    return dicts
+    return [dataclasses.asdict(row) for row in rows]
 
 
 def emit_report(rows, report_format: str, destination: str) -> None:
@@ -664,21 +592,7 @@ def emit_report(rows, report_format: str, destination: str) -> None:
 def _render_csv(rows) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    row.protocol,
-                    row.preset,
-                    "" if row.p_mid is None else _format_number(row.p_mid),
-                    _format_number(row.link_km),
-                    str(row.trials),
-                    _format_number(row.mean_rate_per_s),
-                    _format_number(row.ci90_low),
-                    _format_number(row.ci90_high),
-                    str(row.seed),
-                )
-            )
-        )
+        lines.append(",".join(_format_value(getattr(row, column)) for column in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -98,22 +98,11 @@ class ChainModel:
             raise ConfigurationError("a chain needs at least one link")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LinkTrialStats:
     entanglement_events: int
     elapsed: Duration
     rate_per_s: float
-    per_round_counts: np.ndarray
-
-    def __eq__(self, other):
-        if not isinstance(other, LinkTrialStats):
-            return NotImplemented
-        return (
-            self.entanglement_events == other.entanglement_events
-            and self.elapsed == other.elapsed
-            and self.rate_per_s == other.rate_per_s
-            and np.array_equal(self.per_round_counts, other.per_round_counts)
-        )
 
 
 @dataclass(frozen=True)
@@ -198,7 +187,6 @@ def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialS
         entanglement_events=events,
         elapsed=elapsed,
         rate_per_s=events / elapsed.seconds,
-        per_round_counts=counts,
     )
 
 

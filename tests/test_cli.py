@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from replink import cli
 from replink.cli import (
@@ -27,6 +29,50 @@ TINY = [
     "--n", "10", "--trials", "3", "--duration", "20", "--distances", "10,5",
     "--seed", "11",
 ]
+
+CHAIN = ["--protocol", "mitm", "--preset", "fig8-optimistic", "--trials", "1", "--distances", "10"]
+
+# The command line's long options: a flag added or lost must show up here.
+LONG_OPTIONS = {
+    "--config", "--protocol", "--preset", "--p-mid", "--p-bsa", "--cycle-time-ns",
+    "--emission-fraction", "--collection-efficiency", "--topology", "--links", "--n",
+    "--sweep", "--distances", "--trials", "--duration", "--seed", "--refractive-index",
+    "--attenuation-km", "--reserved-slots", "--epsilon-in", "--raw-lifetime-ms",
+    "--analytic", "--dump-config", "--trace", "--format", "--output",
+}
+
+PROBABILITY = st.floats(min_value=0.0, max_value=1.0)
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Scenarios that pass validation, with full-precision floats and Nones."""
+    protocol = draw(st.sampled_from(["mitm", "sr", "mps"]))
+    chain = draw(st.booleans())
+    reserved_slots = draw(st.integers(min_value=1 if chain else 0, max_value=10))
+    return Scenario(
+        protocol=protocol,
+        preset=draw(st.none() | st.sampled_from(cli.PRESET_CHOICES)),
+        p_mid=draw(PROBABILITY) if protocol == "mps" else None,
+        p_bsa=draw(PROBABILITY),
+        cycle_time_ns=draw(POSITIVE),
+        emission_fraction=draw(PROBABILITY),
+        collection_efficiency=draw(PROBABILITY),
+        topology="chain" if chain else "single_link",
+        link_count=draw(st.integers(min_value=1, max_value=50)) if chain else 1,
+        memory_n=draw(st.integers(min_value=reserved_slots + 1, max_value=500)),
+        distances_km=tuple(draw(st.lists(POSITIVE, min_size=1, max_size=6))),
+        trials=draw(st.integers(min_value=1, max_value=10**6)),
+        duration_in_tau_link=draw(st.integers(min_value=1, max_value=10**6)),
+        base_seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+        refractive_index=draw(POSITIVE),
+        attenuation_km=draw(POSITIVE | st.just(math.inf)),
+        reserved_slots=reserved_slots,
+        epsilon_in=draw(PROBABILITY),
+        raw_lifetime_ms=draw(st.none() | POSITIVE),
+        include_analytic=draw(st.booleans()),
+    )
 
 
 class TestParsing:
@@ -130,6 +176,36 @@ class TestParsing:
                           "--topology", "single-link"])
         assert scenario.link_count == 1
 
+    def test_flag_contract(self):
+        parser = cli._build_arg_parser()
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert {flag for flag in flags if flag.startswith("--")} - {"--help"} == LONG_OPTIONS
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "base,field,flag",
+        [
+            (TINY, "distances_km", "--distances"),
+            (TINY, "refractive_index", "--refractive-index"),
+            (TINY, "cycle_time_ns", "--cycle-time-ns"),
+            (CHAIN, "raw_lifetime_ms", "--raw-lifetime-ms"),
+        ],
+        ids=["distances", "refractive-index", "cycle-time", "raw-lifetime"],
+    )
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, base, field, flag, value):
+        assert main(base + [flag, value]) == 2
+        assert f"{field} must be a finite number" in capsys.readouterr().err
+        # a later line of a config file overrides an earlier one
+        config = tmp_path / "non_finite.cfg"
+        config.write_text(dump_config(parse(base)) + f"{field} = {value}\n")
+        assert main(["--config", str(config)]) == 2
+        assert f"{field} must be a finite number" in capsys.readouterr().err
+
+    def test_infinite_attenuation_length_is_lossless_fiber(self):
+        assert parse(TINY + ["--attenuation-km", "inf"]).attenuation_km == math.inf
+        with pytest.raises(ConfigurationError, match="attenuation_km must be a finite number"):
+            parse(TINY + ["--attenuation-km", "nan"])
+
 
 class TestConfigFile:
     def test_file_values_and_flag_precedence(self, tmp_path):
@@ -170,10 +246,28 @@ class TestConfigFile:
     def test_dump_round_trips_mps_chain(self, tmp_path):
         scenario = parse(["--protocol", "mps", "--preset", "fig9-pessimistic", "--p-mid", "0.1",
                           "--raw-lifetime-ms", "none", "--analytic"])
+        assert scenario.raw_lifetime_ms is None
         config = tmp_path / "dumped.cfg"
         config.write_text(dump_config(scenario))
         again = parse(["--config", str(config)])
         assert again == scenario
+
+    def test_explicit_none_survives(self, tmp_path):
+        from_flag = parse(["--protocol", "mitm", "--preset", "fig9-pessimistic",
+                           "--raw-lifetime-ms", "none"])
+        config = tmp_path / "none.cfg"
+        config.write_text("preset = fig9-pessimistic\nraw_lifetime_ms = none\n")
+        from_file = parse(["--protocol", "mitm", "--config", str(config)])
+        for scenario in (from_flag, from_file):
+            assert scenario.raw_lifetime_ms is None
+            assert "\nraw_lifetime_ms = none\n" in dump_config(scenario)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_scenarios())
+    def test_dump_round_trips_any_valid_scenario(self, tmp_path_factory, scenario):
+        config = tmp_path_factory.getbasetemp() / "round_trip.cfg"
+        config.write_text(dump_config(scenario))
+        assert parse(["--config", str(config)]) == scenario
 
 
 class TestSweepAndReport:
