@@ -93,10 +93,6 @@ class MpsEntanglement:
     p_right: float
     p_mid: float
 
-    @property
-    def p_ent(self) -> float:
-        return self.p_ent_sum
-
 
 @dataclass(frozen=True)
 class PurificationBounds:

@@ -459,14 +459,17 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
     p_optical = params.optical_transmission(profile, geometry)
     n = _attempting_memory(scenario)
 
-    if scenario.protocol == "mitm":
+    if scenario.protocol in ("mitm", "sr"):
         p = params.link_success_probability(stack, p_optical)
-        config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(n))
-        probs = protocol.LinkProbabilities(p=p)
-    elif scenario.protocol == "sr":
-        p = params.link_success_probability(stack, p_optical)
-        budget = analytic.sr_receiver_allocation(n, p)
-        config = ProtocolConfig(ProtocolKind.SR, budget)
+        if p <= 0.0:
+            raise ConfigurationError(
+                "entanglement is impossible when p_bsa * p_optical^2 = 0 "
+                f"(p_bsa = {scenario.p_bsa:g}, p_optical = {p_optical:g})"
+            )
+        if scenario.protocol == "mitm":
+            config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(n))
+        else:
+            config = ProtocolConfig(ProtocolKind.SR, analytic.sr_receiver_allocation(n, p))
         probs = protocol.LinkProbabilities(p=p)
     else:
         success = params.mps_success_probability(stack, p_optical)

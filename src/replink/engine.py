@@ -5,15 +5,13 @@ seed: link ``i`` of a trial draws from ``default_rng([seed, i])`` and
 purification from its own stream, so disjoint seeds give independent
 trials and equal seeds byte-identical results.
 
-Round outcomes are drawn in bulk with numpy. For the two-sender protocols
-the per-round pair count is binomial (capped by the receiver memory for
-sender-receiver). For the midpoint source each bin is decided by its
-first latch event: the attempt index of the first event is geometric in
-the per-attempt probability that anything latches, and conditional on an
-event happening it is a simultaneous both-sides latch (the only way the
-bin can confirm) with probability p''/(p_m(p_l+p_r)-p''). This is the
-same per-attempt process ``protocol.sample_round`` iterates explicitly,
-collapsed to two draws per bin; the tests check the two agree.
+Every protocol's round confirms min(Binomial(slots, p), cap) pairs,
+drawn for all rounds at once. The two-sender protocols try each sending
+qubit once with the per-attempt success probability (sender-receiver
+caps the count at the receiver memory). Each midpoint-source bin is one
+Bernoulli trial whose probability is ``analytic.mps_entanglement``'s
+per-bin sum, the same per-attempt process ``protocol.sample_round``
+iterates explicitly; the tests check the two agree.
 
 A chain trial runs without an event loop and skips rounds that confirm
 no pair. Each link's purification groups follow from its round counts
@@ -32,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +70,23 @@ class LinkModel:
     @property
     def round_time(self) -> Duration:
         return analytic.round_time(self.config, self.tau_link, self.tau_clock)
+
+    @cached_property
+    def round_law(self) -> tuple[int, float, int]:
+        """(slots, p, cap): each round confirms min(Binomial(slots, p), cap) pairs.
+
+        Derived at the first draw: the midpoint source's bin probability
+        sums up to K terms, and many models are built and never sampled.
+        """
+        memory, probs = self.config.memory, self.probs
+        if self.config.kind is ProtocolKind.SR:
+            return memory.n_sender, probs.p, memory.n_receiver
+        if self.config.kind is ProtocolKind.MITM:
+            return memory.n_per_side, probs.p, memory.n_per_side
+        ent = analytic.mps_entanglement(
+            probs.p_left, probs.p_right, probs.p_mid, self.config.k_attempts
+        )
+        return memory.n_per_side, ent.p_ent_sum, memory.n_per_side
 
 
 @dataclass(frozen=True)
@@ -141,25 +157,8 @@ class SummaryStats:
 
 def sample_round_counts(rng, link: LinkModel, n_rounds: int) -> np.ndarray:
     """Confirmed pair counts for ``n_rounds`` consecutive rounds."""
-    config, probs = link.config, link.probs
-    if config.kind is ProtocolKind.MITM:
-        return rng.binomial(config.memory.n_per_side, probs.p, size=n_rounds)
-    if config.kind is ProtocolKind.SR:
-        raw = rng.binomial(config.memory.n_sender, probs.p, size=n_rounds)
-        return np.minimum(raw, config.memory.n_receiver)
-    n_bins = config.memory.n_per_side
-    k = config.k_attempts
-    total_bins = n_rounds * n_bins
-    if total_bins == 0:
-        return np.zeros(n_rounds, dtype=np.int64)
-    p_joint = probs.p_mid * probs.p_left * probs.p_right
-    p_any = probs.p_mid * (probs.p_left + probs.p_right) - p_joint
-    if p_any <= 0.0:
-        return np.zeros(n_rounds, dtype=np.int64)
-    first_event = rng.geometric(p_any, size=total_bins)
-    both_sides = rng.random(total_bins) < (p_joint / p_any)
-    entangled = (first_event <= k) & both_sides
-    return entangled.reshape(n_rounds, n_bins).sum(axis=1)
+    slots, p, cap = link.round_law
+    return np.minimum(rng.binomial(slots, p, size=n_rounds), cap)
 
 
 def _trial_rng(seed: int, stream: int):

@@ -196,6 +196,25 @@ class TestMpsEntanglement:
         ent = analytic.mps_entanglement(p_l, p_l, p_m, k)
         assert abs(ent.p_ent_sum - p_l / 2.0) / (p_l / 2.0) <= 0.05
 
+    @given(
+        st.floats(min_value=1e-6, max_value=1.0),
+        st.floats(min_value=1e-6, max_value=1.0),
+        st.floats(min_value=1e-4, max_value=1.0),
+        st.integers(min_value=1, max_value=10**5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sum_is_the_first_latch_law(self, p_l, p_r, p_m, k):
+        # A bin entangles iff its first latch event comes within K attempts
+        # (probability 1 - (1 - p_any)^K) and is a both-sides latch
+        # (probability p''/p_any given an event): the engine's Bernoulli law.
+        p_joint = p_l * p_m * p_r
+        p_any = p_m * (p_l + p_r) - p_joint
+        # with p_any = 1 the first attempt always decides the bin
+        latched = 1.0 if p_any >= 1.0 else -math.expm1(k * math.log1p(-p_any))
+        law = p_joint * latched / p_any
+        ent = analytic.mps_entanglement(p_l, p_r, p_m, k)
+        assert ent.p_ent_sum == pytest.approx(law, rel=1e-10)
+
 
 class TestMpsRate:
     def test_worked_example(self):

@@ -341,6 +341,13 @@ class TestMain:
         assert main(["--protocol", "mps", "--preset", "qd", "--distances", "10"]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base", [TINY, CHAIN], ids=["single-link", "chain"])
+    @pytest.mark.parametrize("flag", ["--p-bsa", "--emission-fraction", "--collection-efficiency"])
+    @pytest.mark.parametrize("protocol", ["mitm", "sr"])
+    def test_zero_success_probability_exits_2(self, capsys, protocol, flag, base):
+        assert main(base + ["--protocol", protocol, flag, "0"]) == 2
+        assert "impossible when p_bsa * p_optical^2 = 0" in capsys.readouterr().err
+
     def test_negative_seed_exits_2(self, capsys, monkeypatch):
         assert main(TINY + ["--seed", "-1"]) == 2
         assert "non-negative" in capsys.readouterr().err

@@ -45,6 +45,12 @@ MPS_LINK = LinkModel(
     tau_link=US(10),
     tau_clock=NS(10),
 )
+ASYMMETRIC_MPS_LINK = LinkModel(
+    ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(4), k_attempts=5),
+    LinkProbabilities(p_mid=0.7, p_left=0.3, p_right=0.6),
+    tau_link=US(10),
+    tau_clock=NS(10),
+)
 
 
 class TestEventQueue:
@@ -86,8 +92,8 @@ class TestBatchSampler:
 
     @pytest.mark.parametrize(
         "link,seed",
-        [(MITM_LINK, 0), (SR_LINK, 1), (MPS_LINK, 2)],
-        ids=["mitm", "sr", "mps"],
+        [(MITM_LINK, 0), (SR_LINK, 1), (MPS_LINK, 2), (ASYMMETRIC_MPS_LINK, 3)],
+        ids=["mitm", "sr", "mps", "mps-asymmetric"],
     )
     def test_counts_distribution_matches_sample_round(self, link, seed):
         rounds = 20_000
@@ -112,6 +118,34 @@ class TestBatchSampler:
     def test_mitm_mean_tracks_binomial(self):
         counts = sample_round_counts(np.random.default_rng(3), MITM_LINK, 50_000)
         assert counts.mean() == pytest.approx(100 * 0.05, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "link,slots,cap", [(MITM_LINK, 100, 100), (SR_LINK, 6, 2)], ids=["mitm", "sr"]
+    )
+    def test_two_sender_streams_are_one_binomial_draw(self, link, slots, cap):
+        counts = sample_round_counts(np.random.default_rng(9), link, 1000)
+        raw = np.random.default_rng(9).binomial(slots, link.probs.p, size=1000)
+        np.testing.assert_array_equal(counts, np.minimum(raw, cap))
+
+    def test_mps_bin_law_is_derived_once_at_the_first_draw(self, monkeypatch):
+        calls = []
+        original = analytic.mps_entanglement
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analytic, "mps_entanglement", counted)
+        scenario, _ = cli.parse_scenario(
+            ["--protocol", "mps", "--preset", "fig8-optimistic", "--p-mid", "0.1"], env={}
+        )
+        chain = cli.build_chain_model(scenario, 10.0)
+        assert len(chain.links) == 10
+        assert calls == []
+        duration = 20 * chain.links[0].tau_link
+        for seed in (1, 2):
+            run_chain_trial(chain, duration, seed)
+        assert len(calls) == 1
 
 
 class TestLinkTrial:

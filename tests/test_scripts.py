@@ -1,0 +1,33 @@
+"""Smoke tests of the figure campaign scripts at one trial per cell."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from replink.cli import CSV_COLUMNS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script,tables",
+    [("fig8_optimistic.py", 5), ("fig9_pessimistic.py", 5), ("fig10_hardware.py", 12)],
+)
+def test_figure_script_writes_every_table(tmp_path, script, tables):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--trials", "1", "--outdir", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    written = sorted(tmp_path.glob("*.csv"))
+    assert len(written) == tables
+    for path in written:
+        header, *rows = path.read_text().splitlines()
+        assert header == ",".join(CSV_COLUMNS)
+        # ten distances, each with a Monte Carlo row and its closed-form row
+        assert len(rows) == 20
