@@ -51,6 +51,11 @@ __all__ = [
 _PROTOCOLS = ("mitm", "sr", "mps")
 _TOPOLOGIES = ("single_link", "chain")
 
+# A round lasts at least one link delay, so a trial holds at most
+# duration_in_tau_link * link_count round counts (8 bytes each: 800 MB).
+_MAX_ROUND_COUNTS = 10**8
+_MAX_SWEEP_DISTANCES = 10**4
+
 
 # -- presets -------------------------------------------------------------
 
@@ -134,6 +139,11 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
     distances = []
     value = start
     while value <= stop + 1e-9:
+        # also stops a step too small to advance the value
+        if len(distances) == _MAX_SWEEP_DISTANCES:
+            raise ConfigurationError(
+                f"sweep {text!r} has more than {_MAX_SWEEP_DISTANCES} distances"
+            )
         distances.append(round(value, 9))
         value += step
     return tuple(distances)
@@ -400,6 +410,12 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
         raise ConfigurationError("memory_n must be at least 1")
     if merged["link_count"] < 1:
         raise ConfigurationError("link_count must be at least 1")
+    round_counts = merged["duration_in_tau_link"] * merged["link_count"]
+    if round_counts > _MAX_ROUND_COUNTS:
+        raise ConfigurationError(
+            f"duration_in_tau_link * link_count = {round_counts} exceeds {_MAX_ROUND_COUNTS}: "
+            "a trial would hold that many round counts"
+        )
     if merged["base_seed"] < 0:
         raise ConfigurationError(
             f"the base seed (--seed, REPLINK_SEED) must be non-negative, got {merged['base_seed']}"
@@ -443,12 +459,6 @@ def _profile(scenario: Scenario) -> params.HardwareProfile:
     )
 
 
-def _attempting_memory(scenario: Scenario) -> int:
-    if scenario.topology == "chain":
-        return scenario.memory_n - scenario.reserved_slots
-    return scenario.memory_n
-
-
 def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel:
     """Derive one link's protocol config and probabilities at a distance."""
     geometry = _geometry(scenario, distance_km)
@@ -457,7 +467,9 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
     tau_link = params.link_delay(geometry)
     tau_clock = profile.cycle_time
     p_optical = params.optical_transmission(profile, geometry)
-    n = _attempting_memory(scenario)
+    n = scenario.memory_n
+    if scenario.topology == "chain":
+        n -= scenario.reserved_slots  # reserved qubits hold purified pairs, not attempts
 
     if scenario.protocol in ("mitm", "sr"):
         p = params.link_success_probability(stack, p_optical)
@@ -494,22 +506,20 @@ def build_chain_model(scenario: Scenario, distance_km: float) -> engine.ChainMod
     return engine.ChainModel(links=(link,) * scenario.link_count, purification=policy)
 
 
-def analytic_rate(scenario: Scenario, distance_km: float) -> analytic.RateBundle:
-    """Closed-form link-level rate at a distance (chain rows use the same
-    per-link formula; the chain pipeline has no closed form)."""
-    link = build_link_model(scenario, distance_km)
-    n = _attempting_memory(scenario)
-    if scenario.protocol == "mitm":
-        return analytic.mitm_rate(n, link.probs.p, link.tau_link, link.tau_clock)
-    if scenario.protocol == "sr":
-        memory = link.config.memory
+def analytic_rate(link: engine.LinkModel) -> analytic.RateBundle:
+    """Closed-form rate of the link model a sweep cell's Monte Carlo rows
+    sampled, reusing its midpoint-source law; chain rows use the same
+    per-link formula (the chain pipeline has no closed form)."""
+    memory = link.config.memory
+    if link.config.kind is ProtocolKind.MITM:
+        return analytic.mitm_rate(memory.n_per_side, link.probs.p, link.tau_link, link.tau_clock)
+    if link.config.kind is ProtocolKind.SR:
         return analytic.sr_rate(
             memory.n_sender, memory.n_receiver, link.probs.p, link.tau_link, link.tau_clock
         )
-    ent = analytic.mps_entanglement(
-        link.probs.p_left, link.probs.p_right, link.probs.p_mid, link.config.k_attempts
+    return analytic.mps_rate(
+        memory.n_per_side, link.mps_entanglement, link.tau_link, link.tau_clock
     )
-    return analytic.mps_rate(n, ent, link.tau_link, link.tau_clock)
 
 
 # -- sweep and report ----------------------------------------------------
@@ -521,14 +531,15 @@ def run_sweep(scenario: Scenario, progress=None) -> list[ReportRow]:
     preset_label = scenario.preset or "custom"
     rows = []
     for distance in sorted(scenario.distances_km):
+        # one model per distance: the trials and the analytic row share it
         if scenario.topology == "chain":
             chain = build_chain_model(scenario, distance)
-            duration = scenario.duration_in_tau_link * chain.links[0].tau_link
+            link = chain.links[0]
             runner = lambda seed: engine.run_chain_trial(chain, duration, seed).rate_per_s
         else:
             link = build_link_model(scenario, distance)
-            duration = scenario.duration_in_tau_link * link.tau_link
             runner = lambda seed: engine.run_link_trial(link, duration, seed).rate_per_s
+        duration = scenario.duration_in_tau_link * link.tau_link
         rates = [runner(scenario.base_seed + trial) for trial in range(scenario.trials)]
         summary = engine.summarize(rates)
         print(
@@ -549,7 +560,7 @@ def run_sweep(scenario: Scenario, progress=None) -> list[ReportRow]:
         )
         rows.append(row)
         if scenario.include_analytic:
-            rate = analytic_rate(scenario, distance).rate_per_s
+            rate = analytic_rate(link).rate_per_s
             overlay = dataclasses.replace(
                 row, trials=0, mean_rate_per_s=rate, ci90_low=rate, ci90_high=rate
             )

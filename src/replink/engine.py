@@ -60,7 +60,10 @@ _PURIFY_STREAM = 104729
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Everything needed to simulate one link: protocol, probabilities, delays."""
+    """Everything needed to simulate one link: protocol, probabilities, delays.
+
+    A sweep distance's Monte Carlo rows and analytic row read one model.
+    """
 
     config: ProtocolConfig
     probs: LinkProbabilities
@@ -72,21 +75,23 @@ class LinkModel:
         return analytic.round_time(self.config, self.tau_link, self.tau_clock)
 
     @cached_property
-    def round_law(self) -> tuple[int, float, int]:
-        """(slots, p, cap): each round confirms min(Binomial(slots, p), cap) pairs.
+    def mps_entanglement(self) -> analytic.MpsEntanglement:
+        """The midpoint source's per-bin law (mps links only), summed over up to
+        K terms at its first use: many models are built and never sampled."""
+        probs = self.probs
+        return analytic.mps_entanglement(
+            probs.p_left, probs.p_right, probs.p_mid, self.config.k_attempts
+        )
 
-        Derived at the first draw: the midpoint source's bin probability
-        sums up to K terms, and many models are built and never sampled.
-        """
+    @cached_property
+    def round_law(self) -> tuple[int, float, int]:
+        """(slots, p, cap): each round confirms min(Binomial(slots, p), cap) pairs."""
         memory, probs = self.config.memory, self.probs
         if self.config.kind is ProtocolKind.SR:
             return memory.n_sender, probs.p, memory.n_receiver
         if self.config.kind is ProtocolKind.MITM:
             return memory.n_per_side, probs.p, memory.n_per_side
-        ent = analytic.mps_entanglement(
-            probs.p_left, probs.p_right, probs.p_mid, self.config.k_attempts
-        )
-        return memory.n_per_side, ent.p_ent_sum, memory.n_per_side
+        return memory.n_per_side, self.mps_entanglement.p_ent_sum, memory.n_per_side
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,6 @@ class Duration:
     def from_ms(cls, value) -> "Duration":
         return cls(round(value * 1_000_000_000))
 
-    @classmethod
-    def from_seconds(cls, value) -> "Duration":
-        return cls(round(value * 1_000_000_000_000))
-
     @property
     def seconds(self) -> float:
         return self.ps / 1e12

@@ -111,7 +111,7 @@ def test_criterion_3_monte_carlo_matches_closed_forms():
     }
     for name, scenario in scenarios.items():
         for distance in distances:
-            oracle = cli.analytic_rate(scenario, distance).rate_per_s
+            oracle = cli.analytic_rate(cli.build_link_model(scenario, distance)).rate_per_s
             rates = _mc_link_rates(scenario, distance)
             se = rates.std(ddof=1) / np.sqrt(len(rates))
             gap = abs(rates.mean() - oracle)

@@ -1,10 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replink import cli
+from replink import analytic, cli
 from replink.cli import (
     CSV_COLUMNS,
     ReportRow,
@@ -116,12 +117,46 @@ class TestParsing:
             parse(["--protocol", "mitm", "--preset", "qd", "--p-mid", "0.5", "--distances", "10"])
 
     def test_sweep_parsing(self):
-        scenario = parse(["--protocol", "mitm", "--preset", "qd", "--sweep", "5:50:5"])
-        assert scenario.distances_km == tuple(float(d) for d in range(5, 55, 5))
+        def sweep(text):
+            return parse(["--protocol", "mitm", "--preset", "qd", "--sweep", text]).distances_km
+
+        assert sweep("5:50:5") == (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
+        assert sweep("0.1:1:0.1") == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+        assert sweep("1:10000:1") == tuple(float(d) for d in range(1, 10_001))
         with pytest.raises(ConfigurationError):
-            parse(["--protocol", "mitm", "--preset", "qd", "--sweep", "5:50"])
+            sweep("5:50")
         with pytest.raises(ConfigurationError):
-            parse(["--protocol", "mitm", "--preset", "qd", "--sweep", "5:50:0"])
+            sweep("5:50:0")
+
+    # a step too small to advance the float, a sweep too fine, and one past the bound
+    @pytest.mark.parametrize("sweep", ["1e17:2e17:1", "1:1e9:0.001", "1:10001:1"])
+    def test_sweep_past_ten_thousand_distances_exits_2(self, capsys, sweep):
+        argv = ["--protocol", "mitm", "--preset", "qd", "--sweep", sweep, "--dump-config"]
+        assert main(argv) == 2
+        assert "more than 10000 distances" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--protocol", "mitm", "--preset", "optimistic", "--topology", "single-link",
+             "--n", "10", "--distances", "10", "--duration", "1000000000000"],
+            ["--protocol", "mitm", "--preset", "fig8-optimistic",
+             "--links", "100001", "--duration", "1000"],
+        ],
+        ids=["long-link", "long-chain"],
+    )
+    def test_trial_round_counts_are_bounded(self, capsys, argv):
+        assert main(argv + ["--dump-config"]) == 2
+        err = capsys.readouterr().err
+        assert "duration_in_tau_link * link_count" in err
+        assert "exceeds 100000000" in err
+
+    def test_round_count_bound_itself_passes(self):
+        chain = parse(["--protocol", "mitm", "--preset", "fig8-optimistic",
+                       "--links", "100000", "--duration", "1000"])
+        assert chain.link_count * chain.duration_in_tau_link == 10**8
+        link = parse(TINY + ["--duration", "100000000"])
+        assert link.link_count * link.duration_in_tau_link == 10**8
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigurationError, match="preset"):
@@ -297,6 +332,24 @@ class TestSweepAndReport:
         # Monte Carlo means land near the closed form at these sizes
         for mc_row, cf_row in zip(mc, closed):
             assert mc_row.mean_rate_per_s == pytest.approx(cf_row.mean_rate_per_s, rel=0.25)
+
+    @pytest.mark.parametrize("topology", ["chain", "single-link"])
+    def test_each_distance_derives_its_link_once(self, monkeypatch, topology):
+        calls = Counter()
+        for module, name in (
+            (analytic, "mps_entanglement"), (cli, "build_link_model"), (cli, "analytic_rate")
+        ):
+            def counted(*args, _original=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        scenario = parse(["--protocol", "mps", "--preset", "fig8-optimistic", "--p-mid", "0.1",
+                          "--topology", topology, "--trials", "2", "--duration", "20",
+                          "--distances", "10,20", "--analytic"])
+        rows = run_sweep(scenario)
+        assert [row.trials for row in rows] == [2, 0, 2, 0]
+        assert calls == {"mps_entanglement": 2, "build_link_model": 2, "analytic_rate": 2}
 
     def test_csv_format_contract(self, tmp_path):
         rows = [ReportRow("mitm", "optimistic", None, 5.0, 3, 49950.123456, 48000.0, 51000.0, 11)]
