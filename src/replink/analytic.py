@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 
 import numpy as np
 from scipy import stats
@@ -216,6 +217,28 @@ def mps_attempts_per_bin(p_l: float, p_m: float) -> int:
     return math.ceil(3.0 / product)
 
 
+_CHUNK = 8192  # terms per block of the mps bin sums; bounds their memory for any K
+
+
+def _bin_terms(p_joint: float, survive: float, k: int):
+    """Yield p_joint * survive**j, j = 0, 1, ..., in blocks up to and including the
+    first term whose geometric tail bound cannot move the running sum."""
+    running = 0.0
+    for start in range(0, k, _CHUNK):
+        n = min(_CHUNK, k - start)
+        # a float step counts j exactly and is quicker than an int one
+        powers = map(math.pow, repeat(survive), count(float(start), 1.0))
+        terms = p_joint * np.fromiter(powers, float, n)
+        if survive < 1.0:
+            sums = np.cumsum(np.concatenate(((running,), terms)))[1:]
+            stop = np.flatnonzero(terms * survive / (1.0 - survive) < 1e-18 * np.maximum(sums, p_joint))
+            if stop.size:
+                yield terms[: stop[0] + 1].tolist()
+                return
+            running = sums[-1]
+        yield terms.tolist()
+
+
 def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglement:
     """Per-bin entanglement probability after K latch attempts.
 
@@ -225,6 +248,13 @@ def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglem
     attempt, so the probability is the sum over the attempt index of
     p'' * (no earlier latch on either side)^(attempts so far), with
     p'' = p_l * p_m * p_r.
+
+    ``math.fsum`` reads the terms lazily in blocks of ``_CHUNK``, so memory
+    is bounded for any K. Each power is libm's ``pow`` of j as an exact
+    float, via ``math.pow``, just as Python's float ``**`` computes it;
+    numpy's ``**`` may take a SIMD ``pow`` that differs in the last bit.
+    The stop test repeats the term-by-term loop's IEEE operations in order,
+    so the sum equals that loop's (``tests/mps_reference.py``) exactly.
     """
     validate_probability(p_l, "p_l")
     validate_probability(p_r, "p_r")
@@ -235,20 +265,7 @@ def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglem
     p_joint = p_l * p_m * p_r
     survive = 1.0 - p_m * (p_l + p_r) + p_joint  # neither side latches this attempt
     p_latch = 1.0 - (1.0 - p_l * p_m) ** k
-
-    if p_joint == 0.0:
-        p_sum = 0.0
-    else:
-        terms = []
-        running = 0.0
-        for j in range(k):
-            term = p_joint * survive**j
-            terms.append(term)
-            running += term
-            # geometric tail bound; safe to stop once it cannot move the sum
-            if survive < 1.0 and term * survive / (1.0 - survive) < 1e-18 * max(running, p_joint):
-                break
-        p_sum = math.fsum(terms)
+    p_sum = math.fsum(chain.from_iterable(_bin_terms(p_joint, survive, k))) if p_joint else 0.0
 
     symmetric = p_l == p_r
     if symmetric and p_l > 0.0:
@@ -283,8 +300,11 @@ def mps_bin_utilization(p_l: float, p_m: float, k: int) -> float:
     y = p_l * p_m
     if y == 0.0:
         return 0.0
-    j = np.arange(1, k + 1, dtype=float)
-    return float(np.sum(j * y * (1.0 - y) ** j)) / k
+    total = 0.0
+    for start in range(1, k + 1, _CHUNK):
+        j = np.arange(start, min(start + _CHUNK, k + 1), dtype=float)
+        total += float(np.sum(j * y * (1.0 - y) ** j))
+    return total / k
 
 
 def mps_rate(n: int, ent: MpsEntanglement, tau_link: Duration, tau_clock: Duration) -> RateBundle:

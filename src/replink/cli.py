@@ -658,7 +658,7 @@ def main(argv=None) -> int:
         print(f"replink: i/o error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"replink: error: {exc}", file=sys.stderr)
+        print(f"replink: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,7 +1,9 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
+import mps_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,30 @@ from replink.params import (
 
 US = Duration.from_us
 NS = Duration.from_ns
+BLOCK = analytic._CHUNK
+
+
+def traced_peak_bytes(fn, *args):
+    """Peak traced allocation while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_matches_mps_reference(p_l, p_r, p_m, k):
+    """Same fields as the term-by-term loop, with ``==``; returns the kept terms."""
+    expected = mps_reference.mps_entanglement(p_l, p_r, p_m, k)
+    assert analytic.mps_entanglement(p_l, p_r, p_m, k) == expected
+    p_joint = p_l * p_m * p_r
+    if p_joint == 0.0:
+        return []
+    survive = 1.0 - p_m * (p_l + p_r) + p_joint
+    kept = list(itertools.chain.from_iterable(analytic._bin_terms(p_joint, survive, k)))
+    assert kept == mps_reference.bin_terms(p_joint, survive, k)
+    return kept
 
 
 def brute_force_sr_numerator(n_a, n_b, p):
@@ -215,6 +241,42 @@ class TestMpsEntanglement:
         ent = analytic.mps_entanglement(p_l, p_r, p_m, k)
         assert ent.p_ent_sum == pytest.approx(law, rel=1e-10)
 
+    @given(
+        st.floats(min_value=1e-6, max_value=1.0),
+        st.floats(min_value=1e-6, max_value=1.0),
+        st.floats(min_value=1e-4, max_value=1.0),
+        st.integers(min_value=1, max_value=2 * 10**5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_blocked_sum_equals_the_term_by_term_loop(self, p_l, p_r, p_m, k):
+        assert_matches_mps_reference(p_l, p_r, p_m, k)
+
+    @pytest.mark.parametrize(
+        "p_l,p_r,p_m,k,kept",
+        [
+            pytest.param(0.0, 0.5, 0.5, 100, 0, id="p_joint-zero"),
+            pytest.param(0.5, 0.5, 0.0, 100, 0, id="p_mid-zero"),
+            # survive = 1 - 2e-18 + 1e-27 rounds to 1.0: no tail stop at all
+            pytest.param(1e-9, 1e-9, 1e-9, 2 * 10**4, 2 * 10**4, id="survive-rounds-to-one"),
+            pytest.param(1.0, 1.0, 1.0, 5, 1, id="survive-zero"),
+            pytest.param(0.334, 0.334, 1.0, 1000, 51, id="stop-inside-first-block"),
+            pytest.param(1e-3, 2e-3, 0.5, BLOCK - 1, BLOCK - 1, id="block-minus-one"),
+            pytest.param(1e-3, 2e-3, 0.5, BLOCK, BLOCK, id="one-block"),
+            pytest.param(1e-3, 2e-3, 0.5, BLOCK + 1, BLOCK + 1, id="block-plus-one"),
+            # the stop lands on j = BLOCK - 1 and on j = BLOCK (for BLOCK = 8192)
+            pytest.param(0.0025265, 0.0025265, 1.0, 10**5, BLOCK, id="stop-on-last-of-block"),
+            pytest.param(0.0025262, 0.0025262, 1.0, 10**5, BLOCK + 1, id="stop-on-first-of-block"),
+            pytest.param(0.5, 0.5, 1.0, 10**6, 30, id="million-attempts-early-stop"),
+        ],
+    )
+    def test_blocked_sum_pinned_cases(self, p_l, p_r, p_m, k, kept):
+        assert len(assert_matches_mps_reference(p_l, p_r, p_m, k)) == kept
+
+    def test_sum_memory_is_bounded_for_large_k(self):
+        # survive is within 2e-7 of one, so all 2e6 terms are kept; a list
+        # of them alone would take 65 MB
+        assert traced_peak_bytes(analytic.mps_entanglement, 1e-4, 1e-4, 1e-3, 2 * 10**6) < 4e6
+
 
 class TestMpsRate:
     def test_worked_example(self):
@@ -233,6 +295,14 @@ class TestMpsRate:
         expected = sum(k * y * (1 - y) ** k for k in range(1, 7)) / 6
         assert analytic.mps_bin_utilization(0.5, 1.0, 6) == pytest.approx(float(expected), abs=1e-15)
         assert float(expected) == 0.15625
+
+    def test_bin_utilization_memory_is_bounded_for_large_k(self):
+        y, k = 1e-4 * 1e-3, 2 * 10**6
+        assert traced_peak_bytes(analytic.mps_bin_utilization, 1e-4, 1e-3, k) < 4e6
+        # closed form of (1/K) * sum_j j*y*q^j, q = 1 - y, over every block
+        q = 1.0 - y
+        closed = y * q * (1.0 - q**k * (1.0 + k * (1.0 - q))) / ((1.0 - q) ** 2 * k)
+        assert analytic.mps_bin_utilization(1e-4, 1e-3, k) == pytest.approx(closed, rel=1e-9)
 
     def test_bin_utilization_no_latch_possible(self):
         assert analytic.mps_bin_utilization(0.0, 1.0, 5) == 0.0

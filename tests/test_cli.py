@@ -413,6 +413,14 @@ class TestMain:
         assert main(TINY + ["--output", str(missing_dir)]) == 1
         assert "i/o error" in capsys.readouterr().err
 
+    def test_message_less_error_names_its_type(self, capsys, monkeypatch):
+        def run_out_of_memory(scenario):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_sweep", run_out_of_memory)
+        assert main(TINY) == 1
+        assert capsys.readouterr().err == "replink: error: MemoryError\n"
+
     def test_dump_config_prints_and_exits(self, capsys):
         assert main(TINY + ["--dump-config"]) == 0
         out = capsys.readouterr().out

@@ -31,3 +31,17 @@ def test_figure_script_writes_every_table(tmp_path, script, tables):
         assert header == ",".join(CSV_COLUMNS)
         # ten distances, each with a Monte Carlo row and its closed-form row
         assert len(rows) == 20
+
+
+def test_workload_reports_writes_every_case_at_both_seeds(tmp_path):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "workload_reports.py"), str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    written = sorted(tmp_path.rglob("*.csv"))
+    assert len(written) == 44
+    for path in written:
+        assert path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
