@@ -22,8 +22,8 @@ SEEDS = (3, 4)
 TRIALS = {"chain-fig8": 1, "chain-fig9": 1, "link-fig10": 5}
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+def main() -> int:
+    args = sys.argv[1:]
     if len(args) != 1:
         print("usage: workload_reports.py OUTDIR", file=sys.stderr)
         return 2
