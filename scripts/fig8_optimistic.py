@@ -6,7 +6,7 @@ analyzer success 0.5, interface transmission 0.5, 1 ns clock. Writes one
 CSV per protocol variant (closed-form overlay rows included) into the
 output directory.
 
-Full scale (1000 trials x 10 distances per variant) takes about 3.5
+Full scale (1000 trials x 10 distances per variant) takes about 2.5
 minutes on a 2-vCPU machine; pass --trials 100 for a quick look.
 """
 

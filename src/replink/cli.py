@@ -495,6 +495,11 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
 
 def build_chain_model(scenario: Scenario, distance_km: float) -> engine.ChainModel:
     link = build_link_model(scenario, distance_km)
+    if analytic.purification_bounds(scenario.epsilon_in, scenario.link_count).p_success <= 0.0:
+        raise ConfigurationError(
+            "purification is impossible when (1 - epsilon_in)^7 = 0 "
+            f"(epsilon_in = {scenario.epsilon_in:g})"
+        )
     lifetime = (
         None if scenario.raw_lifetime_ms is None else Duration.from_ms(scenario.raw_lifetime_ms)
     )

@@ -13,17 +13,17 @@ Bernoulli trial whose probability is ``analytic.mps_entanglement``'s
 per-bin sum, the same per-attempt process ``protocol.sample_round``
 iterates explicitly; the tests check the two agree.
 
-A chain trial runs without an event loop and skips rounds that confirm
-no pair. Each link's purification groups follow from its round counts
-alone: from the running pair total while no stashed pair can outlive the
-freshness horizon, otherwise from a walk over the link's non-empty
-rounds. The rounds that form groups are then merged across links in the
-order of a (time, insertion) event queue: by finishing time, then by the
-time the round was queued (a link's first round comes first, and of two
-rounds ending together the longer one was queued earlier), then by link
-index. One vector of uniforms decides every purification in that order,
-and a short pass over the rounds with a success applies the buffer cap
-and the swaps.
+A chain trial runs without an event loop, in one pass over the
+non-empty rounds of all its links at once. Each link's purification
+groups come from its running pair total, unless a stashed pair could
+outlive the freshness horizon; only such a link walks its rounds. The
+rounds that form groups are merged in the order of a (time, insertion)
+event queue: by finishing time, then by the time the round was queued
+(of two rounds ending together the longer one was queued earlier), then
+by link index. One vector of uniforms decides every purification in that
+order, a Python pass over the rounds with a success applies the buffer
+cap and the swaps, and a check that every link's pairs balance ends the
+trial.
 """
 
 from __future__ import annotations
@@ -194,39 +194,12 @@ def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialS
     )
 
 
-def _link_groups(counts: np.ndarray, round_ps: int, lifetime_ps: int | None):
-    """Purification groups formed on one link of a chain trial.
-
-    Returns the indices of the rounds that formed at least one group of
-    seven, the number of groups each formed, and the raw pairs that expired
-    and that are still stashed after the link's last round. Only rounds
-    with pairs are visited: expiry is monotone in time, so dropping stale
-    pairs at the next non-empty round (and at the link's last round) is the
-    same as dropping them at every round in between.
-    """
-    rounds = np.flatnonzero(counts)
-    if not len(rounds):
-        return rounds, rounds, 0, 0
-    arrivals = counts[rounds]
-    times = (rounds + 1) * round_ps
-    end_ps = len(counts) * round_ps
-    stashed = np.cumsum(arrivals)
-    groups = stashed // PAIRS_PER_PURIFICATION
-    oldest = PAIRS_PER_PURIFICATION * groups  # arrival index of the oldest stashed pair
-    if lifetime_ps is not None:
-        waiting = oldest < stashed
-        arrived = times[np.searchsorted(stashed, oldest[waiting], side="right")]
-        checked_ps = np.append(times[1:], end_ps)[waiting]
-        if np.any(checked_ps - arrived > lifetime_ps):
-            return _walk_stash(rounds, times, arrivals, end_ps, lifetime_ps)
-    # nothing ever expires: groups form from the running total alone
-    formed = np.diff(groups, prepend=0)
-    made = formed > 0
-    return rounds[made], formed[made], 0, int(stashed[-1] - oldest[-1])
-
-
 def _walk_stash(rounds, times, arrivals, end_ps: int, lifetime_ps: int):
-    """``_link_groups`` for a link whose raw pairs can expire, round by round."""
+    """One chain link's groups of seven, walked round by round as pairs expire.
+
+    Returns the ``rounds`` labels of the non-empty rounds that formed groups,
+    the groups each formed, and the raw pairs expired and left stashed.
+    """
     formed = np.zeros(len(rounds), dtype=np.int64)
     pending: list[int] = []  # arrival times of stashed pairs, oldest first (at most six)
     expired = 0
@@ -244,6 +217,25 @@ def _walk_stash(rounds, times, arrivals, end_ps: int, lifetime_ps: int):
     return rounds[made], formed[made], expired + stale, len(pending) - stale
 
 
+def _check_conservation(stats: ChainTrialStats) -> None:
+    """Raise unless every link's raw and purified pairs are all accounted for."""
+    for index, (raw, attempts, expired, raw_pending, successes, discarded, held) in enumerate(
+        zip(
+            stats.raw_pairs, stats.purify_attempts, stats.raw_expired, stats.raw_pending,
+            stats.per_link_purified_counts, stats.purified_discarded, stats.purified_pending,
+        )
+    ):
+        if (
+            raw != PAIRS_PER_PURIFICATION * attempts + expired + raw_pending
+            or successes != stats.end_to_end_ebits + discarded + held
+        ):
+            raise RuntimeError(
+                f"chain link {index} does not conserve pairs: raw {raw}, attempts {attempts}, "
+                f"expired {expired}, raw pending {raw_pending}; purified {successes}, "
+                f"ebits {stats.end_to_end_ebits}, discarded {discarded}, held {held}"
+            )
+
+
 def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTrialStats:
     """Run a linear chain for ``duration``, reporting end-to-end ebits.
 
@@ -258,8 +250,7 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     """
     links = chain.links
     policy = chain.purification
-    counts = []
-    round_ps = []
+    counts, round_ps = [], []
     for index, link in enumerate(links):
         rt = link.round_time
         if rt.ps <= 0:
@@ -271,41 +262,66 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
             )
         counts.append(sample_round_counts(_trial_rng(seed, index), link, n_rounds))
         round_ps.append(rt.ps)
-    raw = tuple(int(c.sum()) for c in counts)
-    idle = (0,) * len(links)
+    n_links = len(links)
+    flat = np.concatenate(counts)  # every link's rounds, one link after another
+    starts = np.cumsum([0] + [len(c) for c in counts])
+    raw = np.add.reduceat(flat, starts[:-1])
 
     if policy is None:
         # every pair waits until each link holds one, then one per link is swapped
-        ebits = min(raw)
+        ebits, idle = int(raw.min()), (0,) * n_links
         return ChainTrialStats(
-            end_to_end_ebits=ebits,
-            elapsed=duration,
-            rate_per_s=ebits / duration.seconds,
-            per_link_purified_counts=idle,
-            ebit_error=0.0,
-            raw_pairs=raw,
-            purify_attempts=idle,
-            raw_expired=idle,
-            raw_pending=idle,
-            purified_discarded=idle,
-            purified_pending=tuple(r - ebits for r in raw),
+            end_to_end_ebits=ebits, elapsed=duration, rate_per_s=ebits / duration.seconds,
+            per_link_purified_counts=idle, ebit_error=0.0, raw_pairs=tuple(raw.tolist()),
+            purify_attempts=idle, raw_expired=idle, raw_pending=idle, purified_discarded=idle,
+            purified_pending=tuple((raw - ebits).tolist()),
         )
 
-    lifetime_ps = None if policy.raw_pair_lifetime is None else policy.raw_pair_lifetime.ps
-    rounds, formed, expired, pending = zip(
-        *(_link_groups(c, r, lifetime_ps) for c, r in zip(counts, round_ps))
-    )
+    # Groups of seven follow from each link's running pair total unless a
+    # stashed pair outlives the horizon before its group completes; only such
+    # links walk their rounds. All links' non-empty rounds are taken at once.
+    nonzero = np.flatnonzero(flat)
+    arrivals = flat[nonzero]
+    edges = np.searchsorted(nonzero, starts)  # where each link's non-empty rounds begin
+    link_of = np.repeat(np.arange(n_links), np.diff(edges))
+    period = np.array(round_ps)[link_of]
+    times = (nonzero - starts[link_of] + 1) * period
+    stashed = np.cumsum(arrivals) - (np.cumsum(raw) - raw)[link_of]  # the link's pairs so far
+    completed = stashed // PAIRS_PER_PURIFICATION
+    formed = completed - (stashed - arrivals) // PAIRS_PER_PURIFICATION
+    expired = [0] * n_links
+    pending = (raw % PAIRS_PER_PURIFICATION).tolist()
+    if policy.raw_pair_lifetime is not None:
+        lifetime_ps = policy.raw_pair_lifetime.ps
+        # expiry is monotone in time: stale pairs go at the next non-empty round or the end
+        checked = np.append(times[1:], 0)
+        busy = raw > 0
+        checked[edges[1:][busy] - 1] = (np.diff(starts) * round_ps)[busy]
+        left = stashed - PAIRS_PER_PURIFICATION * completed
+        # a round that leaves more pairs stashed than it brought formed no
+        # group, so its oldest stashed pair arrived with the previous round's
+        arrived = np.maximum.accumulate(np.where(left <= arrivals, np.arange(len(left)), 0))
+        late = (left > 0) & (checked - times[arrived] > lifetime_ps)
+        for i in np.unique(link_of[late]).tolist():
+            lo, hi = edges[i], edges[i + 1]
+            # the walk labels each round by its place in the joint arrays
+            made, made_formed, expired[i], pending[i] = _walk_stash(
+                np.arange(lo, hi), times[lo:hi], arrivals[lo:hi], int(checked[hi - 1]), lifetime_ps
+            )
+            formed[lo:hi] = 0
+            formed[made] = made_formed
+
     # Rounds that formed groups, in the order a (time, insertion) event queue
     # pops them: by time, then by when the round was queued (the end of the
-    # link's previous round), then by link index.
-    finished_ps = np.concatenate([(r + 1) * rp for r, rp in zip(rounds, round_ps)])
-    queued_ps = np.concatenate([r * rp for r, rp in zip(rounds, round_ps)])
-    link_of = np.concatenate([np.full(len(r), i) for i, r in enumerate(rounds)])
-    order = np.lexsort((link_of, queued_ps, finished_ps))
-    link_of = link_of[order]
-    groups = np.concatenate(formed)[order]
+    # link's previous round), then by link index (lexsort is stable, and the
+    # rows are in link order).
+    made = np.flatnonzero(formed)
+    finished_ps = times[made]
+    made = made[np.lexsort((finished_ps - period[made], finished_ps))]
+    link_of = link_of[made]
+    groups = formed[made]
 
-    bounds = analytic.purification_bounds(policy.epsilon_in, len(links))
+    bounds = analytic.purification_bounds(policy.epsilon_in, n_links)
     aux_rng = _trial_rng(seed, _PURIFY_STREAM)
     succeeded = np.cumsum(aux_rng.random(int(groups.sum())) < bounds.p_success)
     succeeded = np.concatenate(([0], succeeded))  # successes before each group
@@ -314,38 +330,40 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     won = wins > 0
 
     capacity = policy.buffer_capacity
-    ready = [0] * len(links)
-    successes = [0] * len(links)
-    discarded = [0] * len(links)
+    ready = [0] * n_links
+    discarded = [0] * n_links
+    empty = n_links  # links holding no purified pair
     ebits = 0
     for i, count in zip(link_of[won].tolist(), wins[won].tolist()):
-        successes[i] += count
-        held = ready[i] + count
+        was = ready[i]
+        held = was + count
         if held > capacity:
             # the oldest purified pairs are displaced
             discarded[i] += held - capacity
             held = capacity
-        was_empty = ready[i] == 0
         ready[i] = held
-        # after every round some link is empty, so only filling one can
-        # enable a swap
-        if was_empty and (swappable := min(ready)):
-            ebits += swappable
-            ready = [r - swappable for r in ready]
+        # after every swap some link is empty, so only filling one enables the next
+        if held and not was:
+            empty -= 1
+            if not empty:
+                swappable = min(ready)
+                ebits += swappable
+                ready = [r - swappable for r in ready]
+                empty = ready.count(0)
 
-    return ChainTrialStats(
-        end_to_end_ebits=ebits,
-        elapsed=duration,
-        rate_per_s=ebits / duration.seconds,
-        per_link_purified_counts=tuple(successes),
-        ebit_error=bounds.epsilon_total,
-        raw_pairs=raw,
-        purify_attempts=tuple(int(f.sum()) for f in formed),
-        raw_expired=expired,
-        raw_pending=pending,
-        purified_discarded=tuple(discarded),
+    attempts, successes = (
+        tuple(np.bincount(link_of, weights=w, minlength=n_links).astype(np.int64).tolist())
+        for w in (groups, wins)
+    )
+    stats = ChainTrialStats(
+        end_to_end_ebits=ebits, elapsed=duration, rate_per_s=ebits / duration.seconds,
+        per_link_purified_counts=successes, ebit_error=bounds.epsilon_total,
+        raw_pairs=tuple(raw.tolist()), purify_attempts=attempts, raw_expired=tuple(expired),
+        raw_pending=tuple(pending), purified_discarded=tuple(discarded),
         purified_pending=tuple(ready),
     )
+    _check_conservation(stats)
+    return stats
 
 
 def summarize(samples) -> SummaryStats:

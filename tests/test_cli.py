@@ -401,6 +401,18 @@ class TestMain:
         assert main(base + ["--protocol", protocol, flag, "0"]) == 2
         assert "impossible when p_bsa * p_optical^2 = 0" in capsys.readouterr().err
 
+    def test_purification_that_never_succeeds_exits_2(self, tmp_path, capsys):
+        # (1 - 1)^7 = 0: no purification could succeed, so the rate would read 0
+        assert main(CHAIN + ["--epsilon-in", "1"]) == 2
+        assert "purification is impossible when (1 - epsilon_in)^7 = 0" in capsys.readouterr().err
+        config = tmp_path / "epsilon.cfg"
+        config.write_text(dump_config(parse(CHAIN)) + "epsilon_in = 1\n")
+        assert main(["--config", str(config)]) == 2
+        assert "purification is impossible" in capsys.readouterr().err
+        # a single link never purifies, so the field is unused there
+        assert main(TINY + ["--epsilon-in", "1"]) == 0
+        assert main(CHAIN + ["--epsilon-in", "0.999"]) == 0
+
     def test_negative_seed_exits_2(self, capsys, monkeypatch):
         assert main(TINY + ["--seed", "-1"]) == 2
         assert "non-negative" in capsys.readouterr().err

@@ -374,6 +374,15 @@ def chain_links(draw):
     return LinkModel(config, probs, tau_link=tau_link, tau_clock=US(1))
 
 
+def mitm_link(n, p, tau_link):
+    return LinkModel(
+        ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(n)),
+        LinkProbabilities(p=p),
+        tau_link=tau_link,
+        tau_clock=US(1),
+    )
+
+
 class TestChainOracle:
     """The round-skipping engine against the per-event reference loop."""
 
@@ -390,6 +399,85 @@ class TestChainOracle:
             for seed in (1, 2):
                 expected = chain_reference.run_chain_trial(chain, duration, seed)
                 assert run_chain_trial(chain, duration, seed) == expected
+
+    def test_walked_and_running_total_links_in_one_trial(self, monkeypatch):
+        # link 0 makes sparse pairs that outlive the horizon; link 1 makes
+        # seven or so every round, so none of its pairs ever waits that long
+        chain = ChainModel(
+            links=(mitm_link(n=2, p=0.5, tau_link=US(10)), mitm_link(n=6, p=0.9, tau_link=US(4))),
+            purification=PurificationPolicy(buffer_capacity=1, raw_pair_lifetime=US(80)),
+        )
+        walks = []
+        walk = engine._walk_stash
+
+        def counting_walk(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(engine, "_walk_stash", counting_walk)
+        for seed in range(4):
+            walks.clear()
+            stats = run_chain_trial(chain, US(2_000), seed)
+            assert stats == chain_reference.run_chain_trial(chain, US(2_000), seed)
+            # one walk, for the link whose pairs expired; the other took its
+            # groups from the running total
+            assert len(walks) == 1
+            assert stats.raw_expired[0] > 0 and stats.purify_attempts[0] > 0
+            assert stats.raw_expired[1] == 0 and stats.purify_attempts[1] > 0
+            assert stats.end_to_end_ebits > 0
+
+    @pytest.mark.parametrize("dead_at", range(3))
+    def test_link_without_pairs_next_to_busy_links(self, dead_at):
+        links = [mitm_link(n=6, p=0.9, tau_link=US(4)), mitm_link(n=3, p=0.6, tau_link=US(6))]
+        links.insert(dead_at, mitm_link(n=4, p=0.0, tau_link=US(6)))
+        chain = ChainModel(
+            links=tuple(links), purification=PurificationPolicy(raw_pair_lifetime=US(20))
+        )
+        for seed in range(3):
+            stats = run_chain_trial(chain, US(1_000), seed)
+            assert stats == chain_reference.run_chain_trial(chain, US(1_000), seed)
+            assert stats.raw_pairs[dead_at] == 0 and stats.end_to_end_ebits == 0
+            assert min(stats.raw_pairs[:dead_at] + stats.raw_pairs[dead_at + 1:]) > 0
+            assert_conserved(stats)
+
+    def test_rounds_ending_together_pop_in_queue_then_link_order(self):
+        # round times 6, 4, 12 and 6 us: every 12 us all four links finish
+        # together; link 2 was queued first (its round is longest), then
+        # links 0 and 3 (equal queue times, so link order), then link 1
+        chain = ChainModel(
+            links=(
+                mitm_link(n=2, p=0.9, tau_link=US(4)),
+                mitm_link(n=2, p=0.9, tau_link=US(2)),
+                mitm_link(n=2, p=0.9, tau_link=US(10)),
+                mitm_link(n=1, p=0.9, tau_link=US(5)),
+            ),
+            purification=PurificationPolicy(buffer_capacity=1, raw_pair_lifetime=None),
+        )
+        assert [link.round_time for link in chain.links] == [US(6), US(4), US(12), US(6)]
+        for seed in range(6):
+            stats = run_chain_trial(chain, US(3_000), seed)
+            assert stats == chain_reference.run_chain_trial(chain, US(3_000), seed)
+            assert sum(stats.purified_discarded) > 0
+
+    def test_unbalanced_pairs_raise(self, monkeypatch, capsys):
+        walk = engine._walk_stash
+
+        def lose_a_pair(*args):
+            made, formed, expired, pending = walk(*args)
+            return made, formed, expired, pending - 1
+
+        monkeypatch.setattr(engine, "_walk_stash", lose_a_pair)
+        chain = ChainModel(
+            links=(mitm_link(n=2, p=0.5, tau_link=US(10)), mitm_link(n=6, p=0.9, tau_link=US(4))),
+            purification=PurificationPolicy(raw_pair_lifetime=US(80)),
+        )
+        with pytest.raises(RuntimeError, match=r"chain link 0 does not conserve pairs: raw \d+"):
+            run_chain_trial(chain, US(2_000), 0)
+        # through the command line, a fig9 midpoint-source chain walks every link
+        argv = ["--preset", "fig9-pessimistic", "--protocol", "mps", "--p-mid", "0.1",
+                "--distances", "30", "--trials", "1"]
+        assert cli.main(argv) == 1
+        assert "does not conserve pairs" in capsys.readouterr().err
 
     @settings(max_examples=150, deadline=None)
     @given(
