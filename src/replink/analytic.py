@@ -15,14 +15,14 @@ hardware cycle time:
 * midpoint-source:    round tau_l + N*K*tau_c where K latch attempts fill
   one time bin; the per-bin entanglement probability accounts for each
   receiver locking onto its first latched photon and pairs matching only
-  when both sides latched the same attempt index.
+  when both sides latched the same attempt index. Its sum over the K
+  attempts is a finite geometric series, evaluated in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count, repeat
 
 import numpy as np
 from scipy import stats
@@ -77,9 +77,9 @@ class RateBundle:
 class MpsEntanglement:
     """Per-bin entanglement probability for the midpoint-source protocol.
 
-    ``p_ent_sum`` is the attempt-by-attempt sum; ``p_ent_closed`` the
-    geometric-series closed form, valid for symmetric sides (for
-    asymmetric inputs it simply mirrors the sum). The bounds bracket the
+    ``p_ent_sum`` is the sum over the K attempts, for any sides;
+    ``p_ent_closed`` the symmetric-sides formula, evaluated independently
+    (for asymmetric inputs it simply mirrors the sum). The bounds bracket the
     closed form whenever K is chosen to make latching near-certain; they
     are degenerate (0, 1) for asymmetric sides.
     """
@@ -212,31 +212,12 @@ def mps_attempts_per_bin(p_l: float, p_m: float) -> int:
     validate_probability(p_l, "p_l")
     validate_probability(p_m, "p_m")
     product = p_l * p_m
-    if product <= 0.0:
-        raise ConfigurationError("latching is impossible when p_l * p_m = 0")
-    return math.ceil(3.0 / product)
-
-
-_CHUNK = 8192  # terms per block of the mps bin sums; bounds their memory for any K
-
-
-def _bin_terms(p_joint: float, survive: float, k: int):
-    """Yield p_joint * survive**j, j = 0, 1, ..., in blocks up to and including the
-    first term whose geometric tail bound cannot move the running sum."""
-    running = 0.0
-    for start in range(0, k, _CHUNK):
-        n = min(_CHUNK, k - start)
-        # a float step counts j exactly and is quicker than an int one
-        powers = map(math.pow, repeat(survive), count(float(start), 1.0))
-        terms = p_joint * np.fromiter(powers, float, n)
-        if survive < 1.0:
-            sums = np.cumsum(np.concatenate(((running,), terms)))[1:]
-            stop = np.flatnonzero(terms * survive / (1.0 - survive) < 1e-18 * np.maximum(sums, p_joint))
-            if stop.size:
-                yield terms[: stop[0] + 1].tolist()
-                return
-            running = sums[-1]
-        yield terms.tolist()
+    attempts = 3.0 / product if product > 0.0 else math.inf
+    if attempts == math.inf:
+        raise ConfigurationError(
+            f"latching is impossible or too rare: 3 / (p_l * p_m) is infinite for {product:g}"
+        )
+    return math.ceil(attempts)
 
 
 def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglement:
@@ -249,12 +230,10 @@ def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglem
     p'' * (no earlier latch on either side)^(attempts so far), with
     p'' = p_l * p_m * p_r.
 
-    ``math.fsum`` reads the terms lazily in blocks of ``_CHUNK``, so memory
-    is bounded for any K. Each power is libm's ``pow`` of j as an exact
-    float, via ``math.pow``, just as Python's float ``**`` computes it;
-    numpy's ``**`` may take a SIMD ``pow`` that differs in the last bit.
-    The stop test repeats the term-by-term loop's IEEE operations in order,
-    so the sum equals that loop's (``tests/mps_reference.py``) exactly.
+    The sum is the geometric series p'' * (1 - s^K) / (1 - s), where
+    1 - s = p_m * (p_l + p_r * (1 - p_l)) is the chance that either side
+    latches; that form has no cancellation, and ``log1p``/``expm1`` keep
+    1 - s^K accurate when s is within rounding of one.
     """
     validate_probability(p_l, "p_l")
     validate_probability(p_r, "p_r")
@@ -263,9 +242,14 @@ def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglem
         raise ConfigurationError("at least one latch attempt per bin is required")
 
     p_joint = p_l * p_m * p_r
-    survive = 1.0 - p_m * (p_l + p_r) + p_joint  # neither side latches this attempt
+    p_any = p_m * (p_l + p_r * (1.0 - p_l))  # either side latches this attempt
     p_latch = 1.0 - (1.0 - p_l * p_m) ** k
-    p_sum = math.fsum(chain.from_iterable(_bin_terms(p_joint, survive, k))) if p_joint else 0.0
+    if p_joint == 0.0:
+        p_sum = 0.0
+    elif p_any >= 1.0:  # the first attempt decides the bin; log1p(-1) would raise
+        p_sum = p_joint
+    else:
+        p_sum = p_joint * -math.expm1(k * math.log1p(-p_any)) / p_any
 
     symmetric = p_l == p_r
     if symmetric and p_l > 0.0:
@@ -293,6 +277,9 @@ def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglem
         p_right=p_r,
         p_mid=p_m,
     )
+
+
+_CHUNK = 8192  # terms per block of the bin utilization sum; bounds its memory for any K
 
 
 def mps_bin_utilization(p_l: float, p_m: float, k: int) -> float:

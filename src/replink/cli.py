@@ -55,6 +55,8 @@ _TOPOLOGIES = ("single_link", "chain")
 # duration_in_tau_link * link_count round counts (8 bytes each: 800 MB).
 _MAX_ROUND_COUNTS = 10**8
 _MAX_SWEEP_DISTANCES = 10**4
+_MAX_MEMORY_N = 10**6  # the sender-receiver law holds arrays over N_A < 2 * memory_n outcomes
+_MAX_TRACE_TRANSMISSIONS = 10**6  # --trace steps a round one transmission at a time
 
 
 # -- presets -------------------------------------------------------------
@@ -406,8 +408,10 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
         raise ConfigurationError("trials must be at least 1")
     if merged["duration_in_tau_link"] < 1:
         raise ConfigurationError("duration_in_tau_link must be at least 1")
-    if merged["memory_n"] < 1:
-        raise ConfigurationError("memory_n must be at least 1")
+    if not 1 <= merged["memory_n"] <= _MAX_MEMORY_N:
+        raise ConfigurationError(
+            f"memory_n must be in [1, {_MAX_MEMORY_N}], got {merged['memory_n']}"
+        )
     if merged["link_count"] < 1:
         raise ConfigurationError("link_count must be at least 1")
     round_counts = merged["duration_in_tau_link"] * merged["link_count"]
@@ -619,6 +623,13 @@ def write_trace(scenario: Scenario, path: str) -> None:
     """Step one round of the scenario's first distance and log transitions."""
     distance = sorted(scenario.distances_km)[0]
     link = build_link_model(scenario, distance)
+    # N slots for mitm, N_A for sr, and N bins of K latch attempts for mps
+    transmissions = link.round_law[0] * (link.config.k_attempts or 1)
+    if transmissions > _MAX_TRACE_TRANSMISSIONS:
+        raise ConfigurationError(
+            f"--trace would step {transmissions} transmissions in one round, "
+            f"more than {_MAX_TRACE_TRANSMISSIONS}"
+        )
     rng = np.random.default_rng(scenario.base_seed)
     trace: list = []
     memory = link.config.memory

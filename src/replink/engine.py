@@ -9,8 +9,8 @@ Every protocol's round confirms min(Binomial(slots, p), cap) pairs,
 drawn for all rounds at once. The two-sender protocols try each sending
 qubit once with the per-attempt success probability (sender-receiver
 caps the count at the receiver memory). Each midpoint-source bin is one
-Bernoulli trial whose probability is ``analytic.mps_entanglement``'s
-per-bin sum, the same per-attempt process ``protocol.sample_round``
+Bernoulli trial with ``analytic.mps_entanglement``'s closed-form per-bin
+probability, the same per-attempt process ``protocol.sample_round``
 iterates explicitly; the tests check the two agree.
 
 A chain trial runs without an event loop, in one pass over the
@@ -76,8 +76,8 @@ class LinkModel:
 
     @cached_property
     def mps_entanglement(self) -> analytic.MpsEntanglement:
-        """The midpoint source's per-bin law (mps links only), summed over up to
-        K terms at its first use: many models are built and never sampled."""
+        """The midpoint source's per-bin law (mps links only), derived at its
+        first use: many models are built and never sampled."""
         probs = self.probs
         return analytic.mps_entanglement(
             probs.p_left, probs.p_right, probs.p_mid, self.config.k_attempts

@@ -1,9 +1,10 @@
 """Reference midpoint-source bin law: the term-by-term loop it once used.
 
-``analytic.mps_entanglement`` sums the K terms of the bin law in fixed
-blocks; this module keeps the plain loop it replaced, so the tests can
-require the two to keep the same terms and to return equal fields with
-``==`` for any (p_l, p_r, p_m, K).
+``analytic.mps_entanglement`` evaluates the bin law's geometric series in
+closed form; this module keeps a plain loop over the K terms as an
+independent oracle. It rounds s = 1 - p_any once and raises it to every
+power, so its own relative error grows to about K * 2^-53; the tests
+compare the two within 1e-10 for K up to 2 * 10^5.
 """
 
 from __future__ import annotations

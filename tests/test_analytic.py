@@ -1,6 +1,8 @@
+import decimal
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import mps_reference
@@ -19,7 +21,6 @@ from replink.params import (
 
 US = Duration.from_us
 NS = Duration.from_ns
-BLOCK = analytic._CHUNK
 
 
 def traced_peak_bytes(fn, *args):
@@ -32,17 +33,22 @@ def traced_peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def assert_matches_mps_reference(p_l, p_r, p_m, k):
-    """Same fields as the term-by-term loop, with ``==``; returns the kept terms."""
-    expected = mps_reference.mps_entanglement(p_l, p_r, p_m, k)
-    assert analytic.mps_entanglement(p_l, p_r, p_m, k) == expected
-    p_joint = p_l * p_m * p_r
-    if p_joint == 0.0:
-        return []
-    survive = 1.0 - p_m * (p_l + p_r) + p_joint
-    kept = list(itertools.chain.from_iterable(analytic._bin_terms(p_joint, survive, k)))
-    assert kept == mps_reference.bin_terms(p_joint, survive, k)
-    return kept
+def exact_bin_law(p_l, p_r, p_m, k):
+    """p''(1 - s^K)/(1 - s) at 80 digits from the exact input floats."""
+    with decimal.localcontext() as context:
+        context.prec = 80
+        left, right, mid = Decimal(p_l), Decimal(p_r), Decimal(p_m)
+        p_joint = left * mid * right
+        if p_joint == 0:
+            return p_joint
+        p_any = mid * (left + right - left * right)
+        return p_joint * (1 - (1 - p_any) ** k) / p_any
+
+
+def assert_near_exact_bin_law(p_l, p_r, p_m, k):
+    exact = exact_bin_law(p_l, p_r, p_m, k)
+    got = Decimal(analytic.mps_entanglement(p_l, p_r, p_m, k).p_ent_sum)
+    assert abs(got - exact) <= Decimal(1e-14) * exact
 
 
 def brute_force_sr_numerator(n_a, n_b, p):
@@ -170,6 +176,11 @@ class TestMpsAttempts:
         with pytest.raises(ConfigurationError):
             analytic.mps_attempts_per_bin(0.0, 0.5)
 
+    def test_overflowing_attempts_rejected(self):
+        # 3 / 1e-310 is past the largest float
+        with pytest.raises(ConfigurationError, match="is infinite"):
+            analytic.mps_attempts_per_bin(1e-10, 1e-300)
+
 
 class TestMpsEntanglement:
     def test_worked_example(self):
@@ -242,35 +253,44 @@ class TestMpsEntanglement:
         assert ent.p_ent_sum == pytest.approx(law, rel=1e-10)
 
     @given(
+        st.floats(min_value=1e-30, max_value=1.0),
+        st.floats(min_value=1e-30, max_value=1.0),
+        st.floats(min_value=1e-30, max_value=1.0),
+        st.integers(min_value=1, max_value=10**12),
+    )
+    @settings(max_examples=300)
+    def test_sum_matches_an_80_digit_evaluation(self, p_l, p_r, p_m, k):
+        assert_near_exact_bin_law(p_l, p_r, p_m, k)
+
+    @given(
         st.floats(min_value=1e-6, max_value=1.0),
         st.floats(min_value=1e-6, max_value=1.0),
         st.floats(min_value=1e-4, max_value=1.0),
         st.integers(min_value=1, max_value=2 * 10**5),
     )
     @settings(max_examples=100, deadline=None)
-    def test_blocked_sum_equals_the_term_by_term_loop(self, p_l, p_r, p_m, k):
-        assert_matches_mps_reference(p_l, p_r, p_m, k)
+    def test_sum_matches_the_term_by_term_loop(self, p_l, p_r, p_m, k):
+        # the loop rounds s once and raises it to each power: about K ulps
+        expected = mps_reference.mps_entanglement(p_l, p_r, p_m, k).p_ent_sum
+        got = analytic.mps_entanglement(p_l, p_r, p_m, k).p_ent_sum
+        assert got == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize(
-        "p_l,p_r,p_m,k,kept",
+        "p_l,p_r,p_m,k",
         [
-            pytest.param(0.0, 0.5, 0.5, 100, 0, id="p_joint-zero"),
-            pytest.param(0.5, 0.5, 0.0, 100, 0, id="p_mid-zero"),
-            # survive = 1 - 2e-18 + 1e-27 rounds to 1.0: no tail stop at all
-            pytest.param(1e-9, 1e-9, 1e-9, 2 * 10**4, 2 * 10**4, id="survive-rounds-to-one"),
-            pytest.param(1.0, 1.0, 1.0, 5, 1, id="survive-zero"),
-            pytest.param(0.334, 0.334, 1.0, 1000, 51, id="stop-inside-first-block"),
-            pytest.param(1e-3, 2e-3, 0.5, BLOCK - 1, BLOCK - 1, id="block-minus-one"),
-            pytest.param(1e-3, 2e-3, 0.5, BLOCK, BLOCK, id="one-block"),
-            pytest.param(1e-3, 2e-3, 0.5, BLOCK + 1, BLOCK + 1, id="block-plus-one"),
-            # the stop lands on j = BLOCK - 1 and on j = BLOCK (for BLOCK = 8192)
-            pytest.param(0.0025265, 0.0025265, 1.0, 10**5, BLOCK, id="stop-on-last-of-block"),
-            pytest.param(0.0025262, 0.0025262, 1.0, 10**5, BLOCK + 1, id="stop-on-first-of-block"),
-            pytest.param(0.5, 0.5, 1.0, 10**6, 30, id="million-attempts-early-stop"),
+            pytest.param(0.0, 0.5, 0.5, 100, id="p_joint-zero"),
+            pytest.param(0.5, 0.5, 0.0, 100, id="p_mid-zero"),
+            # s = 1 - 2e-18 + 1e-27 rounds to 1.0
+            pytest.param(1e-9, 1e-9, 1e-9, 2 * 10**4, id="survive-rounds-to-one"),
+            pytest.param(1.0, 1.0, 1.0, 5, id="survive-zero"),
+            # p_any = 0.7 + 1.0 * (1 - 0.7) rounds to exactly 1.0, where log1p(-1) raises
+            pytest.param(0.7, 1.0, 1.0, 10, id="p_any-rounds-to-one"),
+            pytest.param(0.3, 0.6, 0.7, 1, id="one-attempt"),
+            pytest.param(0.0385, 0.0385, 1e-6, 78 * 10**6, id="k-78-million"),
         ],
     )
-    def test_blocked_sum_pinned_cases(self, p_l, p_r, p_m, k, kept):
-        assert len(assert_matches_mps_reference(p_l, p_r, p_m, k)) == kept
+    def test_sum_pinned_cases(self, p_l, p_r, p_m, k):
+        assert_near_exact_bin_law(p_l, p_r, p_m, k)
 
     def test_sum_memory_is_bounded_for_large_k(self):
         # survive is within 2e-7 of one, so all 2e6 terms are kept; a list

@@ -151,6 +151,16 @@ class TestParsing:
         assert "duration_in_tau_link * link_count" in err
         assert "exceeds 100000000" in err
 
+    def test_memory_n_is_bounded(self, capsys):
+        argv = ["--protocol", "sr", "--preset", "optimistic", "--topology", "single-link",
+                "--distances", "10", "--trials", "1", "--duration", "50000000", "--analytic"]
+        assert main(argv + ["--n", "1000000000000"]) == 2
+        err = capsys.readouterr().err
+        assert "memory_n must be in [1, 1000000], got 1000000000000" in err
+        assert "[replink]" not in err  # rejected before any trial
+        assert main(argv + ["--n", "1000000", "--dump-config"]) == 0
+        assert "memory_n = 1000000\n" in capsys.readouterr().out
+
     def test_round_count_bound_itself_passes(self):
         chain = parse(["--protocol", "mitm", "--preset", "fig8-optimistic",
                        "--links", "100000", "--duration", "1000"])
@@ -413,6 +423,13 @@ class TestMain:
         assert main(TINY + ["--epsilon-in", "1"]) == 0
         assert main(CHAIN + ["--epsilon-in", "0.999"]) == 0
 
+    def test_overflowing_attempts_per_bin_exits_2(self, capsys):
+        argv = ["--preset", "qd", "--protocol", "mps", "--p-mid", "1e-300",
+                "--emission-fraction", "1e-10", "--topology", "single-link",
+                "--distances", "10", "--trials", "1"]
+        assert main(argv) == 2
+        assert "3 / (p_l * p_m) is infinite" in capsys.readouterr().err
+
     def test_negative_seed_exits_2(self, capsys, monkeypatch):
         assert main(TINY + ["--seed", "-1"]) == 2
         assert "non-negative" in capsys.readouterr().err
@@ -454,6 +471,33 @@ class TestMain:
             int(time_ps)
             assert old in {"free", "photon_emitted", "latched", "confirmed_entangled", "rejecting"}
             assert new in {"free", "photon_emitted", "latched", "confirmed_entangled", "rejecting"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # N * K = 3 * 778855 latch attempts
+            ["--preset", "fig10-qd", "--protocol", "mps", "--p-mid", "1e-4", "--distances", "50",
+             "--trials", "1"],
+            # N_A = 1852974 sender transmissions
+            ["--protocol", "sr", "--preset", "optimistic", "--topology", "single-link",
+             "--n", "1000000", "--distances", "10", "--trials", "1"],
+        ],
+        ids=["mps", "sr"],
+    )
+    def test_trace_of_a_long_round_exits_2_before_any_trial(self, tmp_path, capsys, argv):
+        trace_path = tmp_path / "long.trace"
+        assert main(argv + ["--trace", str(trace_path)]) == 2
+        err = capsys.readouterr().err
+        assert "transmissions in one round, more than 1000000" in err
+        assert "[replink]" not in err
+        assert not trace_path.exists()
+
+    def test_trace_bound_counts_one_rounds_transmissions(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_TRACE_TRANSMISSIONS", 10)
+        argv = TINY + ["--trace", str(tmp_path / "t"), "--output", str(tmp_path / "r.csv")]
+        assert main(argv) == 0  # N = 10 transmissions per mitm round
+        assert main(argv + ["--n", "11"]) == 2
+        assert "--trace would step 11 transmissions" in capsys.readouterr().err
 
     def test_trace_for_mps(self, tmp_path):
         trace_path = tmp_path / "mps.trace"
