@@ -245,10 +245,11 @@ def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglem
     p_any = p_m * (p_l + p_r * (1.0 - p_l))  # either side latches this attempt
     p_latch = 1.0 - (1.0 - p_l * p_m) ** k
     if p_joint == 0.0:
-        p_sum = 0.0
+        p_sum = limit = 0.0
     elif p_any >= 1.0:  # the first attempt decides the bin; log1p(-1) would raise
-        p_sum = p_joint
+        p_sum = limit = p_joint
     else:
+        limit = p_joint / p_any  # the sum's K -> infinity limit, rounded as the sum is
         p_sum = p_joint * -math.expm1(k * math.log1p(-p_any)) / p_any
 
     symmetric = p_l == p_r
@@ -262,7 +263,7 @@ def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglem
 
     if symmetric:
         lower = 0.95 * p_l / 2.0
-        upper = p_l / (2.0 - p_l) if p_l > 0.0 else 0.0
+        upper = limit if p_joint else p_l / (2.0 - p_l)  # so that p_ent_sum <= upper
     else:
         lower, upper = 0.0, 1.0
 

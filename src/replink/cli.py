@@ -436,9 +436,11 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
             "chain scenarios need memory_n > reserved_slots so some qubits attempt entanglement"
         )
 
-    raw_lifetime = merged["raw_lifetime_ms"]
-    if raw_lifetime is not None and raw_lifetime <= 0:
-        raise ConfigurationError("raw_lifetime_ms must be positive (or 'none' to disable)")
+    lifetime_ms = merged["raw_lifetime_ms"]  # held in whole picoseconds, so 0.5 ps rounds to 0
+    if lifetime_ms is not None and not 0.5 < lifetime_ms * 1e9 < math.inf:
+        raise ConfigurationError(
+            f"raw_lifetime_ms must round to at least 1 ps without overflowing, got {lifetime_ms!r}"
+        )
 
     return Scenario(**merged)
 
@@ -656,10 +658,6 @@ def write_trace(scenario: Scenario, path: str) -> None:
 def main(argv=None) -> int:
     try:
         scenario, options = parse_scenario(argv)
-    except ConfigurationError as exc:
-        print(f"replink: configuration error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if options.dump_config:
             sys.stdout.write(dump_config(scenario))
             return 0

@@ -16,7 +16,8 @@ iterates explicitly; the tests check the two agree.
 A chain trial runs without an event loop, in one pass over the
 non-empty rounds of all its links at once. Each link's purification
 groups come from its running pair total, unless a stashed pair could
-outlive the freshness horizon; only such a link walks its rounds. The
+outlive the freshness horizon; only such a link steps its stash, the
+newest 0-6 of its pairs, through its rounds as an integer recurrence. The
 rounds that form groups are merged in the order of a (time, insertion)
 event queue: by finishing time, then by the time the round was queued
 (of two rounds ending together the longer one was queued earlier), then
@@ -28,7 +29,6 @@ trial.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,7 +70,7 @@ class LinkModel:
     tau_link: Duration
     tau_clock: Duration
 
-    @property
+    @cached_property
     def round_time(self) -> Duration:
         return analytic.round_time(self.config, self.tau_link, self.tau_clock)
 
@@ -170,23 +170,26 @@ def _trial_rng(seed: int, stream: int):
     return np.random.default_rng([seed, stream])
 
 
+def _round_count(link: LinkModel, duration: Duration, name: str) -> int:
+    """Whole rounds of ``link`` that fit in ``duration``."""
+    round_ps = link.round_time.ps
+    if round_ps <= 0:
+        raise ConfigurationError("the round time must be positive")
+    if duration.ps < round_ps:
+        raise ConfigurationError(
+            f"duration {duration.ps} ps is shorter than one round of {name} ({round_ps} ps)"
+        )
+    return duration.ps // round_ps
+
+
 def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialStats:
     """Run whole rounds on one link until the next round would overrun.
 
     Deterministic for a fixed (link, duration, seed).
     """
-    round_time = link.round_time
-    if round_time.ps <= 0:
-        raise ConfigurationError("the round time must be positive")
-    n_rounds = duration // round_time
-    if n_rounds < 1:
-        raise ConfigurationError(
-            f"duration {duration.ps} ps is shorter than one round ({round_time.ps} ps)"
-        )
-    rng = _trial_rng(seed, 0)
-    counts = sample_round_counts(rng, link, n_rounds)
-    elapsed = n_rounds * round_time
-    events = int(counts.sum())
+    n_rounds = _round_count(link, duration, "the link")
+    events = int(sample_round_counts(_trial_rng(seed, 0), link, n_rounds).sum())
+    elapsed = n_rounds * link.round_time
     return LinkTrialStats(
         entanglement_events=events,
         elapsed=elapsed,
@@ -194,27 +197,22 @@ def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialS
     )
 
 
-def _walk_stash(rounds, times, arrivals, end_ps: int, lifetime_ps: int):
-    """One chain link's groups of seven, walked round by round as pairs expire.
-
-    Returns the ``rounds`` labels of the non-empty rounds that formed groups,
-    the groups each formed, and the raw pairs expired and left stashed.
+def _stash_recurrence(fresh, arrivals):
+    """One chain link's groups of seven per round, and its pairs expired and
+    left stashed after the last round. The stash is the link's newest ``held``
+    pairs (at most six), so a round keeps min(held, fresh[k]) of them, where
+    ``fresh[k]`` counts the link's earlier pairs still inside the horizon.
     """
-    formed = np.zeros(len(rounds), dtype=np.int64)
-    pending: list[int] = []  # arrival times of stashed pairs, oldest first (at most six)
-    expired = 0
-    for k, (now, count) in enumerate(zip(times.tolist(), arrivals.tolist())):
-        stale = bisect.bisect_left(pending, now - lifetime_ps)
-        expired += stale
-        total = len(pending) - stale + count
-        formed[k] = total // PAIRS_PER_PURIFICATION
-        keep = total % PAIRS_PER_PURIFICATION
-        # the newest pairs stay, so stale ones never survive this slice
-        fresh = min(keep, count)
-        pending = pending[len(pending) - keep + fresh:] + [now] * fresh
-    stale = bisect.bisect_left(pending, end_ps - lifetime_ps)
-    made = formed > 0
-    return rounds[made], formed[made], expired + stale, len(pending) - stale
+    formed = []
+    held = expired = 0
+    for kept, count in zip(fresh, arrivals):
+        if held > kept:
+            expired += held - kept
+            held = kept
+        held += count
+        formed.append(held // PAIRS_PER_PURIFICATION)
+        held %= PAIRS_PER_PURIFICATION
+    return formed, expired, held
 
 
 def _check_conservation(stats: ChainTrialStats) -> None:
@@ -252,16 +250,9 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     policy = chain.purification
     counts, round_ps = [], []
     for index, link in enumerate(links):
-        rt = link.round_time
-        if rt.ps <= 0:
-            raise ConfigurationError("the round time must be positive")
-        n_rounds = duration // rt
-        if n_rounds < 1:
-            raise ConfigurationError(
-                f"duration {duration.ps} ps is shorter than one round of link {index}"
-            )
+        n_rounds = _round_count(link, duration, f"link {index}")
         counts.append(sample_round_counts(_trial_rng(seed, index), link, n_rounds))
-        round_ps.append(rt.ps)
+        round_ps.append(link.round_time.ps)
     n_links = len(links)
     flat = np.concatenate(counts)  # every link's rounds, one link after another
     starts = np.cumsum([0] + [len(c) for c in counts])
@@ -279,7 +270,7 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
 
     # Groups of seven follow from each link's running pair total unless a
     # stashed pair outlives the horizon before its group completes; only such
-    # links walk their rounds. All links' non-empty rounds are taken at once.
+    # links run the stash recurrence. All links' non-empty rounds are taken at once.
     nonzero = np.flatnonzero(flat)
     arrivals = flat[nonzero]
     edges = np.searchsorted(nonzero, starts)  # where each link's non-empty rounds begin
@@ -302,14 +293,24 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
         # group, so its oldest stashed pair arrived with the previous round's
         arrived = np.maximum.accumulate(np.where(left <= arrivals, np.arange(len(left)), 0))
         late = (left > 0) & (checked - times[arrived] > lifetime_ps)
-        for i in np.unique(link_of[late]).tolist():
-            lo, hi = edges[i], edges[i + 1]
-            # the walk labels each round by its place in the joint arrays
-            made, made_formed, expired[i], pending[i] = _walk_stash(
-                np.arange(lo, hi), times[lo:hi], arrivals[lo:hi], int(checked[hi - 1]), lifetime_ps
-            )
-            formed[lo:hi] = 0
-            formed[made] = made_formed
+        expiring = np.unique(link_of[late]).tolist()
+        if expiring:
+            # A pair from round r is fresh at the end of round q iff r >= q -
+            # lifetime // period. Count those before each row and each link's end
+            # (one more round, bringing no pairs); a horizon before the link's first
+            # round also counts earlier links' pairs, but the stash holds none of them.
+            lag = lifetime_ps // np.array(round_ps)
+            horizon = np.append(nonzero - lag[link_of], starts[1:] - 1 - lag)
+            prior = np.concatenate(([0], np.cumsum(arrivals)))  # all pairs before each row
+            fresh = np.append(prior[:-1], prior[edges[1:]])
+            fresh -= prior[np.searchsorted(nonzero, horizon)]
+            for i in expiring:
+                lo, hi = edges[i], edges[i + 1]
+                made, expired[i], pending[i] = _stash_recurrence(
+                    fresh[lo:hi].tolist() + [int(fresh[len(nonzero) + i])],
+                    arrivals[lo:hi].tolist() + [0],
+                )
+                formed[lo:hi] = made[:-1]
 
     # Rounds that formed groups, in the order a (time, insertion) event queue
     # pops them: by time, then by when the round was queued (the end of the

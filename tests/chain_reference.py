@@ -14,10 +14,15 @@ pairs older than the freshness horizon, then stashes the round's pairs,
 purifies every complete group of seven (a success goes to the link's
 buffer; overflow drops the oldest purified pair), and finally every link
 swaps away as many purified pairs as the emptiest link holds.
+
+``walk_stash`` keeps one link's stash as a list of arrival times, the walk
+the engine ran for a link whose pairs expire before its integer
+recurrence replaced it.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from collections import deque
@@ -73,6 +78,29 @@ def purify(pairs, epsilon_in: float, rng, bounds=None) -> PurifiedPair | None:
     if rng.random() < bounds.p_success:
         return PurifiedPair(error=bounds.epsilon_out)
     return None
+
+
+def walk_stash(times, arrivals, end_ps: int, lifetime_ps: int):
+    """One link's groups of seven, walked over its non-empty rounds.
+
+    ``times`` and ``arrivals`` are the end times and pair counts of the
+    link's non-empty rounds. Returns the groups each round formed, and the
+    raw pairs expired and left stashed at ``end_ps``.
+    """
+    formed = []
+    pending: list[int] = []  # arrival times of stashed pairs, oldest first (at most six)
+    expired = 0
+    for now, count in zip(times, arrivals):
+        stale = bisect.bisect_left(pending, now - lifetime_ps)
+        expired += stale
+        total = len(pending) - stale + count
+        formed.append(total // PAIRS_PER_PURIFICATION)
+        keep = total % PAIRS_PER_PURIFICATION
+        # the newest pairs stay, so stale ones never survive this slice
+        fresh = min(keep, count)
+        pending = pending[len(pending) - keep + fresh:] + [now] * fresh
+    stale = bisect.bisect_left(pending, end_ps - lifetime_ps)
+    return formed, expired + stale, len(pending) - stale
 
 
 class _LinkPipeline:

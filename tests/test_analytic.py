@@ -293,8 +293,8 @@ class TestMpsEntanglement:
         assert_near_exact_bin_law(p_l, p_r, p_m, k)
 
     def test_sum_memory_is_bounded_for_large_k(self):
-        # survive is within 2e-7 of one, so all 2e6 terms are kept; a list
-        # of them alone would take 65 MB
+        # survive is within 2e-7 of one: a list of all 2e6 terms alone would
+        # take 65 MB, and the closed form keeps none of them
         assert traced_peak_bytes(analytic.mps_entanglement, 1e-4, 1e-4, 1e-3, 2 * 10**6) < 4e6
 
 
@@ -304,6 +304,26 @@ class TestMpsRate:
         bundle = analytic.mps_rate(3, ent, US(100), NS(10))
         assert bundle.round_time.ps == 100_180_000
         assert bundle.rate_per_s == pytest.approx(9.98e3, rel=1e-3)
+
+    @given(
+        st.floats(min_value=0.3, max_value=1.0),
+        st.floats(min_value=0.3, max_value=1.0),
+        st.sampled_from([None, 50, 200]),
+    )
+    @settings(max_examples=300)
+    def test_symmetric_rate_never_raises(self, p_l, p_m, k):
+        # once 1 - s^K rounds to one, p_ent_sum and the bound p_l / (2 - p_l)
+        # are the same limit, so the bound must be rounded as the sum is
+        k = analytic.mps_attempts_per_bin(p_l, p_m) if k is None else k
+        ent = analytic.mps_entanglement(p_l, p_l, p_m, k)
+        assert ent.p_ent_sum <= ent.upper_bound == pytest.approx(p_l / (2.0 - p_l), rel=1e-15)
+        bundle = analytic.mps_rate(10, ent, US(10), NS(1))
+        assert bundle.rate_per_s <= bundle.upper_bound_per_s
+
+    def test_rate_at_the_bound(self):
+        ent = analytic.mps_entanglement(0.8, 0.8, 1.0, 200)
+        bundle = analytic.mps_rate(10, ent, US(10), NS(1))
+        assert bundle.rate_per_s == bundle.upper_bound_per_s
 
     def test_zero_entanglement(self):
         ent = analytic.mps_entanglement(0.5, 0.5, 0.0, 6)

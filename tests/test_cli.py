@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from replink import analytic, cli
+from replink import analytic, cli, engine
 from replink.cli import (
     CSV_COLUMNS,
     ReportRow,
@@ -429,6 +429,18 @@ class TestMain:
                 "--distances", "10", "--trials", "1"]
         assert main(argv) == 2
         assert "3 / (p_l * p_m) is infinite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1e300", "1e-12"], ids=["overflows", "rounds-to-zero"])
+    def test_unconvertible_lifetime_exits_2_before_any_trial(self, monkeypatch, capsys, value):
+        # 1e300 ms overflows the picosecond conversion; 1e-12 ms rounds to 0 ps,
+        # which would expire every stashed pair and quietly report a zero rate
+        trials = []
+        monkeypatch.setattr(engine, "run_chain_trial", lambda *args: trials.append(args))
+        assert main(CHAIN + ["--raw-lifetime-ms", value]) == 2
+        assert "round to at least 1 ps without overflowing" in capsys.readouterr().err
+        assert not trials
+        # a lifetime that rounds to 1 ps is accepted
+        assert parse(CHAIN + ["--raw-lifetime-ms", "6e-10"]).raw_lifetime_ms == 6e-10
 
     def test_negative_seed_exits_2(self, capsys, monkeypatch):
         assert main(TINY + ["--seed", "-1"]) == 2

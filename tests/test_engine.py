@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -407,21 +409,21 @@ class TestChainOracle:
             links=(mitm_link(n=2, p=0.5, tau_link=US(10)), mitm_link(n=6, p=0.9, tau_link=US(4))),
             purification=PurificationPolicy(buffer_capacity=1, raw_pair_lifetime=US(80)),
         )
-        walks = []
-        walk = engine._walk_stash
+        calls = []
+        recurrence = engine._stash_recurrence
 
-        def counting_walk(*args):
-            walks.append(args)
-            return walk(*args)
+        def counting_recurrence(fresh, arrivals):
+            calls.append(arrivals)
+            return recurrence(fresh, arrivals)
 
-        monkeypatch.setattr(engine, "_walk_stash", counting_walk)
+        monkeypatch.setattr(engine, "_stash_recurrence", counting_recurrence)
         for seed in range(4):
-            walks.clear()
+            calls.clear()
             stats = run_chain_trial(chain, US(2_000), seed)
             assert stats == chain_reference.run_chain_trial(chain, US(2_000), seed)
-            # one walk, for the link whose pairs expired; the other took its
-            # groups from the running total
-            assert len(walks) == 1
+            # one recurrence, over the non-empty rounds of the link whose pairs
+            # expired (and its end); the other took its groups from the running total
+            assert len(calls) == 1 and sum(calls[0]) == stats.raw_pairs[0]
             assert stats.raw_expired[0] > 0 and stats.purify_attempts[0] > 0
             assert stats.raw_expired[1] == 0 and stats.purify_attempts[1] > 0
             assert stats.end_to_end_ebits > 0
@@ -460,20 +462,21 @@ class TestChainOracle:
             assert sum(stats.purified_discarded) > 0
 
     def test_unbalanced_pairs_raise(self, monkeypatch, capsys):
-        walk = engine._walk_stash
+        recurrence = engine._stash_recurrence
 
-        def lose_a_pair(*args):
-            made, formed, expired, pending = walk(*args)
-            return made, formed, expired, pending - 1
+        def lose_a_pair(fresh, arrivals):
+            formed, expired, pending = recurrence(fresh, arrivals)
+            return formed, expired, pending - 1
 
-        monkeypatch.setattr(engine, "_walk_stash", lose_a_pair)
+        monkeypatch.setattr(engine, "_stash_recurrence", lose_a_pair)
         chain = ChainModel(
             links=(mitm_link(n=2, p=0.5, tau_link=US(10)), mitm_link(n=6, p=0.9, tau_link=US(4))),
             purification=PurificationPolicy(raw_pair_lifetime=US(80)),
         )
         with pytest.raises(RuntimeError, match=r"chain link 0 does not conserve pairs: raw \d+"):
             run_chain_trial(chain, US(2_000), 0)
-        # through the command line, a fig9 midpoint-source chain walks every link
+        # through the command line, every link of a fig9 midpoint-source chain
+        # runs the recurrence
         argv = ["--preset", "fig9-pessimistic", "--protocol", "mps", "--p-mid", "0.1",
                 "--distances", "30", "--trials", "1"]
         assert cli.main(argv) == 1
@@ -501,6 +504,125 @@ class TestChainOracle:
         assert stats == chain_reference.run_chain_trial(chain, duration, seed)
         if purification:
             assert_conserved(stats)
+
+
+R = US(10).ps  # the round time of mitm_link(1, p, US(9)), in ps
+
+
+def feed_round_counts(patch, counts):
+    """Make each chain trial draw ``counts[i]`` as link ``i``'s round counts."""
+    calls = itertools.count()
+
+    def drawn(rng, link, n_rounds):
+        rounds = counts[next(calls) % len(counts)]
+        assert len(rounds) == n_rounds
+        return np.array(rounds, dtype=np.int64)
+
+    patch.setattr(engine, "sample_round_counts", drawn)
+
+
+def stash_walks(chain, counts, lifetime_ps):
+    """``chain_reference.walk_stash`` over each link's drawn rounds."""
+    walks = []
+    for link, rounds in zip(chain.links, counts):
+        period = link.round_time.ps
+        rows = [k for k, count in enumerate(rounds) if count]
+        times = [(k + 1) * period for k in rows]
+        arrivals = [rounds[k] for k in rows]
+        walks.append(
+            chain_reference.walk_stash(times, arrivals, len(rounds) * period, lifetime_ps)
+        )
+    return walks
+
+
+@st.composite
+def drawn_rounds(draw):
+    """Links with drawn round counts (often empty, often seven or more), and
+    a lifetime that is often a whole number of one link's rounds or shorter
+    than one round."""
+    taus = draw(st.lists(st.sampled_from([US(3), US(5), US(11)]), min_size=1, max_size=3))
+    links = tuple(mitm_link(n=1, p=0.5, tau_link=tau) for tau in taus)  # rounds of 4, 6, 12 us
+    duration = US(draw(st.integers(12, 240)))
+    counts = [
+        draw(st.lists(st.just(0) | st.integers(0, 15), min_size=n, max_size=n))
+        for n in (duration // link.round_time for link in links)
+    ]
+    period = draw(st.sampled_from(links)).round_time.ps
+    lifetime_ps = draw(
+        st.integers(0, 8).map(lambda m: m * period)
+        | st.integers(1, period - 1)
+        | st.integers(1, duration.ps)
+    )
+    return links, duration, counts, lifetime_ps
+
+
+class TestStashRecurrence:
+    """The engine's integer stash recurrence against the list walk it replaced."""
+
+    @pytest.mark.parametrize(
+        "rounds,lifetime_ps,expected",
+        [
+            # each case expires a pair, so the link runs the recurrence; a
+            # pair that arrived exactly at t - lifetime is still fresh
+            pytest.param([1, 0, 0, 3, 0, 4], 2 * R, (1, 1, 0), id="arrival-at-horizon"),
+            pytest.param([1, 0, 0, 3, 0, 4], 2 * R - 1, (0, 4, 4), id="one-ps-past-horizon"),
+            pytest.param([1, 0, 14, 6, 1], R, (3, 1, 0), id="rounds-of-seven-or-more"),
+            pytest.param([1, 0, 0, 0, 0, 6, 0, 0, 1], 3 * R, (1, 1, 0), id="full-stash-completes"),
+            pytest.param([1, 0, 0, 0, 0, 6, 0, 0, 1], 3 * R - 1, (0, 7, 1), id="full-stash-expires"),
+            pytest.param([3, 4, 0], R - 1, (0, 7, 0), id="lifetime-under-one-round"),
+            pytest.param([5, 0, 0], R, (0, 5, 0), id="expiry-at-trial-end"),
+            pytest.param([1, 0, 0, 5, 0, 0], 2 * R, (0, 1, 5), id="fresh-at-trial-end"),
+        ],
+    )
+    def test_boundaries(self, monkeypatch, rounds, lifetime_ps, expected):
+        link = mitm_link(n=1, p=0.5, tau_link=US(9))
+        assert link.round_time.ps == R
+        chain = ChainModel(
+            links=(link,), purification=PurificationPolicy(raw_pair_lifetime=Duration(lifetime_ps))
+        )
+        duration = len(rounds) * link.round_time
+        calls = []
+        recurrence = engine._stash_recurrence
+        monkeypatch.setattr(
+            engine, "_stash_recurrence", lambda *args: calls.append(args) or recurrence(*args)
+        )
+        feed_round_counts(monkeypatch, [rounds])
+        stats = run_chain_trial(chain, duration, 0)
+        assert stats == chain_reference.run_chain_trial(chain, duration, 0)
+        assert len(calls) == 1
+        attempts, expired, pending = expected
+        assert (stats.purify_attempts, stats.raw_expired, stats.raw_pending) == (
+            (attempts,), (expired,), (pending,)
+        )
+        formed, *walked = stash_walks(chain, [rounds], lifetime_ps)[0]
+        assert (sum(formed), *walked) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=drawn_rounds(), capacity=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**32))
+    def test_recurrence_matches_the_list_walk(self, case, capacity, seed):
+        links, duration, counts, lifetime_ps = case
+        lifetime = Duration(lifetime_ps)
+        policy = PurificationPolicy(buffer_capacity=capacity, raw_pair_lifetime=lifetime)
+        chain = ChainModel(links=links, purification=policy)
+        walks = stash_walks(chain, counts, lifetime_ps)
+        calls = []
+        recurrence = engine._stash_recurrence
+
+        def recording(fresh, arrivals):
+            calls.append(recurrence(fresh, arrivals))
+            return calls[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            feed_round_counts(patch, counts)
+            patch.setattr(engine, "_stash_recurrence", recording)
+            stats = run_chain_trial(chain, duration, seed)
+            assert stats == chain_reference.run_chain_trial(chain, duration, seed)
+        assert stats.purify_attempts == tuple(sum(formed) for formed, _, _ in walks)
+        assert stats.raw_expired == tuple(expired for _, expired, _ in walks)
+        assert stats.raw_pending == tuple(pending for _, _, pending in walks)
+        # exactly the links whose pairs expire run the recurrence, and each
+        # round forms the walk's groups; the trial's end forms none
+        assert calls == [(made + [0], expired, left) for made, expired, left in walks if expired]
 
 
 class TestSummarize:
