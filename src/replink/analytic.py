@@ -263,7 +263,9 @@ def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglem
 
     if symmetric:
         lower = 0.95 * p_l / 2.0
-        upper = limit if p_joint else p_l / (2.0 - p_l)  # so that p_ent_sum <= upper
+        # the sum's limit and p_l / (2 - p_l) round the same real number two
+        # ways; the larger bounds both p_ent_sum and p_ent_closed
+        upper = max(limit, p_l / (2.0 - p_l))
     else:
         lower, upper = 0.0, 1.0
 
@@ -280,19 +282,32 @@ def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglem
     )
 
 
-_CHUNK = 8192  # terms per block of the bin utilization sum; bounds its memory for any K
-
-
 def mps_bin_utilization(p_l: float, p_m: float, k: int) -> float:
-    """In-bin active fraction (1/K) * sum_k k*y*(1-y)^k with y = p_l*p_m."""
+    """In-bin active fraction (1/K) * sum_j j*y*(1-y)^j, j = 1..K, with y = p_l*p_m.
+
+    The sum is (1-y) * (1 - (1-y)^K * (1 + K*y)) / y, taking (1-y)^K from
+    ``log1p``. That difference cancels when K*y is small, so below K*y = 1
+    the sum comes from the binomial expansion of (1-y)^j instead:
+    sum_m (-y)^m * ((m+1)*C(K+1, m+2) + m*C(K+1, m+1)), whose terms fall
+    like (K*y)^m / m!. Either way the cost does not grow with K.
+    """
     y = p_l * p_m
-    if y == 0.0:
+    if y == 0.0 or y >= 1.0:  # nothing latches, or the first attempt always does
         return 0.0
+    x = k * y
+    if x >= 1.0:
+        log_q_k = k * math.log1p(-y)
+        return (1.0 - y) * (-math.expm1(log_q_k) - x * math.exp(log_q_k)) / x
     total = 0.0
-    for start in range(1, k + 1, _CHUNK):
-        j = np.arange(start, min(start + _CHUNK, k + 1), dtype=float)
-        total += float(np.sum(j * y * (1.0 - y) ** j))
-    return total / k
+    m, binom = 0, k + 1.0  # binom = C(K+1, m+1) * y^m
+    while binom:
+        term = binom * ((m + 1) * (k - m) / (m + 2) + m)
+        total += -term if m % 2 else term
+        if term <= 1e-17 * total:
+            break
+        binom *= y * (k - m) / (m + 2)
+        m += 1
+    return y * total / k
 
 
 def mps_rate(n: int, ent: MpsEntanglement, tau_link: Duration, tau_clock: Duration) -> RateBundle:

@@ -4,9 +4,10 @@
 this module keeps the straightforward event loop it replaced, so the
 tests can require the two to return equal ``ChainTrialStats`` for every
 (chain, duration, seed). Both draw round counts through
-``engine.sample_round_counts`` from the same per-link generators and take
-purification uniforms from the same auxiliary stream, one per group of
-seven in event order.
+``engine.sample_round_counts`` from the streams ``default_rng([seed, i])``
+and take purification uniforms from ``default_rng([seed, 104729])``, one
+per group of seven in event order. This module builds those generators
+itself, so the tests also check the engine's cached seeding.
 
 Every round of every link is an event, popped from a min-heap in
 (time, insertion sequence) order. At each event the link first drops raw
@@ -27,6 +28,8 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from replink import analytic, engine
 from replink.engine import PAIRS_PER_PURIFICATION, ChainModel, ChainTrialStats
@@ -163,11 +166,11 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
             raise ConfigurationError(
                 f"duration {duration.ps} ps is shorter than one round of link {index}"
             )
-        counts.append(engine.sample_round_counts(engine._trial_rng(seed, index), link, rounds))
+        counts.append(engine.sample_round_counts(np.random.default_rng([seed, index]), link, rounds))
         round_ps.append(rt.ps)
         n_rounds.append(rounds)
 
-    aux_rng = engine._trial_rng(seed, engine._PURIFY_STREAM)
+    aux_rng = np.random.default_rng([seed, engine._PURIFY_STREAM])
     if policy is not None:
         bounds = analytic.purification_bounds(policy.epsilon_in, len(links))
         lifetime_ps = None if policy.raw_pair_lifetime is None else policy.raw_pair_lifetime.ps

@@ -8,7 +8,7 @@ from fractions import Fraction
 import mps_reference
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from replink import analytic
 from replink.params import (
@@ -43,6 +43,15 @@ def exact_bin_law(p_l, p_r, p_m, k):
             return p_joint
         p_any = mid * (left + right - left * right)
         return p_joint * (1 - (1 - p_any) ** k) / p_any
+
+
+def exact_bin_utilization(y, k):
+    """(1/K) * sum_j j*y*(1-y)^j in closed form at 80 digits from the exact float y."""
+    with decimal.localcontext() as context:
+        context.prec = 80
+        y = Decimal(y)
+        q = 1 - y
+        return q * (1 - q**k * (1 + k * y)) / (y * k)
 
 
 def assert_near_exact_bin_law(p_l, p_r, p_m, k):
@@ -219,6 +228,7 @@ class TestMpsEntanglement:
         assert abs(ent.p_ent_sum - ent.p_ent_closed) <= 1e-12
 
     @given(st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=0.01, max_value=1.0))
+    @example(0.99, 0.99999)  # the sum's limit rounds one ulp below p_l / (2 - p_l)
     @settings(max_examples=200)
     def test_bounds_and_latch_with_chosen_attempts(self, p_l, p_m):
         k = analytic.mps_attempts_per_bin(p_l, p_m)
@@ -335,6 +345,27 @@ class TestMpsRate:
         expected = sum(k * y * (1 - y) ** k for k in range(1, 7)) / 6
         assert analytic.mps_bin_utilization(0.5, 1.0, 6) == pytest.approx(float(expected), abs=1e-15)
         assert float(expected) == 0.15625
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 100, 10**4, 10**6, 10**9])
+    def test_bin_utilization_matches_an_80_digit_evaluation(self, k):
+        # K*y from 1e-9 to 50, across the switch from the series to the closed form
+        for x in [10 ** (e / 4) for e in range(-36, 7)] + [1.0, math.nextafter(1.0, 0.0), 50.0]:
+            y = x / k
+            if y <= 1.0:
+                exact = exact_bin_utilization(y, k)
+                got = Decimal(analytic.mps_bin_utilization(y, 1.0, k))
+                assert abs(got - exact) <= Decimal(1e-12) * exact, (k, x)
+
+    @given(
+        st.floats(min_value=1e-6, max_value=1.0),
+        st.floats(min_value=1e-4, max_value=1.0),
+        st.integers(min_value=1, max_value=2 * 10**5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bin_utilization_matches_the_blocked_sum(self, p_l, p_m, k):
+        expected = mps_reference.bin_utilization(p_l, p_m, k)
+        got = analytic.mps_bin_utilization(p_l, p_m, k)
+        assert got == pytest.approx(expected, rel=1e-10)
 
     def test_bin_utilization_memory_is_bounded_for_large_k(self):
         y, k = 1e-4 * 1e-3, 2 * 10**6

@@ -218,6 +218,110 @@ class TestLinkTrial:
         run_link_trial(MITM_LINK, duration, seed=2)
         again = run_link_trial(MITM_LINK, duration, seed=1)
         assert first == again
+        chain, duration = _figure_chain(["--preset", "fig9-pessimistic", "--protocol", "mps",
+                                         "--p-mid", "0.1"], 30.0)
+        engine._seeded_state.cache_clear()
+        cold = run_chain_trial(chain, duration, seed=5)
+        for seed in (4, 6, 7):
+            run_chain_trial(chain, duration, seed)
+        after_others = run_chain_trial(chain, duration, seed=5)
+        warm = run_chain_trial(chain, duration, seed=5)
+        assert cold == after_others == warm
+
+
+def _figure_chain(argv, distance):
+    """A preset chain at one distance and its trial duration, as a sweep builds them."""
+    scenario, _ = cli.parse_scenario(argv + ["--distances", str(distance)], env={})
+    chain = cli.build_chain_model(scenario, distance)
+    return chain, scenario.duration_in_tau_link * chain.links[0].tau_link
+
+
+def _stream_draws(rng, n, p, size):
+    return rng.binomial(n, p, size=size), rng.random(size)
+
+
+class TestTrialStreams:
+    """The engine's cached seeding against fresh ``default_rng([seed, stream])``."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 3), st.integers(2**64 - 2, 2**64 + 2),
+                          st.integers(0, 2**100)),
+                st.one_of(st.integers(0, 3), st.just(engine._PURIFY_STREAM)),
+                st.sampled_from([1, 7, 100, 10_000]),
+                st.one_of(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                st.integers(1, 40),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200)
+    def test_interleaved_requests_draw_fresh_streams(self, requests):
+        for seed, stream, n, p, size in requests:
+            binomial, uniform = _stream_draws(engine._trial_rng(seed, stream), n, p, size)
+            fresh_binomial, fresh_uniform = _stream_draws(
+                np.random.default_rng([seed, stream]), n, p, size
+            )
+            assert binomial.tolist() == fresh_binomial.tolist()
+            assert uniform.tolist() == fresh_uniform.tolist()
+
+    def test_evicted_and_cached_keys_draw_fresh_streams(self):
+        bound = engine._SEEDED_STATES
+        engine._seeded_state.cache_clear()
+        engine._trial_rng(1, 0)
+        for seed in range(10**6, 10**6 + bound):
+            engine._seeded_state(seed, 3)
+        info = engine._seeded_state.cache_info()
+        assert info.currsize == info.maxsize == bound
+        for key, cached in (((1, 0), False), ((10**6 + bound - 1, 3), True)):
+            hits = engine._seeded_state.cache_info().hits
+            draws = _stream_draws(engine._trial_rng(*key), 100, 0.05, 20)
+            assert (engine._seeded_state.cache_info().hits > hits) is cached
+            fresh = _stream_draws(np.random.default_rng(list(key)), 100, 0.05, 20)
+            assert [d.tolist() for d in draws] == [f.tolist() for f in fresh]
+
+    def test_pinned_chain_trials(self):
+        # the streams' values at seed 1, so that any change to a stream fails here
+        chain, duration = _figure_chain(["--preset", "fig8-optimistic", "--protocol", "mitm"], 10.0)
+        assert run_chain_trial(chain, duration, 1) == engine.ChainTrialStats(
+            end_to_end_ebits=625, elapsed=Duration(ps=50034614000),
+            rate_per_s=12491.352486500646,
+            per_link_purified_counts=(801, 779, 789, 732, 727, 758, 800, 767, 808, 745),
+            ebit_error=0.0071269375000000005,
+            raw_pairs=(7728, 7633, 7787, 7633, 7771, 7765, 7768, 7722, 7697, 7660),
+            purify_attempts=(1104, 1090, 1112, 1090, 1110, 1109, 1109, 1103, 1099, 1094),
+            raw_expired=(0,) * 10,
+            raw_pending=(0, 3, 3, 3, 1, 2, 5, 1, 4, 2),
+            purified_discarded=(174, 152, 163, 105, 100, 133, 172, 139, 181, 118),
+            purified_pending=(2, 2, 1, 2, 2, 0, 3, 3, 2, 2),
+        )
+        chain, duration = _figure_chain(
+            ["--preset", "fig9-pessimistic", "--protocol", "mps", "--p-mid", "0.1"], 30.0
+        )
+        assert run_chain_trial(chain, duration, 1) == engine.ChainTrialStats(
+            end_to_end_ebits=0, elapsed=Duration(ps=150103843000), rate_per_s=0.0,
+            per_link_purified_counts=(0, 0, 2, 1, 2, 2, 4, 1, 0, 0),
+            ebit_error=0.0071269375000000005,
+            raw_pairs=(52, 45, 53, 59, 56, 56, 61, 56, 43, 43),
+            purify_attempts=(1, 0, 2, 3, 3, 2, 5, 1, 0, 1),
+            raw_expired=(43, 41, 35, 36, 31, 38, 23, 45, 40, 35),
+            raw_pending=(2, 4, 4, 2, 4, 4, 3, 4, 3, 1),
+            purified_discarded=(0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
+            purified_pending=(0, 0, 2, 1, 2, 2, 3, 1, 0, 0),
+        )
+
+    def test_pinned_link_trial(self):
+        scenario, _ = cli.parse_scenario(
+            ["--preset", "fig10-qd", "--protocol", "mitm", "--distances", "10"], env={}
+        )
+        link = cli.build_link_model(scenario, 10.0)
+        duration = scenario.duration_in_tau_link * link.tau_link
+        assert run_link_trial(link, duration, 1) == engine.LinkTrialStats(
+            entanglement_events=1184, elapsed=Duration(ps=500345752316),
+            rate_per_s=2366.3636485760135,
+        )
 
 
 class TestPurify:
