@@ -11,7 +11,7 @@ hardware cycle time:
 * meet-in-the-middle: round tau_l + N*tau_c, rate N*p / round.
 * sender-receiver:    round 2*tau_l + N_A*tau_c, expected pairs per round
   E[min(X, N_B)] with X ~ Binomial(N_A, p) because the receiver rejects
-  photons once its memory is full.
+  photons once its memory is full (a sum of ``scipy.special`` survival terms).
 * midpoint-source:    round tau_l + N*K*tau_c where K latch attempts fill
   one time bin; the per-bin entanglement probability accounts for each
   receiver locking onto its first latched photon and pairs matching only
@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .params import (
     ConfigurationError,
@@ -148,18 +148,19 @@ def mitm_rate(n: int, p: float, tau_link: Duration, tau_clock: Duration) -> Rate
 
 
 def sr_expected_pairs_per_round(n_a: int, n_b: int, p: float) -> float:
-    """E[min(X, N_B)] for X ~ Binomial(N_A, p).
+    """E[min(X, N_B)] for X ~ Binomial(N_A, p), within [0, min(N_A*p, N_B)].
 
-    Evaluated as N_A*p - sum_{x > N_B} (x - N_B) P(X = x) so the result
-    never exceeds the mean; the pmf comes from log-space evaluation, which
-    stays stable for large N_A.
+    It is sum_{k < N_B} P(X > k), or N_A*p less sum_{N_B <= k < N_A} P(X > k),
+    over survival terms I_p(k + 1, N_A - k) (regularized incomplete beta) added
+    by ``math.fsum``: the N_B terms near one below the mean, else the upper tail.
     """
     validate_probability(p, "p")
     if n_b >= n_a:
         return n_a * p
-    x = np.arange(n_b + 1, n_a + 1)
-    excess = float(np.dot(x - n_b, stats.binom.pmf(x, n_a, p)))
-    return n_a * p - excess
+    below = n_b < n_a * p
+    k = np.arange(n_b) if below else np.arange(n_b, n_a)
+    survival = math.fsum(special.betainc(k + 1, n_a - k, p).tolist())
+    return min(max(survival if below else n_a * p - survival, 0.0), float(n_b))
 
 
 def sr_rate(n_a: int, n_b: int, p: float, tau_link: Duration, tau_clock: Duration) -> RateBundle:

@@ -5,14 +5,11 @@ seed: link ``i`` of a trial draws the stream of ``default_rng([seed, i])``
 and purification that of ``default_rng([seed, 104729])``, so disjoint
 seeds give independent trials and equal seeds byte-identical results.
 Building such a generator costs about 20 us, and a sweep reuses its trial
-seeds at every distance, so the engine keeps the seeded PCG64 state of up
-to 16384 (seed, stream) pairs (about 11 MB when full, by ``tracemalloc``)
-and sets its one reused generator to the cached state, about 2 us per
-stream. The streams are the same as fresh generators'. Once trials times
-streams exceed the bound, a sweep cycles through more states than the
-cache keeps and misses every time: each stream then costs a few us more
-than a fresh generator, the state read and write on top of the same build
-(3-7 us over the keys of a --trials 2000 ten-link chain, 2-vCPU x86-64).
+seeds at every distance, so one reused generator is set to cached seeded
+PCG64 states, about 2 us per stream, with unchanged streams. The cache
+keeps 16384 (seed, stream) pairs (about 11 MB, by ``tracemalloc``); past
+that a sweep misses every time, and each stream costs 3-7 us more than a
+fresh generator (a --trials 2000 ten-link chain, 2-vCPU x86-64).
 
 Every protocol's round confirms min(Binomial(slots, p), cap) pairs,
 drawn for all rounds at once. The two-sender protocols try each sending
@@ -219,9 +216,7 @@ def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialS
     events = int(sample_round_counts(_trial_rng(seed, 0), link, n_rounds).sum())
     elapsed = n_rounds * link.round_time
     return LinkTrialStats(
-        entanglement_events=events,
-        elapsed=elapsed,
-        rate_per_s=events / elapsed.seconds,
+        entanglement_events=events, elapsed=elapsed, rate_per_s=events / elapsed.seconds
     )
 
 
@@ -245,12 +240,11 @@ def _stash_recurrence(fresh, arrivals):
 
 def _check_conservation(stats: ChainTrialStats) -> None:
     """Raise unless every link's raw and purified pairs are all accounted for."""
-    for index, (raw, attempts, expired, raw_pending, successes, discarded, held) in enumerate(
-        zip(
-            stats.raw_pairs, stats.purify_attempts, stats.raw_expired, stats.raw_pending,
-            stats.per_link_purified_counts, stats.purified_discarded, stats.purified_pending,
-        )
-    ):
+    rows = zip(
+        stats.raw_pairs, stats.purify_attempts, stats.raw_expired, stats.raw_pending,
+        stats.per_link_purified_counts, stats.purified_discarded, stats.purified_pending,
+    )
+    for index, (raw, attempts, expired, raw_pending, successes, discarded, held) in enumerate(rows):
         if (
             raw != PAIRS_PER_PURIFICATION * attempts + expired + raw_pending
             or successes != stats.end_to_end_ebits + discarded + held
@@ -262,61 +256,29 @@ def _check_conservation(stats: ChainTrialStats) -> None:
             )
 
 
-def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTrialStats:
-    """Run a linear chain for ``duration``, reporting end-to-end ebits.
-
-    Each link runs its protocol rounds independently; confirmed pairs
-    become available at their round's completion. With purification on,
-    every seven fresh raw pairs on a link are consumed by one purification
-    attempt; purified pairs wait in the link's reserved buffer (overflow
-    drops the oldest). Whenever every link holds a purified pair, one pair
-    per link is consumed by deterministic swapping at the intermediate
-    nodes and one end-to-end ebit is counted. Elapsed time is the full
-    duration regardless of how rounds align with it.
-    """
-    links = chain.links
-    policy = chain.purification
-    counts, round_ps = [], []
-    for index, link in enumerate(links):
-        n_rounds = _round_count(link, duration, f"link {index}")
-        counts.append(sample_round_counts(_trial_rng(seed, index), link, n_rounds))
-        round_ps.append(link.round_time.ps)
-    n_links = len(links)
-    flat = np.concatenate(counts)  # every link's rounds, one link after another
-    starts = np.cumsum([0] + [len(c) for c in counts])
-    raw = np.add.reduceat(flat, starts[:-1])
-
-    if policy is None:
-        # every pair waits until each link holds one, then one per link is swapped
-        ebits, idle = int(raw.min()), (0,) * n_links
-        return ChainTrialStats(
-            end_to_end_ebits=ebits, elapsed=duration, rate_per_s=ebits / duration.seconds,
-            per_link_purified_counts=idle, ebit_error=0.0, raw_pairs=tuple(raw.tolist()),
-            purify_attempts=idle, raw_expired=idle, raw_pending=idle, purified_discarded=idle,
-            purified_pending=tuple((raw - ebits).tolist()),
-        )
-
-    # Groups of seven follow from each link's running pair total unless a
-    # stashed pair outlives the horizon before its group completes; only such
-    # links run the stash recurrence. All links' non-empty rounds are taken at once.
+def _queued_groups(flat, starts, raw, round_ps, lifetime):
+    """Link and group count of each round that forms groups of seven, in event
+    queue order, and each link's raw pairs expired and left pending. Groups
+    follow from each link's running pair total (link i's rounds start at
+    ``starts[i]`` in ``flat``) unless a stashed pair outlives the horizon
+    before its group completes; only such links run the stash recurrence."""
     nonzero = np.flatnonzero(flat)
     arrivals = flat[nonzero]
     edges = np.searchsorted(nonzero, starts)  # where each link's non-empty rounds begin
-    link_of = np.repeat(np.arange(n_links), np.diff(edges))
+    link_of = np.repeat(np.arange(len(raw)), np.diff(edges))
     period = np.array(round_ps)[link_of]
     times = (nonzero - starts[link_of] + 1) * period
     stashed = np.cumsum(arrivals) - (np.cumsum(raw) - raw)[link_of]  # the link's pairs so far
-    completed = stashed // PAIRS_PER_PURIFICATION
-    formed = completed - (stashed - arrivals) // PAIRS_PER_PURIFICATION
-    expired = [0] * n_links
+    formed = stashed // PAIRS_PER_PURIFICATION - (stashed - arrivals) // PAIRS_PER_PURIFICATION
+    expired = [0] * len(raw)
     pending = (raw % PAIRS_PER_PURIFICATION).tolist()
-    if policy.raw_pair_lifetime is not None:
-        lifetime_ps = policy.raw_pair_lifetime.ps
+    if lifetime is not None:
+        lifetime_ps = lifetime.ps
         # expiry is monotone in time: stale pairs go at the next non-empty round or the end
         checked = np.append(times[1:], 0)
         busy = raw > 0
         checked[edges[1:][busy] - 1] = (np.diff(starts) * round_ps)[busy]
-        left = stashed - PAIRS_PER_PURIFICATION * completed
+        left = stashed % PAIRS_PER_PURIFICATION
         # a round that leaves more pairs stashed than it brought formed no
         # group, so its oldest stashed pair arrived with the previous round's
         arrived = np.maximum.accumulate(np.where(left <= arrivals, np.arange(len(left)), 0))
@@ -347,9 +309,46 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     made = np.flatnonzero(formed)
     finished_ps = times[made]
     made = made[np.lexsort((finished_ps - period[made], finished_ps))]
-    link_of = link_of[made]
-    groups = formed[made]
+    return link_of[made], formed[made], expired, pending
 
+
+def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTrialStats:
+    """Run a linear chain for ``duration``, reporting end-to-end ebits.
+
+    Each link runs its protocol rounds independently; confirmed pairs
+    become available at their round's completion. With purification on,
+    every seven fresh raw pairs on a link are consumed by one purification
+    attempt; purified pairs wait in the link's reserved buffer (overflow
+    drops the oldest). Whenever every link holds a purified pair, one pair
+    per link is consumed by deterministic swapping at the intermediate
+    nodes and one end-to-end ebit is counted. Elapsed time is the full
+    duration regardless of how rounds align with it.
+    """
+    links = chain.links
+    policy = chain.purification
+    n_links = len(links)
+    n_rounds = [_round_count(link, duration, f"link {index}") for index, link in enumerate(links)]
+    flat = np.concatenate([  # every link's rounds, one link after another
+        sample_round_counts(_trial_rng(seed, index), link, count)
+        for index, (link, count) in enumerate(zip(links, n_rounds))
+    ])
+    starts = np.cumsum([0] + n_rounds)
+    raw = np.add.reduceat(flat, starts[:-1])
+
+    if policy is None:
+        # every pair waits until each link holds one, then one per link is swapped
+        ebits, idle = int(raw.min()), (0,) * n_links
+        return ChainTrialStats(
+            end_to_end_ebits=ebits, elapsed=duration, rate_per_s=ebits / duration.seconds,
+            per_link_purified_counts=idle, ebit_error=0.0, raw_pairs=tuple(raw.tolist()),
+            purify_attempts=idle, raw_expired=idle, raw_pending=idle, purified_discarded=idle,
+            purified_pending=tuple((raw - ebits).tolist()),
+        )
+
+    # the round arrays die with the call: a lower heap peak, fewer pages refaulted per trial
+    link_of, groups, expired, pending = _queued_groups(
+        flat, starts, raw, [link.round_time.ps for link in links], policy.raw_pair_lifetime
+    )
     bounds = analytic.purification_bounds(policy.epsilon_in, n_links)
     aux_rng = _trial_rng(seed, _PURIFY_STREAM)
     succeeded = np.cumsum(aux_rng.random(int(groups.sum())) < bounds.p_success)
@@ -359,37 +358,37 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     won = wins > 0
 
     capacity = policy.buffer_capacity
-    ready = [0] * n_links
+    accepted = [0] * n_links  # purified pairs each link has kept, swapped ones included
     discarded = [0] * n_links
+    # link i holds accepted[i] - floor pairs: a swap raises the floor, not every link
+    floor, cap = 0, capacity
     empty = n_links  # links holding no purified pair
-    ebits = 0
     for i, count in zip(link_of[won].tolist(), wins[won].tolist()):
-        was = ready[i]
+        was = accepted[i]
         held = was + count
-        if held > capacity:
+        if held > cap:
             # the oldest purified pairs are displaced
-            discarded[i] += held - capacity
-            held = capacity
-        ready[i] = held
+            discarded[i] += held - cap
+            held = cap
+        accepted[i] = held
         # after every swap some link is empty, so only filling one enables the next
-        if held and not was:
+        if was == floor < held:
             empty -= 1
             if not empty:
-                swappable = min(ready)
-                ebits += swappable
-                ready = [r - swappable for r in ready]
-                empty = ready.count(0)
+                floor = min(accepted)
+                cap = floor + capacity
+                empty = accepted.count(floor)
 
     attempts, successes = (
         tuple(np.bincount(link_of, weights=w, minlength=n_links).astype(np.int64).tolist())
         for w in (groups, wins)
     )
     stats = ChainTrialStats(
-        end_to_end_ebits=ebits, elapsed=duration, rate_per_s=ebits / duration.seconds,
+        end_to_end_ebits=floor, elapsed=duration, rate_per_s=floor / duration.seconds,
         per_link_purified_counts=successes, ebit_error=bounds.epsilon_total,
         raw_pairs=tuple(raw.tolist()), purify_attempts=attempts, raw_expired=tuple(expired),
         raw_pending=tuple(pending), purified_discarded=tuple(discarded),
-        purified_pending=tuple(ready),
+        purified_pending=tuple(a - floor for a in accepted),
     )
     _check_conservation(stats)
     return stats

@@ -9,6 +9,7 @@ import mps_reference
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats
 
 from replink import analytic
 from replink.params import (
@@ -72,6 +73,27 @@ def brute_force_sr_numerator(n_a, n_b, p):
     return total
 
 
+def exact_sr_pairs(n_a, n_b, p):
+    """E[min(X, N_B)] as an exact fraction, with p at its exact binary value."""
+    p = Fraction(p)
+    return sum(
+        min(x, n_b) * math.comb(n_a, x) * p**x * (1 - p) ** (n_a - x) for x in range(n_a + 1)
+    )
+
+
+def decimal_sr_pairs(n_a, n_b, p):
+    """E[min(X, N_B)] = N_B - sum_{x < N_B} (N_B - x) P(X = x) in 60-digit decimal,
+    the pmf stepped from (1 - p)^N_A by its ratio."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p = Decimal(p)
+        pmf, total = ((1 - p).ln() * n_a).exp(), Decimal(0)
+        for x in range(n_b):
+            total += (n_b - x) * pmf
+            pmf *= (n_a - x) * p / ((x + 1) * (1 - p))
+        return n_b - total
+
+
 class TestRoundTime:
     def test_mitm_example(self):
         config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(100))
@@ -129,6 +151,49 @@ class TestSrRate:
     def test_matches_exhaustive_enumeration(self, n_a, n_b, p):
         expected = float(brute_force_sr_numerator(n_a, n_b, Fraction(p).limit_denominator(10**9)))
         assert analytic.sr_expected_pairs_per_round(n_a, n_b, p) == pytest.approx(expected, abs=1e-10)
+
+    # n_b = 0, n_b = n_a - 1, and n_b on both sides of the mean n_a * p = 10
+    @pytest.mark.parametrize("n_a,n_b,p", [
+        (40, 0, 0.25), (40, 1, 0.25), (40, 9, 0.25), (40, 10, 0.25), (40, 11, 0.25),
+        (40, 39, 0.25), (40, 39, 0.97), (40, 3, 0.01), (7, 6, 0.5), (1, 0, 0.8),
+        (25, 12, 0.48), (25, 12, 0.5), (25, 12, 0.52),
+    ])
+    def test_within_1e_15_of_the_exact_sum(self, n_a, n_b, p):
+        exact = exact_sr_pairs(n_a, n_b, p)
+        got = analytic.sr_expected_pairs_per_round(n_a, n_b, p)
+        assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact
+
+    def test_last_bits_stay_inside_the_range(self):
+        # the earlier mean-less-excess form returned 1.0000000000000142 and 2.2e-15
+        assert analytic.sr_expected_pairs_per_round(100, 1, 0.5) == 1.0
+        assert analytic.sr_expected_pairs_per_round(10, 0, 0.3) == 0.0
+
+    @pytest.mark.parametrize("n_a,n_b,p", [
+        (100_000, 5000, 0.05), (100_000, 4950, 0.05), (200_000, 150, 0.001), (2_000_000, 1000, 0.001),
+    ])
+    def test_large_sender_within_1e_15_of_60_digit_decimal(self, n_a, n_b, p):
+        reference = decimal_sr_pairs(n_a, n_b, p)
+        got = Decimal(analytic.sr_expected_pairs_per_round(n_a, n_b, p))
+        assert abs(got - reference) <= Decimal(1e-15) * reference
+
+    @given(st.integers(min_value=1, max_value=2000), st.floats(min_value=0.0, max_value=1.0), st.data())
+    def test_between_zero_and_the_smaller_of_mean_and_receiver(self, n_a, p, data):
+        n_b = data.draw(st.integers(min_value=0, max_value=n_a - 1))
+        assert 0.0 <= analytic.sr_expected_pairs_per_round(n_a, n_b, p) <= min(n_a * p, n_b)
+
+    @given(
+        st.integers(min_value=1, max_value=2000),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1.0)),
+        st.data(),
+    )
+    def test_within_1e_12_of_the_scipy_direct_sum(self, n_a, p, data):
+        # scipy's pmf is itself off by up to about 2.6e-13 relative at p below
+        # 1e-200 (where the exact answer is n_a * p), and it overflows at subnormal p
+        n_b = data.draw(st.integers(min_value=0, max_value=n_a - 1))
+        x = np.arange(n_a + 1)
+        direct = math.fsum((np.minimum(x, n_b) * stats.binom.pmf(x, n_a, p)).tolist())
+        got = analytic.sr_expected_pairs_per_round(n_a, n_b, p)
+        assert got == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_uncapped_receiver_gives_exact_binomial_mean(self):
         assert analytic.sr_expected_pairs_per_round(40, 40, 0.37) == 40 * 0.37

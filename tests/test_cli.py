@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -399,6 +403,18 @@ class TestMain:
         assert main(TINY + ["--output", str(out_a)]) == 0
         assert main(TINY + ["--output", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats alone would add about a second and 45 MB to every process
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, replink.cli; print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_configuration_error_exits_2(self, capsys):
         assert main(["--protocol", "mps", "--preset", "qd", "--distances", "10"]) == 2

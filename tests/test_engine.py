@@ -162,7 +162,7 @@ class TestLinkTrial:
         b = run_link_trial(MITM_LINK, US(100_000), seed=77)
         assert a == b
         c = run_link_trial(MITM_LINK, US(100_000), seed=78)
-        assert a.rate_per_s != c.rate_per_s or a.entanglement_events == c.entanglement_events
+        assert a.entanglement_events != c.entanglement_events
 
     def test_whole_rounds_only(self):
         stats = run_link_trial(MITM_LINK, US(250), seed=1)
