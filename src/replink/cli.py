@@ -51,7 +51,8 @@ __all__ = [
 _PROTOCOLS = ("mitm", "sr", "mps")
 _TOPOLOGIES = ("single_link", "chain")
 
-# A round lasts at least one link delay, so a trial holds at most
+# A round lasts at least one link delay, so a chain trial, or a single link
+# whose sender-receiver cap can bind, holds at most
 # duration_in_tau_link * link_count round counts (8 bytes each: 800 MB).
 _MAX_ROUND_COUNTS = 10**8
 _MAX_SWEEP_DISTANCES = 10**4

@@ -19,6 +19,12 @@ Bernoulli trial with ``analytic.mps_entanglement``'s closed-form per-bin
 probability, the same per-attempt process ``protocol.sample_round``
 iterates explicitly; the tests check the two agree.
 
+A single-link trial needs only its total. Where the cap cannot bind
+(mitm, mps, and sender-receiver with N_B >= N_A), the sum of the rounds'
+binomials is itself Binomial(rounds * slots, p), drawn once from stream
+0; a capped sender-receiver link still sums one count per round. A chain
+needs every round's count, so it always draws one per round.
+
 A chain trial runs without an event loop, in one pass over the
 non-empty rounds of all its links at once. Each link's purification
 groups come from its running pair total, unless a stashed pair could
@@ -210,10 +216,17 @@ def _round_count(link: LinkModel, duration: Duration, name: str) -> int:
 def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialStats:
     """Run whole rounds on one link until the next round would overrun.
 
-    Deterministic for a fixed (link, duration, seed).
+    The pairs of all rounds are one Binomial(rounds * slots, p) draw unless
+    the sender-receiver cap can bind, in which case the capped per-round
+    counts are summed. Deterministic for a fixed (link, duration, seed).
     """
     n_rounds = _round_count(link, duration, "the link")
-    events = int(sample_round_counts(_trial_rng(seed, 0), link, n_rounds).sum())
+    slots, p, cap = link.round_law
+    rng = _trial_rng(seed, 0)
+    if cap >= slots:
+        events = int(rng.binomial(n_rounds * slots, p))
+    else:
+        events = int(sample_round_counts(rng, link, n_rounds).sum())
     elapsed = n_rounds * link.round_time
     return LinkTrialStats(
         entanglement_events=events, elapsed=elapsed, rate_per_s=events / elapsed.seconds

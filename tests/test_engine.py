@@ -1,4 +1,6 @@
+import io
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,12 @@ MITM_LINK = LinkModel(
 )
 SR_LINK = LinkModel(
     ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(6, 2)),
+    LinkProbabilities(p=0.4),
+    tau_link=US(10),
+    tau_clock=NS(1),
+)
+SR_UNCAPPED_LINK = LinkModel(
+    ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(4, 6)),
     LinkProbabilities(p=0.4),
     tau_link=US(10),
     tau_clock=NS(1),
@@ -212,6 +220,57 @@ class TestLinkTrial:
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert abs(values.mean() - oracle) <= 3 * se
 
+    @pytest.mark.parametrize(
+        "link",
+        [MITM_LINK, MPS_LINK, SR_LINK, SR_UNCAPPED_LINK],
+        ids=["mitm", "mps", "sr-capped", "sr-uncapped"],
+    )
+    def test_trial_total_has_the_summed_round_law(self, link):
+        # the trial's one draw (or capped sum) against per-round counts summed
+        # over independent streams
+        n_rounds, trials = 20, 2000
+        duration = n_rounds * link.round_time
+        totals = [run_link_trial(link, duration, seed).entanglement_events for seed in range(trials)]
+        summed = [
+            int(sample_round_counts(np.random.default_rng([seed, 7]), link, n_rounds).sum())
+            for seed in range(trials)
+        ]
+        assert chi2_homogeneity_pvalue(totals, summed) > 0.01
+
+    def test_gate_catches_a_round_law_that_loses_pairs(self, monkeypatch):
+        # The benchmark gate's statistical check, read from perfbench/gate.py,
+        # must fail fig10-qd rows once every round confirms a fifth fewer pairs.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import gate
+
+        def rows_within_bound(protocol_args):
+            scenario, _ = cli.parse_scenario(
+                ["--preset", "fig10-qd", "--trials", "100", "--seed", "5", "--analytic"]
+                + protocol_args,
+                env={},
+            )
+            rows = cli.run_sweep(scenario, progress=io.StringIO())
+            trial_s = gate.single_link_trial_seconds(
+                scenario.duration_in_tau_link, scenario.refractive_index
+            )
+            return [
+                gate.mean_within_bound(
+                    mc.mean_rate_per_s, overlay.mean_rate_per_s, mc.trials, trial_s[mc.link_km]
+                )
+                for mc, overlay in zip(rows[::2], rows[1::2])
+            ]
+
+        variants = (["--protocol", "mitm"], ["--protocol", "mps", "--p-mid", "1.0"])
+        assert all(all(rows_within_bound(v)) for v in variants)
+        law = LinkModel.round_law.func
+
+        def lossy(link):
+            slots, p, cap = law(link)
+            return slots, 0.8 * p, cap
+
+        monkeypatch.setattr(LinkModel, "round_law", property(lossy))
+        assert not any(any(rows_within_bound(v)) for v in variants)
+
     def test_disjoint_seeds_share_no_generator_state(self):
         duration = US(100_000)
         first = run_link_trial(MITM_LINK, duration, seed=1)
@@ -319,8 +378,20 @@ class TestTrialStreams:
         link = cli.build_link_model(scenario, 10.0)
         duration = scenario.duration_in_tau_link * link.tau_link
         assert run_link_trial(link, duration, 1) == engine.LinkTrialStats(
-            entanglement_events=1184, elapsed=Duration(ps=500345752316),
-            rate_per_s=2366.3636485760135,
+            entanglement_events=1124, elapsed=Duration(ps=500345752316),
+            rate_per_s=2246.4465717900666,
+        )
+        # a sender-receiver link whose cap can bind still sums its rounds' counts
+        scenario, _ = cli.parse_scenario(
+            ["--preset", "fig10-qd", "--protocol", "sr", "--n", "100", "--distances", "10"],
+            env={},
+        )
+        link = cli.build_link_model(scenario, 10.0)
+        assert link.round_law[2] < link.round_law[0]
+        duration = scenario.duration_in_tau_link * link.tau_link
+        assert run_link_trial(link, duration, 1) == engine.LinkTrialStats(
+            entanglement_events=34629, elapsed=Duration(ps=500268651024),
+            rate_per_s=69220.80751835617,
         )
 
 
@@ -372,11 +443,21 @@ def small_chain(link, n_links, lifetime=Duration.from_ms(10), purification=True)
 
 class TestChainTrial:
     def test_single_link_without_purification_reduces_to_link_trial(self):
+        # a capped sender-receiver link trial draws the chain's per-round stream
         duration = US(100_000)
         for seed in range(5):
-            chain_stats = run_chain_trial(small_chain(MITM_LINK, 1, purification=False), duration, seed)
-            link_stats = run_link_trial(MITM_LINK, duration, seed)
+            chain_stats = run_chain_trial(small_chain(SR_LINK, 1, purification=False), duration, seed)
+            link_stats = run_link_trial(SR_LINK, duration, seed)
             assert chain_stats.end_to_end_ebits == link_stats.entanglement_events
+        # an uncapped link trial draws its total at once, so they agree in law
+        duration = 20 * MITM_LINK.round_time
+        chain = small_chain(MITM_LINK, 1, purification=False)
+        chain_ebits = [run_chain_trial(chain, duration, seed).end_to_end_ebits for seed in range(2000)]
+        link_events = [
+            run_link_trial(MITM_LINK, duration, seed).entanglement_events
+            for seed in range(2000, 4000)
+        ]
+        assert chi2_homogeneity_pvalue(chain_ebits, link_events) > 0.01
 
     def test_deterministic(self):
         chain = small_chain(MITM_LINK, 3)
