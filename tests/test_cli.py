@@ -46,6 +46,13 @@ LONG_OPTIONS = {
     "--analytic", "--dump-config", "--trace", "--format", "--output",
 }
 
+# every scenario field with declared integer bounds: (name, flag, low, high)
+BOUNDED = [
+    (name, field.metadata["flag"], *field.metadata["bounds"])
+    for name, field in cli._SCENARIO_FIELDS.items()
+    if field.metadata["bounds"] != (None, None)
+]
+
 PROBABILITY = st.floats(min_value=0.0, max_value=1.0)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 
@@ -255,6 +262,47 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="attenuation_km must be a finite number"):
             parse(TINY + ["--attenuation-km", "nan"])
 
+    @pytest.mark.parametrize(
+        "field,value", [("protocol", "warp"), ("topology", "ring")], ids=["protocol", "topology"]
+    )
+    def test_unknown_choice_exits_2_from_flag_and_config(self, tmp_path, capsys, field, value):
+        assert main(TINY + [f"--{field}", value, "--dump-config"]) == 2
+        assert f"unknown {field} {value!r}; choose one of" in capsys.readouterr().err
+        config = tmp_path / "choice.cfg"
+        config.write_text(dump_config(parse(TINY)) + f"{field} = {value}\n")
+        assert main(["--config", str(config), "--dump-config"]) == 2
+        assert f"unknown {field} {value!r}; choose one of" in capsys.readouterr().err
+
+
+class TestFieldBounds:
+    def test_bounded_fields(self):
+        assert [name for name, *_ in BOUNDED] == [
+            "link_count", "memory_n", "trials", "duration_in_tau_link", "base_seed",
+            "reserved_slots",
+        ]
+
+    @pytest.mark.parametrize("name,flag,low,high", BOUNDED, ids=[name for name, *_ in BOUNDED])
+    def test_values_past_a_bound_exit_2_and_the_bound_passes(
+        self, tmp_path, capsys, name, flag, low, high
+    ):
+        # only a chain leaves the link count free; a single link has exactly one
+        base = CHAIN if name == "link_count" else TINY
+        config = tmp_path / "bounds.cfg"
+        outside = (low - 1,) if high is None else (low - 1, high + 1)
+        inside = (low,) if high is None else (low, high)
+        for value in outside + inside:
+            code = 2 if value in outside else 0
+            assert main(base + [flag, str(value), "--dump-config"]) == code
+            from_flag = capsys.readouterr()
+            config.write_text(dump_config(parse(base)) + f"{name} = {value}\n")
+            assert main(["--config", str(config), "--dump-config"]) == code
+            from_file = capsys.readouterr()
+            for captured in (from_flag, from_file):
+                if code:
+                    assert f"{name} must be" in captured.err
+                else:
+                    assert f"\n{name} = {value}\n" in captured.out
+
 
 class TestConfigFile:
     def test_file_values_and_flag_precedence(self, tmp_path):
@@ -457,6 +505,22 @@ class TestMain:
         assert not trials
         # a lifetime that rounds to 1 ps is accepted
         assert parse(CHAIN + ["--raw-lifetime-ms", "6e-10"]).raw_lifetime_ms == 6e-10
+
+    def test_round_longer_than_the_duration_at_a_later_distance_exits_2_before_any_trial(
+        self, monkeypatch, capsys
+    ):
+        # a midpoint-source round time is U-shaped in distance: three link
+        # delays hold one round at 5 km but not at 200 km
+        trials = []
+        monkeypatch.setattr(engine, "run_link_trial", lambda *args: trials.append(args))
+        argv = ["--preset", "qd", "--protocol", "mps", "--p-mid", "0.02", "--topology",
+                "single-link", "--n", "3", "--distances", "5,200", "--duration", "3",
+                "--trials", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "is shorter than one round of the link at 200.0 km" in err
+        assert "[replink]" not in err
+        assert not trials
 
     def test_negative_seed_exits_2(self, capsys, monkeypatch):
         assert main(TINY + ["--seed", "-1"]) == 2

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import chain_reference
 from chain_reference import EventQueue, purify
 from conftest import chi2_homogeneity_pvalue
-from replink import analytic, cli, engine, protocol
+from protocol_reference import sample_round
+from replink import analytic, cli, engine
 from replink.engine import (
     ChainModel,
     LinkModel,
@@ -110,7 +111,7 @@ class TestBatchSampler:
         batch = sample_round_counts(np.random.default_rng(seed), link, rounds)
         rng = np.random.default_rng(seed + 1000)
         explicit = [
-            protocol.sample_round(rng, link.config, link.probs, link.tau_link, link.tau_clock).entangled_pairs
+            sample_round(rng, link.config, link.probs, link.tau_link, link.tau_clock).entangled_pairs
             for _ in range(rounds)
         ]
         assert chi2_homogeneity_pvalue(batch, explicit) > 0.01

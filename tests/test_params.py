@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from replink import cli
 from replink.params import (
     ConfigurationError,
     Duration,
@@ -13,14 +14,18 @@ from replink.params import (
     OpticalStack,
     ProtocolConfig,
     ProtocolKind,
-    hardware_preset,
     link_delay,
     link_success_probability,
     mps_success_probability,
     optical_transmission,
-    preset_bsa_probability,
     validate_probability,
 )
+
+# the interfaces of four of the command line's hardware presets
+ION = HardwareProfile(Duration.from_us(1), 1.00, 0.05)
+NV = HardwareProfile(Duration.from_ns(100), 0.05, 0.50)
+QD = HardwareProfile(Duration.from_ns(10), 1.00, 0.50)
+OPTIMISTIC = HardwareProfile(Duration.from_ns(1), 1.00, 0.50)
 
 
 class TestDuration:
@@ -77,25 +82,23 @@ class TestLinkDelay:
 
 class TestOpticalTransmission:
     def test_optimistic_prefactor_at_zero_distance(self):
-        profile = hardware_preset("optimistic")
-        assert optical_transmission(profile, LinkGeometry(0)) == pytest.approx(0.5)
+        assert optical_transmission(OPTIMISTIC, LinkGeometry(0)) == pytest.approx(0.5)
 
     def test_qd_at_44_km_is_half_over_e(self):
-        value = optical_transmission(hardware_preset("qd"), LinkGeometry(44_000))
+        value = optical_transmission(QD, LinkGeometry(44_000))
         assert value == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
         assert value == pytest.approx(0.18394, abs=1e-5)
 
     def test_ion_prefactor(self):
-        assert optical_transmission(hardware_preset("ion"), LinkGeometry(0)) == pytest.approx(0.05)
+        assert optical_transmission(ION, LinkGeometry(0)) == pytest.approx(0.05)
 
     def test_nv_prefactor(self):
-        assert optical_transmission(hardware_preset("nv"), LinkGeometry(0)) == pytest.approx(0.025)
+        assert optical_transmission(NV, LinkGeometry(0)) == pytest.approx(0.025)
 
     @given(st.floats(min_value=0.0, max_value=100_000.0), st.floats(min_value=100.0, max_value=100_000.0))
     def test_strictly_decreasing_in_length(self, length, extra):
-        profile = hardware_preset("qd")
-        near = optical_transmission(profile, LinkGeometry(length))
-        far = optical_transmission(profile, LinkGeometry(length + extra))
+        near = optical_transmission(QD, LinkGeometry(length))
+        far = optical_transmission(QD, LinkGeometry(length + extra))
         assert far < near
         assert 0.0 <= far <= 1.0
 
@@ -150,6 +153,13 @@ class TestSuccessProbabilities:
 
 
 class TestPresets:
+    """The hardware presets, as the command line resolves them."""
+
+    @staticmethod
+    def resolve(name):
+        argv = ["--protocol", "mitm", "--preset", name, "--distances", "10"]
+        return cli.parse_scenario(argv, env={})[0]
+
     @pytest.mark.parametrize(
         "name,cycle_ps,emission,collection",
         [
@@ -161,21 +171,21 @@ class TestPresets:
         ],
     )
     def test_table(self, name, cycle_ps, emission, collection):
-        profile = hardware_preset(name)
+        scenario = self.resolve(name)
+        assert scenario.cycle_time_ns == cycle_ps / 1000.0
+        profile = cli._profile(scenario)
         assert profile.cycle_time.ps == cycle_ps
         assert profile.emission_fraction == emission
         assert profile.collection_efficiency == collection
 
     def test_unknown_preset_lists_valid_names(self):
-        with pytest.raises(ConfigurationError, match="ion"):
-            hardware_preset("warpdrive")
-        with pytest.raises(ConfigurationError):
-            preset_bsa_probability("warpdrive")
+        with pytest.raises(ConfigurationError, match="valid presets: ion, nv, optimistic"):
+            self.resolve("warpdrive")
 
     def test_bsa_defaults(self):
-        assert preset_bsa_probability("optimistic") == 0.5
-        assert preset_bsa_probability("pessimistic") == 0.1
-        assert preset_bsa_probability("qd") == 0.24
+        assert self.resolve("optimistic").p_bsa == 0.5
+        assert self.resolve("pessimistic").p_bsa == 0.1
+        assert self.resolve("qd").p_bsa == 0.24
 
 
 class TestValidation:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ScriptedRng
+from protocol_reference import sample_round
 from replink import analytic
 from replink.params import Duration, MemoryBudget, ProtocolConfig, ProtocolKind
 from replink.protocol import (
@@ -22,7 +23,6 @@ from replink.protocol import (
     Tick,
     Verdict,
     sample_bsa,
-    sample_round,
     step_mitm_round,
     step_mps_round,
     step_sr_round,

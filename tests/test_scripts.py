@@ -45,3 +45,6 @@ def test_workload_reports_writes_every_case_at_both_seeds(tmp_path):
     assert len(written) == 44
     for path in written:
         assert path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+    # each report's resolved scenario
+    scenarios = sorted(tmp_path.rglob("*.cfg"))
+    assert [path.with_suffix(".csv") for path in scenarios] == written
