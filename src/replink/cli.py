@@ -537,10 +537,7 @@ def run_sweep(scenario: Scenario, progress=None) -> list[ReportRow]:
     progress = sys.stderr if progress is None else progress
     preset_label = scenario.preset or "custom"
     chain = scenario.topology == "chain"
-    build, run_trial = (
-        (build_chain_model, engine.run_chain_trial) if chain
-        else (build_link_model, engine.run_link_trial)
-    )
+    build = build_chain_model if chain else build_link_model
     # One model per distance, shared by its trials and its analytic row. All
     # are built, and each round checked to fit the duration, before the first
     # trial, so a bad distance late in the sweep fails before any work.
@@ -550,12 +547,14 @@ def run_sweep(scenario: Scenario, progress=None) -> list[ReportRow]:
     durations = [scenario.duration_in_tau_link * link.tau_link for link in links]
     for distance, link, duration in zip(distances, links, durations):
         engine.round_count(link, duration, f"the link at {_format_value(distance)} km")
+    seeds = range(scenario.base_seed, scenario.base_seed + scenario.trials)
     rows = []
     for distance, model, link, duration in zip(distances, models, links, durations):
-        rates = [
-            run_trial(model, duration, scenario.base_seed + trial).rate_per_s
-            for trial in range(scenario.trials)
-        ]
+        if chain:
+            rates = [engine.run_chain_trial(model, duration, seed).rate_per_s for seed in seeds]
+        else:
+            events, elapsed = engine.run_link_trials(model, duration, seeds)
+            rates = events / elapsed.seconds
         summary = engine.summarize(rates)
         print(
             f"[replink] {scenario.protocol} {preset_label} L={_format_value(distance)} km: "
@@ -625,8 +624,8 @@ def _render_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace(scenario: Scenario, path: str) -> None:
-    """Step one round of the scenario's first distance and log transitions."""
+def _trace_round(scenario: Scenario) -> list:
+    """Step one round of the scenario's first distance, logging its transitions."""
     distance = sorted(scenario.distances_km)[0]
     link = build_link_model(scenario, distance)
     # N slots for mitm, N_A for sr, and N bins of K latch attempts for mps
@@ -654,9 +653,7 @@ def write_trace(scenario: Scenario, path: str) -> None:
             link.probs.p_mid, link.probs.p_left, link.probs.p_right,
             link.tau_link, link.tau_clock, trace=trace,
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in trace:
-            fh.write(protocol.format_trace_entry(entry) + "\n")
+    return trace
 
 
 def main(argv=None) -> int:
@@ -665,9 +662,12 @@ def main(argv=None) -> int:
         if options.dump_config:
             sys.stdout.write(dump_config(scenario))
             return 0
-        if options.trace_path:
-            write_trace(scenario, options.trace_path)
+        # the trace's bound is checked before any trial, its file after every check
+        trace = _trace_round(scenario) if options.trace_path else None
         rows = run_sweep(scenario)
+        if trace is not None:
+            with open(options.trace_path, "w", encoding="utf-8") as fh:
+                fh.writelines(protocol.format_trace_entry(entry) + "\n" for entry in trace)
         emit_report(rows, options.report_format, options.output)
     except ConfigurationError as exc:
         print(f"replink: configuration error: {exc}", file=sys.stderr)

@@ -23,8 +23,9 @@ check the two agree.
 A single-link trial needs only its total. Where the cap cannot bind
 (mitm, mps, and sender-receiver with N_B >= N_A), the sum of the rounds'
 binomials is itself Binomial(rounds * slots, p), drawn once from stream
-0; a capped sender-receiver link still sums one count per round. A chain
-needs every round's count, so it always draws one per round.
+0; a capped sender-receiver link still sums one count per round. A sweep
+cell is one batch of trial seeds that share the rounds, law and elapsed
+time; a chain needs every round's count, so it always draws one per round.
 
 A chain trial runs without an event loop, in one pass over the
 non-empty rounds of all its links at once. Each link's purification
@@ -42,6 +43,7 @@ trial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -62,6 +64,7 @@ __all__ = [
     "sample_round_counts",
     "round_count",
     "run_link_trial",
+    "run_link_trials",
     "run_chain_trial",
     "summarize",
 ]
@@ -216,24 +219,28 @@ def round_count(link: LinkModel, duration: Duration, name: str) -> int:
     return duration.ps // round_ps
 
 
-def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialStats:
-    """Run whole rounds on one link until the next round would overrun.
-
-    The pairs of all rounds are one Binomial(rounds * slots, p) draw unless
-    the sender-receiver cap can bind, in which case the capped per-round
-    counts are summed. Deterministic for a fixed (link, duration, seed).
-    """
+def run_link_trials(link: LinkModel, duration: Duration, seeds) -> tuple[np.ndarray, Duration]:
+    """Pair counts of one trial per seed, each of whole rounds until the next
+    would overrun, and the trials' elapsed time. A trial's pairs are one
+    Binomial(rounds * slots, p) draw unless the sender-receiver cap can bind,
+    in which case its capped per-round counts are summed. Deterministic for
+    a fixed (link, duration, seed)."""
     n_rounds = round_count(link, duration, "the link")
     slots, p, cap = link.round_law
-    rng = _trial_rng(seed, 0)
+    events = np.empty(len(seeds), dtype=np.int64)
     if cap >= slots:
-        events = int(rng.binomial(n_rounds * slots, p))
+        for index, seed in enumerate(seeds):
+            events[index] = _trial_rng(seed, 0).binomial(n_rounds * slots, p)
     else:
-        events = int(sample_round_counts(rng, link, n_rounds).sum())
-    elapsed = n_rounds * link.round_time
-    return LinkTrialStats(
-        entanglement_events=events, elapsed=elapsed, rate_per_s=events / elapsed.seconds
-    )
+        for index, seed in enumerate(seeds):
+            events[index] = sample_round_counts(_trial_rng(seed, 0), link, n_rounds).sum()
+    return events, n_rounds * link.round_time
+
+
+def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialStats:
+    """The one-seed case of ``run_link_trials``, with its rate."""
+    (events,), elapsed = run_link_trials(link, duration, (seed,))
+    return LinkTrialStats(int(events), elapsed, int(events) / elapsed.seconds)
 
 
 def _stash_recurrence(fresh, arrivals):
@@ -410,6 +417,17 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     return stats
 
 
+def _percentile(ordered: list, q: float) -> float:
+    """numpy's default ('linear') percentile of sorted finite floats at ``q``
+    in [0, 1], bit for bit (of a tie of 0.0 and -0.0 numpy may pick either)."""
+    virtual = (len(ordered) - 1) * q
+    # at the last value numpy interpolates from index -1 to itself, as here for one sample
+    low = min(math.floor(virtual), len(ordered) - 2)
+    a, b = ordered[low], ordered[low + 1]
+    gamma = virtual - low
+    return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+
+
 def summarize(samples) -> SummaryStats:
     """Mean and empirical 90% interval (5th and 95th percentiles).
 
@@ -420,10 +438,12 @@ def summarize(samples) -> SummaryStats:
     data = np.asarray(samples, dtype=float)
     if data.size == 0:
         raise ValueError("cannot summarize an empty sample set")
-    low, high = np.percentile(data, [5.0, 95.0])
+    ordered = np.sort(data).tolist()  # a NaN sorts last
+    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
+        raise ValueError(f"cannot summarize non-finite samples, from {ordered[0]} to {ordered[-1]}")
     return SummaryStats(
         mean=float(np.mean(data)),
-        ci90_low=float(low),
-        ci90_high=float(high),
+        ci90_low=_percentile(ordered, 0.05),
+        ci90_high=_percentile(ordered, 0.95),
         sample_count=int(data.size),
     )

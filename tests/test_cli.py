@@ -24,6 +24,24 @@ from replink.cli import (
 from replink.params import ConfigurationError
 
 
+# A midpoint-source round time is U-shaped in distance: three link delays
+# hold one round at 5 km and at 10 km, but not at 200 km.
+U_SHAPED_MPS = ["--preset", "qd", "--protocol", "mps", "--p-mid", "0.02", "--topology",
+                "single-link", "--n", "3", "--duration", "3", "--trials", "2"]
+
+
+def _spy_on_link_trials(monkeypatch) -> list:
+    """Record the name of every call to the engine's single-link trial runners."""
+    calls = []
+    for name in ("run_link_trial", "run_link_trials"):
+        def spy(*args, _original=getattr(engine, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(engine, name, spy)
+    return calls
+
+
 def parse(argv, env=None):
     scenario, _ = parse_scenario(argv, env=env or {})
     return scenario
@@ -509,17 +527,25 @@ class TestMain:
     def test_round_longer_than_the_duration_at_a_later_distance_exits_2_before_any_trial(
         self, monkeypatch, capsys
     ):
-        # a midpoint-source round time is U-shaped in distance: three link
-        # delays hold one round at 5 km but not at 200 km
-        trials = []
-        monkeypatch.setattr(engine, "run_link_trial", lambda *args: trials.append(args))
-        argv = ["--preset", "qd", "--protocol", "mps", "--p-mid", "0.02", "--topology",
-                "single-link", "--n", "3", "--distances", "5,200", "--duration", "3",
-                "--trials", "2"]
-        assert main(argv) == 2
+        trials = _spy_on_link_trials(monkeypatch)
+        assert main(U_SHAPED_MPS + ["--distances", "5,200"]) == 2
         err = capsys.readouterr().err
         assert "is shorter than one round of the link at 200.0 km" in err
         assert "[replink]" not in err
+        assert not trials
+        # the spy sees the trials of a sweep that passes: one batch per distance
+        assert main(U_SHAPED_MPS + ["--distances", "5,10"]) == 0
+        assert trials == ["run_link_trials", "run_link_trials"]
+
+    def test_trace_of_a_sweep_that_fails_its_round_check_is_not_written(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        trials = _spy_on_link_trials(monkeypatch)
+        trace_path = tmp_path / "round.trace"
+        argv = U_SHAPED_MPS + ["--distances", "5,200", "--trace", str(trace_path)]
+        assert main(argv) == 2
+        assert "is shorter than one round of the link at 200.0 km" in capsys.readouterr().err
+        assert not trace_path.exists()
         assert not trials
 
     def test_negative_seed_exits_2(self, capsys, monkeypatch):

@@ -17,6 +17,7 @@ from replink.engine import (
     PurificationPolicy,
     run_chain_trial,
     run_link_trial,
+    run_link_trials,
     sample_round_counts,
     summarize,
 )
@@ -287,6 +288,60 @@ class TestLinkTrial:
         after_others = run_chain_trial(chain, duration, seed=5)
         warm = run_chain_trial(chain, duration, seed=5)
         assert cold == after_others == warm
+
+
+def _reference_link_trials(link, duration, seeds):
+    """Each trial's pairs from its own ``default_rng([seed, 0])``: one binomial
+    for all rounds where the cap cannot bind, else the capped rounds summed."""
+    n_rounds = duration.ps // link.round_time.ps
+    slots, p, cap = link.round_law
+    totals = []
+    for seed in seeds:
+        rng = np.random.default_rng([seed, 0])
+        if cap >= slots:
+            totals.append(int(rng.binomial(n_rounds * slots, p)))
+        else:
+            totals.append(int(np.minimum(rng.binomial(slots, p, size=n_rounds), cap).sum()))
+    return totals, n_rounds * link.round_time
+
+
+LINKS = pytest.mark.parametrize(
+    "link",
+    [MITM_LINK, MPS_LINK, SR_UNCAPPED_LINK, SR_LINK],
+    ids=["mitm", "mps", "sr-uncapped", "sr-capped"],
+)
+
+
+class TestLinkTrials:
+    """A sweep cell's batch against per-seed streams built here."""
+
+    @LINKS
+    def test_batch_draws_each_seeds_own_stream(self, link):
+        # unsorted, repeated, and past 2**64, with the seed cache cold then warm
+        seeds = [9, 2, 2**64 + 3, 0, 9, 2**70, 1]
+        duration = 40 * link.round_time + Duration(1)
+        expected, elapsed = _reference_link_trials(link, duration, seeds)
+        engine._seeded_state.cache_clear()
+        for _ in ("cold", "warm"):
+            events, batch_elapsed = run_link_trials(link, duration, seeds)
+            assert events.dtype == np.int64
+            assert events.tolist() == expected
+            assert batch_elapsed == elapsed == 40 * link.round_time
+
+    @given(
+        st.sampled_from([MITM_LINK, MPS_LINK, SR_UNCAPPED_LINK, SR_LINK]),
+        st.integers(1, 200),
+        st.lists(st.one_of(st.integers(0, 50), st.integers(0, 2**70)), min_size=1, max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cell_rates_are_the_per_trial_rates(self, link, n_rounds, seeds):
+        # the sweep's array division against each trial's own int / float rate
+        duration = n_rounds * link.round_time
+        expected, elapsed = _reference_link_trials(link, duration, seeds)
+        per_trial = [events / elapsed.seconds for events in expected]
+        events, batch_elapsed = run_link_trials(link, duration, seeds)
+        assert (events / batch_elapsed.seconds).tolist() == per_trial
+        assert [run_link_trial(link, duration, seed).rate_per_s for seed in seeds] == per_trial
 
 
 def _figure_chain(argv, distance):
@@ -826,6 +881,31 @@ class TestSummarize:
         assert summary.ci90_low == pytest.approx(0.05, abs=0.02)
         assert summary.ci90_high == pytest.approx(0.95, abs=0.02)
         assert summary.sample_count == 1000
+
+    # Without -0.0, which no rate takes: numpy partitions where summarize
+    # sorts, so the two may order a tie of 0.0 and -0.0 differently.
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-1e12, 1e12).map(lambda x: x + 0.0), st.sampled_from([0.0, 1.0]),
+                st.integers(0, 50).map(float),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_numpys_mean_and_linear_percentiles_bit_for_bit(self, samples):
+        summary = summarize(samples)
+        low, high = np.percentile(samples, [5.0, 95.0])
+        expected = (float(np.mean(samples)), float(low), float(high))
+        got = (summary.mean, summary.ci90_low, summary.ci90_high)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, value):
+        with pytest.raises(ValueError, match="cannot summarize non-finite samples, from"):
+            summarize([1.0, value, 2.0])
 
     def test_extreme_zero_inflation_still_summarizes(self):
         # one nonzero trial in a hundred: the mean escapes the percentile
