@@ -9,8 +9,10 @@ at seeds 3 and 4, with closed-form overlay rows, one trial per chain cell
 and five per single-link cell: 44 CSV files under ``OUTDIR/seed<S>/``.
 Next to each report it writes the case's resolved scenario as
 ``<label>.cfg`` (the ``--dump-config`` text), so the comparison also
-covers every preset value. Run it on two checkouts and ``diff -r`` the two
-directories.
+covers every preset value, and for the five chain-fig8 cases the
+``--trace`` of one stepped protocol round as ``<label>.trace``, so it also
+covers the protocol machines. Run it on two checkouts and ``diff -r`` the
+two directories.
 """
 
 import sys
@@ -23,6 +25,7 @@ import workloads  # noqa: E402
 
 SEEDS = (3, 4)
 TRIALS = {"chain-fig8": 1, "chain-fig9": 1, "link-fig10": 5}
+TRACED = "chain-fig8"
 
 
 def main() -> int:
@@ -38,11 +41,14 @@ def main() -> int:
             for case in workloads.cases(workloads.WORKLOADS[name], seed, str(outdir), trials):
                 scenario, _ = cli.parse_scenario(list(case.argv))
                 (outdir / f"{case.label}.cfg").write_text(cli.dump_config(scenario))
-                code = cli.main(list(case.argv))
+                argv = list(case.argv)
+                if name == TRACED:
+                    argv += ["--trace", str(outdir / f"{case.label}.trace")]
+                code = cli.main(argv)
                 if code != 0:
                     return code
                 written += 1
-    print(f"wrote {written} reports and their scenarios to {args[0]}")
+    print(f"wrote {written} reports, their scenarios and the {TRACED} traces to {args[0]}")
     return 0
 
 

@@ -124,6 +124,17 @@ def round_time(config: ProtocolConfig, tau_link: Duration, tau_clock: Duration) 
     return tau_link + config.memory.n_per_side * config.k_attempts * tau_clock
 
 
+def _scheduled_round_time(
+    kind: ProtocolKind, memory: MemoryBudget, tau_link: Duration, tau_clock: Duration,
+    k_attempts: int | None = None,
+) -> Duration:
+    """``round_time`` of a rate's protocol, refusing a round of zero length."""
+    tau_round = round_time(ProtocolConfig(kind, memory, k_attempts), tau_link, tau_clock)
+    if tau_round.ps == 0:
+        raise ConfigurationError("round time is zero; nothing can be scheduled")
+    return tau_round
+
+
 def mitm_rate(n: int, p: float, tau_link: Duration, tau_clock: Duration) -> RateBundle:
     """Meet-in-the-middle rate N*p/round, with F = N*tau_clock/round.
 
@@ -133,10 +144,9 @@ def mitm_rate(n: int, p: float, tau_link: Duration, tau_clock: Duration) -> Rate
     if n < 0:
         raise ConfigurationError("memory count must be non-negative")
     validate_probability(p, "p")
-    config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(n))
-    tau_round = round_time(config, tau_link, tau_clock)
-    if tau_round.ps == 0:
-        raise ConfigurationError("round time is zero; nothing can be scheduled")
+    tau_round = _scheduled_round_time(
+        ProtocolKind.MITM, MemoryBudget.symmetric(n), tau_link, tau_clock
+    )
     utilization = (n * tau_clock.ps) / tau_round.ps
     upper = p / tau_clock.seconds
     return RateBundle(
@@ -172,10 +182,9 @@ def sr_rate(n_a: int, n_b: int, p: float, tau_link: Duration, tau_clock: Duratio
     """
     if not n_a >= n_b >= 0:
         raise ConfigurationError(f"need n_sender >= n_receiver >= 0, got ({n_a}, {n_b})")
-    config = ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(n_a, n_b))
-    tau_round = round_time(config, tau_link, tau_clock)
-    if tau_round.ps == 0:
-        raise ConfigurationError("round time is zero; nothing can be scheduled")
+    tau_round = _scheduled_round_time(
+        ProtocolKind.SR, MemoryBudget.sender_receiver(n_a, n_b), tau_link, tau_clock
+    )
     pairs = sr_expected_pairs_per_round(n_a, n_b, p)
     return RateBundle(
         rate_per_s=pairs / tau_round.seconds,
@@ -315,12 +324,9 @@ def mps_rate(n: int, ent: MpsEntanglement, tau_link: Duration, tau_clock: Durati
     """Midpoint-source rate N*p_ent/round over a round of N bins of K attempts."""
     if n < 0:
         raise ConfigurationError("memory count must be non-negative")
-    config = ProtocolConfig(
-        ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=ent.k_attempts
+    tau_round = _scheduled_round_time(
+        ProtocolKind.MPS, MemoryBudget.symmetric(n), tau_link, tau_clock, ent.k_attempts
     )
-    tau_round = round_time(config, tau_link, tau_clock)
-    if tau_round.ps == 0:
-        raise ConfigurationError("round time is zero; nothing can be scheduled")
     tau_bin = ent.k_attempts * tau_clock
     f_bin = mps_bin_utilization(ent.p_left, ent.p_mid, ent.k_attempts)
     utilization = n * f_bin * (tau_bin.ps / tau_round.ps)

@@ -107,7 +107,6 @@ class LinkGeometry:
 
     length_m: float
     refractive_index: float = 1.5
-    light_speed_m_per_s: float = SPEED_OF_LIGHT_M_PER_S
     attenuation_length_m: float = 22_000.0
 
     def __post_init__(self):
@@ -115,8 +114,6 @@ class LinkGeometry:
             raise ConfigurationError("link length must be non-negative")
         if self.refractive_index < 1:
             raise ConfigurationError("refractive index must be at least 1")
-        if self.light_speed_m_per_s <= 0:
-            raise ConfigurationError("light speed must be positive")
         if self.attenuation_length_m <= 0:
             raise ConfigurationError("attenuation length must be positive")
 
@@ -218,7 +215,7 @@ class ProtocolConfig:
 
 def link_delay(geometry: LinkGeometry) -> Duration:
     """One-way signal delay n*L/c, rounded to the nearest picosecond."""
-    seconds = geometry.refractive_index * geometry.length_m / geometry.light_speed_m_per_s
+    seconds = geometry.refractive_index * geometry.length_m / SPEED_OF_LIGHT_M_PER_S
     return Duration(round(seconds * 1e12))
 
 

@@ -2,6 +2,14 @@
 
 Each machine consumes timestamped events (clock ticks, analyzer messages,
 photon arrivals) and returns the actions a real controller would take.
+The machines share one skeleton, ``_MachineBase``: the round clock, a
+``step`` that dispatches on the event type, the confirm-then-reset trace
+pair and round completion. The stepped-round drivers time events in
+integer picoseconds from the stepped machine's clock, and every sender
+runs on one schedule, ``_run_sender``. A sender-receiver round steps the
+receiver's whole round first: nothing the sender does reaches the
+receiver, which alone draws randomness and writes the trace.
+
 The tests keep a round-level reference sampler
 (``tests/protocol_reference.py``) that draws the same random variates in
 the same order, so a machine and that sampler produce identical outcomes
@@ -14,7 +22,6 @@ transmission.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 
@@ -179,10 +186,29 @@ def format_trace_entry(entry) -> str:
 
 
 class _MachineBase:
-    def __init__(self, node: str, trace: list | None):
+    """The skeleton every machine shares. A subclass maps event types to
+    handlers in ``_handlers``, resets its per-round state in ``_new_round``
+    and returns the round's confirmed pairs from ``_confirm_round``.
+    """
+
+    def __init__(self, node: str, trace: list | None, round_duration: Duration):
         self.node = node
         self.trace = trace
+        self.round_duration = round_duration
+        self.round_start = Duration(0)
         self._last_ps = -1
+        self._new_round()
+
+    @property
+    def round_end(self) -> Duration:
+        return self.round_start + self.round_duration
+
+    def step(self, event):
+        handler = self._handlers.get(type(event))
+        if handler is None:
+            raise ProtocolViolation(f"{self.node}: unsupported event {event!r}")
+        self._advance(event.time)
+        return handler(self, event)
 
     def _advance(self, time: Duration):
         if time.ps < self._last_ps:
@@ -194,6 +220,22 @@ class _MachineBase:
     def _record(self, time: Duration, slot, old: SlotState, new: SlotState, trigger: str):
         if self.trace is not None:
             self.trace.append((time.ps, self.node, slot, old.value, new.value, trigger))
+
+    def _confirm(self, time: Duration, slot: int, held: SlotState):
+        self._record(time, slot, held, SlotState.CONFIRMED_ENTANGLED, "confirm")
+        self._record(time, slot, SlotState.CONFIRMED_ENTANGLED, SlotState.FREE, "reset")
+
+    def _on_tick(self, event: Tick):
+        if event.time != self.round_end:
+            raise ProtocolViolation(f"{self.node}: unexpected tick at {event.time.ps} ps")
+        return self._complete_round(event.time)
+
+    def _complete_round(self, time: Duration):
+        pairs = self._confirm_round(time)
+        outcome = RoundOutcome(len(pairs), tuple(pairs), self.round_duration)
+        self.round_start = self.round_end
+        self._new_round()
+        return (RoundComplete(outcome),)
 
 
 class MitmMachine(_MachineBase):
@@ -212,46 +254,33 @@ class MitmMachine(_MachineBase):
         node: str = "alice",
         trace: list | None = None,
     ):
-        super().__init__(node, trace)
         if n_slots < 0:
             raise ConfigurationError("slot count must be non-negative")
         self.n_slots = n_slots
         self.tau_clock = tau_clock
-        self.round_duration = round_duration
-        self.round_start = Duration(0)
+        super().__init__(node, trace, round_duration)
+
+    def _new_round(self):
         self._next_emit = 1
         self._messages: dict[int, BsaMessage] = {}
 
     def emission_time(self, index: int) -> Duration:
         return self.round_start + (index - 1) * self.tau_clock
 
-    @property
-    def round_end(self) -> Duration:
-        return self.round_start + self.round_duration
-
-    def step(self, event):
-        if isinstance(event, Tick):
-            return self._on_tick(event)
-        if isinstance(event, MessageArrival):
-            return self._on_message(event)
-        raise ProtocolViolation(f"{self.node}: unsupported event {event!r}")
-
     def _on_tick(self, event: Tick):
-        self._advance(event.time)
         if self._next_emit <= self.n_slots and event.time == self.emission_time(self._next_emit):
             slot = self._next_emit
             self._next_emit += 1
             self._record(event.time, slot, SlotState.FREE, SlotState.PHOTON_EMITTED, "emit")
             return (EmitPhoton(slot=slot),)
         if event.time == self.round_end:
-            return self._finish_round(event.time)
+            return self._complete_round(event.time)
         raise ProtocolViolation(
             f"{self.node}: tick at {event.time.ps} ps does not match the emission "
             "schedule or the round boundary"
         )
 
     def _on_message(self, event: MessageArrival):
-        self._advance(event.time)
         message = event.message
         index = message.transmission_index
         if not 1 <= index <= self.n_slots:
@@ -265,7 +294,7 @@ class MitmMachine(_MachineBase):
         self._messages[index] = message
         return ()
 
-    def _finish_round(self, time: Duration):
+    def _confirm_round(self, time: Duration):
         if len(self._messages) != self.n_slots:
             raise ProtocolViolation(
                 f"{self.node}: round ended with {len(self._messages)} of "
@@ -277,17 +306,12 @@ class MitmMachine(_MachineBase):
             if message.verdict is Verdict.SUCCESS:
                 remote = message.receiver_slot if message.receiver_slot is not None else index
                 pairs.append((index, remote))
-                self._record(
-                    time, index, SlotState.PHOTON_EMITTED, SlotState.CONFIRMED_ENTANGLED, "confirm"
-                )
-                self._record(time, index, SlotState.CONFIRMED_ENTANGLED, SlotState.FREE, "reset")
+                self._confirm(time, index, SlotState.PHOTON_EMITTED)
             else:
                 self._record(time, index, SlotState.PHOTON_EMITTED, SlotState.FREE, "reset")
-        outcome = RoundOutcome(len(pairs), tuple(pairs), wall_time=self.round_duration)
-        self.round_start = self.round_end
-        self._next_emit = 1
-        self._messages = {}
-        return (RoundComplete(outcome),)
+        return pairs
+
+    _handlers = {Tick: _on_tick, MessageArrival: _on_message}
 
 
 class SrReceiverMachine(_MachineBase):
@@ -309,7 +333,6 @@ class SrReceiverMachine(_MachineBase):
         node: str = "bob",
         trace: list | None = None,
     ):
-        super().__init__(node, trace)
         if n_receiver < 0 or n_transmissions < 0:
             raise ConfigurationError("counts must be non-negative")
         self.n_receiver = n_receiver
@@ -317,26 +340,15 @@ class SrReceiverMachine(_MachineBase):
         self.latch_probability = validate_probability(latch_probability, "latch_probability")
         self.tau_clock = tau_clock
         self.tau_link = tau_link
-        self.round_duration = 2 * tau_link + n_transmissions * tau_clock
         self.rng = rng
-        self.round_start = Duration(0)
+        super().__init__(node, trace, 2 * tau_link + n_transmissions * tau_clock)
+
+    def _new_round(self):
         self._next_index = 1
         self._next_slot = 1
         self._latches: list[tuple[int, int]] = []
 
-    @property
-    def round_end(self) -> Duration:
-        return self.round_start + self.round_duration
-
-    def step(self, event):
-        if isinstance(event, PhotonArrival):
-            return self._on_photon(event)
-        if isinstance(event, Tick):
-            return self._on_tick(event)
-        raise ProtocolViolation(f"{self.node}: unsupported event {event!r}")
-
     def _on_photon(self, event: PhotonArrival):
-        self._advance(event.time)
         if event.index != self._next_index:
             raise ProtocolViolation(
                 f"{self.node}: expected transmission {self._next_index}, got {event.index}"
@@ -356,24 +368,17 @@ class SrReceiverMachine(_MachineBase):
         self._record(event.time, self._next_slot, SlotState.FREE, SlotState.FREE, "latch_failed")
         return (SendMessage(BsaMessage(event.index, Verdict.FAILURE)),)
 
-    def _on_tick(self, event: Tick):
-        self._advance(event.time)
-        if event.time != self.round_end:
-            raise ProtocolViolation(f"{self.node}: unexpected tick at {event.time.ps} ps")
+    def _confirm_round(self, time: Duration):
         if self._next_index != self.n_transmissions + 1:
             raise ProtocolViolation(
                 f"{self.node}: round ended after {self._next_index - 1} of "
                 f"{self.n_transmissions} transmissions"
             )
         for slot, _ in self._latches:
-            self._record(event.time, slot, SlotState.LATCHED, SlotState.CONFIRMED_ENTANGLED, "confirm")
-            self._record(event.time, slot, SlotState.CONFIRMED_ENTANGLED, SlotState.FREE, "reset")
-        outcome = RoundOutcome(len(self._latches), tuple(self._latches), self.round_duration)
-        self.round_start = self.round_end
-        self._next_index = 1
-        self._next_slot = 1
-        self._latches = []
-        return (RoundComplete(outcome),)
+            self._confirm(time, slot, SlotState.LATCHED)
+        return self._latches
+
+    _handlers = {PhotonArrival: _on_photon, Tick: _MachineBase._on_tick}
 
 
 class MpsReceiverMachine(_MachineBase):
@@ -396,7 +401,6 @@ class MpsReceiverMachine(_MachineBase):
         node: str = "left",
         trace: list | None = None,
     ):
-        super().__init__(node, trace)
         if n_bins < 0 or k_attempts < 1:
             raise ConfigurationError("need n_bins >= 0 and k_attempts >= 1")
         self.n_bins = n_bins
@@ -404,33 +408,18 @@ class MpsReceiverMachine(_MachineBase):
         self.latch_probability = validate_probability(latch_probability, "latch_probability")
         self.tau_clock = tau_clock
         self.tau_link = tau_link
-        self.round_duration = tau_link + n_bins * k_attempts * tau_clock
         self.rng = rng
-        self.round_start = Duration(0)
-        self._latched: dict[int, int] = {}
-        self._last_pulse = (0, k_attempts)
-        self._remote: dict[int, int] | None = None
+        super().__init__(node, trace, tau_link + n_bins * k_attempts * tau_clock)
 
-    @property
-    def round_end(self) -> Duration:
-        return self.round_start + self.round_duration
+    def _new_round(self):
+        self._latched: dict[int, int] = {}
+        self._last_pulse = (0, self.k_attempts)
+        self._remote: dict[int, int] | None = None
 
     def latched_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._latched.items()))
 
-    def step(self, event):
-        if isinstance(event, SourcePulse):
-            return self._on_pulse(event)
-        if isinstance(event, RemoteLatchReport):
-            self._advance(event.time)
-            self._remote = dict(event.latches)
-            return ()
-        if isinstance(event, Tick):
-            return self._on_tick(event)
-        raise ProtocolViolation(f"{self.node}: unsupported event {event!r}")
-
     def _on_pulse(self, event: SourcePulse):
-        self._advance(event.time)
         if not 1 <= event.bin_index <= self.n_bins:
             raise ProtocolViolation(f"{self.node}: bin {event.bin_index} out of range")
         if not 1 <= event.pair_id <= self.k_attempts:
@@ -457,10 +446,11 @@ class MpsReceiverMachine(_MachineBase):
         self._record(event.time, bin_index, SlotState.FREE, SlotState.FREE, "latch_failed")
         return (SendMessage(BsaMessage(bin_index, Verdict.FAILURE, pair_id=pair_id)),)
 
-    def _on_tick(self, event: Tick):
-        self._advance(event.time)
-        if event.time != self.round_end:
-            raise ProtocolViolation(f"{self.node}: unexpected tick at {event.time.ps} ps")
+    def _on_report(self, event: RemoteLatchReport):
+        self._remote = dict(event.latches)
+        return ()
+
+    def _confirm_round(self, time: Duration):
         if self._remote is None:
             raise ProtocolViolation(f"{self.node}: cannot confirm without the remote latch report")
         matched = []
@@ -470,30 +460,34 @@ class MpsReceiverMachine(_MachineBase):
                 continue
             if self._remote.get(bin_index) == local:
                 matched.append((bin_index, bin_index))
-                self._record(
-                    event.time, bin_index, SlotState.LATCHED, SlotState.CONFIRMED_ENTANGLED, "confirm"
-                )
-                self._record(
-                    event.time, bin_index, SlotState.CONFIRMED_ENTANGLED, SlotState.FREE, "reset"
-                )
+                self._confirm(time, bin_index, SlotState.LATCHED)
             else:
-                self._record(event.time, bin_index, SlotState.LATCHED, SlotState.FREE, "discard")
-        outcome = RoundOutcome(len(matched), tuple(matched), self.round_duration)
-        self.round_start = self.round_end
-        self._latched = {}
-        self._last_pulse = (0, self.k_attempts)
-        self._remote = None
-        return (RoundComplete(outcome),)
+                self._record(time, bin_index, SlotState.LATCHED, SlotState.FREE, "discard")
+        return matched
+
+    _handlers = {SourcePulse: _on_pulse, RemoteLatchReport: _on_report, Tick: _MachineBase._on_tick}
 
 
 # -- stepped-round drivers ----------------------------------------------
 
 
-def _collect_outcome(actions) -> RoundOutcome | None:
-    for action in actions:
-        if isinstance(action, RoundComplete):
-            return action.outcome
-    return None
+def _run_sender(sender: MitmMachine, messages) -> RoundOutcome:
+    """Step the sender's emissions, its analyzer messages, given as (arrival
+    ps, message) pairs, and its round-end tick in (time, slot, kind) order:
+    at one picosecond a slot's emission precedes its own message, and
+    earlier slots' messages precede later emissions.
+    """
+    start, clock = sender.round_start.ps, sender.tau_clock.ps
+    events = [(start + (i - 1) * clock, i, 0, None) for i in range(1, sender.n_slots + 1)]
+    events += [(t, message.transmission_index, 1, message) for t, message in messages]
+    events.append((sender.round_end.ps, sender.n_slots + 1, 0, None))
+    events.sort(key=lambda item: item[:3])
+    for t, _, kind, message in events:
+        time = Duration(t)
+        actions = sender.step(MessageArrival(time, message) if kind else Tick(time))
+    # a round that completes has stepped its round-end tick last
+    (done,) = actions
+    return done.outcome
 
 
 def step_mitm_round(
@@ -510,28 +504,16 @@ def step_mitm_round(
 
     Verdicts are drawn per transmission in emission order (or taken from
     ``verdicts``), and delivered as messages one link delay after each
-    emission; messages sort ahead of ticks at equal timestamps.
+    emission, in ``_run_sender``'s order.
     """
     if machine is None:
         machine = MitmMachine(n, tau_clock, tau_link + n * tau_clock, trace=trace)
-    # tie-break simultaneous events by slot index, then kind (emission
-    # before its own verdict; earlier slots' messages before later emissions)
-    events = []
+    start, clock = machine.round_start.ps + tau_link.ps, machine.tau_clock.ps
+    messages = []
     for i in range(1, machine.n_slots + 1):
-        t_emit = machine.emission_time(i)
-        events.append((t_emit.ps, i, 0, Tick(t_emit)))
-        if verdicts is not None:
-            verdict = verdicts[i - 1]
-        else:
-            verdict = sample_bsa(rng, True, True, p)
-        t_msg = t_emit + tau_link
-        events.append((t_msg.ps, i, 1, MessageArrival(t_msg, BsaMessage(i, verdict))))
-    events.append((machine.round_end.ps, machine.n_slots + 1, 0, Tick(machine.round_end)))
-    events.sort(key=lambda item: item[:3])
-    outcome = None
-    for _, _, _, event in events:
-        outcome = _collect_outcome(machine.step(event)) or outcome
-    return outcome
+        verdict = verdicts[i - 1] if verdicts is not None else sample_bsa(rng, True, True, p)
+        messages.append((start + (i - 1) * clock, BsaMessage(i, verdict)))
+    return _run_sender(machine, messages)
 
 
 def step_sr_round(
@@ -555,38 +537,16 @@ def step_sr_round(
         receiver = SrReceiverMachine(n_b, n_a, p, tau_clock, tau_link, rng, trace=trace)
     if sender is None:
         sender = MitmMachine(n_a, tau_clock, receiver.round_duration, node="alice")
-
-    # tie-break key: (time, node, slot, kind, seq) so that a slot's own
-    # emission precedes its verdict and messages precede later arrivals
-    seq = 0
-    heap: list = []
-
-    def push(time: Duration, node: str, slot: int, kind: int, event):
-        nonlocal seq
-        heapq.heappush(heap, (time.ps, node, slot, kind, seq, event))
-        seq += 1
-
+    link = tau_link.ps
+    start, clock = receiver.round_start.ps + link, tau_clock.ps
+    messages = []
     for i in range(1, n_a + 1):
-        push(sender.emission_time(i), "alice", i, 0, Tick(sender.emission_time(i)))
-        t_arrival = receiver.round_start + tau_link + (i - 1) * tau_clock
-        push(t_arrival, "bob", i, 0, PhotonArrival(t_arrival, i, True))
-    push(sender.round_end, "alice", n_a + 1, 0, Tick(sender.round_end))
-    push(receiver.round_end, "bob", n_a + 1, 0, Tick(receiver.round_end))
-
-    sender_outcome = receiver_outcome = None
-    while heap:
-        _, node, _, _, _, event = heapq.heappop(heap)
-        if node == "bob":
-            actions = receiver.step(event)
-            for action in actions:
-                if isinstance(action, SendMessage):
-                    t_msg = event.time + tau_link
-                    push(t_msg, "alice", action.message.transmission_index, 1,
-                         MessageArrival(t_msg, action.message))
-            receiver_outcome = _collect_outcome(actions) or receiver_outcome
-        else:
-            sender_outcome = _collect_outcome(sender.step(event)) or sender_outcome
-
+        t_arrival = start + (i - 1) * clock
+        (send,) = receiver.step(PhotonArrival(Duration(t_arrival), i, True))
+        messages.append((t_arrival + link, send.message))
+    (done,) = receiver.step(Tick(receiver.round_end))
+    receiver_outcome = done.outcome
+    sender_outcome = _run_sender(sender, messages)
     if sender_outcome.entangled_pairs != receiver_outcome.entangled_pairs:
         raise ProtocolViolation("sender and receiver disagree on the confirmed pair count")
     if sorted((b, a) for a, b in sender_outcome.slot_map) != sorted(receiver_outcome.slot_map):
@@ -618,21 +578,18 @@ def step_mps_round(
         left = MpsReceiverMachine(n_bins, k, p_left, tau_clock, tau_link, rng, node="left", trace=trace)
     if right is None:
         right = MpsReceiverMachine(n_bins, k, p_right, tau_clock, tau_link, rng, node="right", trace=trace)
-    half_link = Duration(tau_link.ps // 2)
+    start, clock = left.round_start.ps + tau_link.ps // 2, tau_clock.ps
     for bin_index in range(1, n_bins + 1):
         for attempt in range(1, k + 1):
-            t_source = left.round_start + ((bin_index - 1) * k + attempt - 1) * tau_clock
-            t_arrival = t_source + half_link
-            emitted = bool(rng.random() < p_mid)
-            left.step(SourcePulse(t_arrival, bin_index, attempt, emitted))
-            right.step(SourcePulse(t_arrival, bin_index, attempt, emitted))
-    left_latches = left.latched_pairs()
-    right_latches = right.latched_pairs()
-    left.step(RemoteLatchReport(left.round_end, right_latches))
-    right.step(RemoteLatchReport(right.round_end, left_latches))
-    left_outcome = _collect_outcome(left.step(Tick(left.round_end)))
-    right_outcome = _collect_outcome(right.step(Tick(right.round_end)))
-    if left_outcome != right_outcome:
+            t_arrival = Duration(start + ((bin_index - 1) * k + attempt - 1) * clock)
+            pulse = SourcePulse(t_arrival, bin_index, attempt, bool(rng.random() < p_mid))
+            left.step(pulse)
+            right.step(pulse)
+    # a report changes no latch, so each side reads the other's directly
+    left.step(RemoteLatchReport(left.round_end, right.latched_pairs()))
+    right.step(RemoteLatchReport(right.round_end, left.latched_pairs()))
+    (left_done,) = left.step(Tick(left.round_end))
+    (right_done,) = right.step(Tick(right.round_end))
+    if left_done.outcome != right_done.outcome:
         raise ProtocolViolation("the two receivers disagree on the confirmed bins")
-    return left_outcome
-
+    return left_done.outcome

@@ -22,6 +22,7 @@ from replink.protocol import (
     SrReceiverMachine,
     Tick,
     Verdict,
+    format_trace_entry,
     sample_bsa,
     step_mitm_round,
     step_mps_round,
@@ -411,3 +412,100 @@ class TestDeterminism:
             return trace
 
         assert run() == run()
+
+    # One small seeded round per protocol, pinned line for line. At
+    # tau_link = 0 an emission, its arrival and its analyzer message share
+    # a picosecond, so only the drivers' tie-break keeps the round legal.
+    PINNED_ROUNDS = {
+        "mitm": (
+            lambda trace: step_mitm_round(np.random.default_rng(11), 3, 0.5, TL, TC, trace=trace),
+            RoundOutcome(2, ((1, 1), (2, 2)), Duration(10_003_000)),
+            [
+                "0,alice,1,free,photon_emitted,emit",
+                "1000,alice,2,free,photon_emitted,emit",
+                "2000,alice,3,free,photon_emitted,emit",
+                "10003000,alice,1,photon_emitted,confirmed_entangled,confirm",
+                "10003000,alice,1,confirmed_entangled,free,reset",
+                "10003000,alice,2,photon_emitted,confirmed_entangled,confirm",
+                "10003000,alice,2,confirmed_entangled,free,reset",
+                "10003000,alice,3,photon_emitted,free,reset",
+            ],
+        ),
+        "sr": (
+            lambda trace: step_sr_round(np.random.default_rng(12), 4, 2, 0.5, TL, TC, trace=trace),
+            RoundOutcome(2, ((1, 1), (2, 3)), Duration(20_004_000)),
+            [
+                "10000000,bob,1,free,latched,latch",
+                "10001000,bob,2,free,free,latch_failed",
+                "10002000,bob,2,free,latched,latch",
+                "10003000,bob,-,rejecting,rejecting,reject",
+                "20004000,bob,1,latched,confirmed_entangled,confirm",
+                "20004000,bob,1,confirmed_entangled,free,reset",
+                "20004000,bob,2,latched,confirmed_entangled,confirm",
+                "20004000,bob,2,confirmed_entangled,free,reset",
+            ],
+        ),
+        "mps": (
+            lambda trace: step_mps_round(
+                np.random.default_rng(0), 3, 3, 0.8, 0.5, 0.5, TL, TC, trace=trace
+            ),
+            RoundOutcome(1, ((1, 1),), Duration(10_009_000)),
+            [
+                "5000000,left,1,free,latched,latch",
+                "5000000,right,1,free,latched,latch",
+                "5001000,left,1,rejecting,rejecting,reject",
+                "5001000,right,1,rejecting,rejecting,reject",
+                "5004000,left,2,free,free,latch_failed",
+                "5004000,right,2,free,free,latch_failed",
+                "5007000,left,3,free,free,latch_failed",
+                "5007000,right,3,free,latched,latch",
+                "5008000,left,3,free,latched,latch",
+                "5008000,right,3,rejecting,rejecting,reject",
+                "10009000,left,1,latched,confirmed_entangled,confirm",
+                "10009000,left,1,confirmed_entangled,free,reset",
+                "10009000,left,3,latched,free,discard",
+                "10009000,right,1,latched,confirmed_entangled,confirm",
+                "10009000,right,1,confirmed_entangled,free,reset",
+                "10009000,right,3,latched,free,discard",
+            ],
+        ),
+        "mitm-zero-link-delay": (
+            lambda trace: step_mitm_round(
+                np.random.default_rng(11), 3, 0.5, Duration(0), TC, trace=trace
+            ),
+            RoundOutcome(2, ((1, 1), (2, 2)), Duration(3000)),
+            [
+                "0,alice,1,free,photon_emitted,emit",
+                "1000,alice,2,free,photon_emitted,emit",
+                "2000,alice,3,free,photon_emitted,emit",
+                "3000,alice,1,photon_emitted,confirmed_entangled,confirm",
+                "3000,alice,1,confirmed_entangled,free,reset",
+                "3000,alice,2,photon_emitted,confirmed_entangled,confirm",
+                "3000,alice,2,confirmed_entangled,free,reset",
+                "3000,alice,3,photon_emitted,free,reset",
+            ],
+        ),
+        "sr-zero-link-delay": (
+            lambda trace: step_sr_round(
+                np.random.default_rng(12), 4, 2, 0.5, Duration(0), TC, trace=trace
+            ),
+            RoundOutcome(2, ((1, 1), (2, 3)), Duration(4000)),
+            [
+                "0,bob,1,free,latched,latch",
+                "1000,bob,2,free,free,latch_failed",
+                "2000,bob,2,free,latched,latch",
+                "3000,bob,-,rejecting,rejecting,reject",
+                "4000,bob,1,latched,confirmed_entangled,confirm",
+                "4000,bob,1,confirmed_entangled,free,reset",
+                "4000,bob,2,latched,confirmed_entangled,confirm",
+                "4000,bob,2,confirmed_entangled,free,reset",
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_ROUNDS))
+    def test_pinned_round_trace_and_outcome(self, case):
+        step, outcome, lines = self.PINNED_ROUNDS[case]
+        trace = []
+        assert step(trace) == outcome
+        assert [format_trace_entry(entry) for entry in trace] == lines
