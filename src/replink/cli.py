@@ -484,12 +484,12 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
             config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(n))
         else:
             config = ProtocolConfig(ProtocolKind.SR, analytic.sr_receiver_allocation(n, p))
-        probs = protocol.LinkProbabilities(p=p)
+        probs = params.LinkProbabilities(p=p)
     else:
         success = params.mps_success_probability(stack, p_optical)
         k = analytic.mps_attempts_per_bin(success.p_side, scenario.p_mid)
         config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=k)
-        probs = protocol.LinkProbabilities(
+        probs = params.LinkProbabilities(
             p_mid=scenario.p_mid, p_left=success.p_side, p_right=success.p_side
         )
     return engine.LinkModel(config=config, probs=probs, tau_link=tau_link, tau_clock=tau_clock)
@@ -510,7 +510,7 @@ def build_chain_model(scenario: Scenario, distance_km: float) -> engine.ChainMod
         buffer_capacity=scenario.reserved_slots,
         raw_pair_lifetime=lifetime,
     )
-    return engine.ChainModel(links=(link,) * scenario.link_count, purification=policy)
+    return engine.ChainModel(link, scenario.link_count, policy)
 
 
 def analytic_rate(link: engine.LinkModel) -> analytic.RateBundle:
@@ -543,7 +543,7 @@ def run_sweep(scenario: Scenario, progress=None) -> list[ReportRow]:
     # trial, so a bad distance late in the sweep fails before any work.
     distances = sorted(scenario.distances_km)
     models = [build(scenario, distance) for distance in distances]
-    links = [model.links[0] if chain else model for model in models]
+    links = [model.link if chain else model for model in models]
     durations = [scenario.duration_in_tau_link * link.tau_link for link in links]
     for distance, link, duration in zip(distances, links, durations):
         engine.round_count(link, duration, f"the link at {_format_value(distance)} km")

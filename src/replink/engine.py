@@ -31,14 +31,13 @@ A chain trial runs without an event loop, in one pass over the
 non-empty rounds of all its links at once. Each link's purification
 groups come from its running pair total, unless a stashed pair could
 outlive the freshness horizon; only such a link steps its stash, the
-newest 0-6 of its pairs, through its rounds as an integer recurrence. The
-rounds that form groups are merged in the order of a (time, insertion)
-event queue: by finishing time, then by the time the round was queued
-(of two rounds ending together the longer one was queued earlier), then
-by link index. One vector of uniforms decides every purification in that
-order, a Python pass over the rounds with a success applies the buffer
-cap and the swaps, and a check that every link's pairs balance ends the
-trial.
+newest 0-6 of its pairs, through its rounds as an integer recurrence. All
+links share one round time, so the rounds that form groups are merged in
+the order of a (time, insertion) event queue: round by round, and within
+a round in link order. One vector of uniforms decides every purification
+in that order, a Python pass over the rounds with a success applies the
+buffer cap and the swaps, and a check that every link's pairs balance
+ends the trial.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import analytic
-from .params import ConfigurationError, Duration, ProtocolConfig, ProtocolKind
-from .protocol import LinkProbabilities
+from .params import ConfigurationError, Duration, LinkProbabilities, ProtocolConfig, ProtocolKind
 
 __all__ = [
     "LinkModel",
@@ -128,12 +126,19 @@ class PurificationPolicy:
 
 @dataclass(frozen=True)
 class ChainModel:
-    links: tuple[LinkModel, ...]
+    """A linear chain of ``link_count`` links that all follow ``link``."""
+
+    link: LinkModel
+    link_count: int
     purification: PurificationPolicy | None = PurificationPolicy()
 
     def __post_init__(self):
-        if not self.links:
+        if self.link_count < 1:
             raise ConfigurationError("a chain needs at least one link")
+
+    @property
+    def links(self) -> tuple[LinkModel, ...]:  # for readers that walk the links one by one
+        return (self.link,) * self.link_count
 
 
 @dataclass(frozen=True)
@@ -279,41 +284,40 @@ def _check_conservation(stats: ChainTrialStats) -> None:
             )
 
 
-def _queued_groups(flat, starts, raw, round_ps, lifetime):
+def _queued_groups(counts, raw, lag):
     """Link and group count of each round that forms groups of seven, in event
-    queue order, and each link's raw pairs expired and left pending. Groups
-    follow from each link's running pair total (link i's rounds start at
-    ``starts[i]`` in ``flat``) unless a stashed pair outlives the horizon
-    before its group completes; only such links run the stash recurrence."""
-    nonzero = np.flatnonzero(flat)
-    arrivals = flat[nonzero]
-    edges = np.searchsorted(nonzero, starts)  # where each link's non-empty rounds begin
-    link_of = np.repeat(np.arange(len(raw)), np.diff(edges))
-    period = np.array(round_ps)[link_of]
-    times = (nonzero - starts[link_of] + 1) * period
+    queue order, and each link's raw pairs expired and left pending. Row i of
+    ``counts`` holds link i's round counts; a pair from round r is fresh at
+    the end of round q iff r >= q - ``lag`` (always, if ``lag`` is None).
+    Groups follow from each link's running pair total unless a stashed pair
+    outlives the horizon before its group completes; only such links run the
+    stash recurrence."""
+    n_links, n_rounds = counts.shape
+    nonzero = np.flatnonzero(counts)  # the non-empty rounds, link by link
+    arrivals = counts.ravel()[nonzero]
+    link_of, rounds = np.divmod(nonzero, n_rounds)
     stashed = np.cumsum(arrivals) - (np.cumsum(raw) - raw)[link_of]  # the link's pairs so far
     formed = stashed // PAIRS_PER_PURIFICATION - (stashed - arrivals) // PAIRS_PER_PURIFICATION
-    expired = [0] * len(raw)
+    expired = [0] * n_links
     pending = (raw % PAIRS_PER_PURIFICATION).tolist()
-    if lifetime is not None:
-        lifetime_ps = lifetime.ps
-        # expiry is monotone in time: stale pairs go at the next non-empty round or the end
-        checked = np.append(times[1:], 0)
-        busy = raw > 0
-        checked[edges[1:][busy] - 1] = (np.diff(starts) * round_ps)[busy]
+    if lag is not None:
+        starts = n_rounds * np.arange(n_links + 1)
+        edges = np.searchsorted(nonzero, starts)  # where each link's non-empty rounds begin
+        # expiry is monotone in time: stale pairs go at the next non-empty round or
+        # at the end of the last round
+        checked = np.append(rounds[1:], 0)
+        checked[edges[1:][raw > 0] - 1] = n_rounds - 1
         left = stashed % PAIRS_PER_PURIFICATION
         # a round that leaves more pairs stashed than it brought formed no
         # group, so its oldest stashed pair arrived with the previous round's
         arrived = np.maximum.accumulate(np.where(left <= arrivals, np.arange(len(left)), 0))
-        late = (left > 0) & (checked - times[arrived] > lifetime_ps)
+        late = (left > 0) & (checked - rounds[arrived] > lag)
         expiring = np.unique(link_of[late]).tolist()
         if expiring:
-            # A pair from round r is fresh at the end of round q iff r >= q -
-            # lifetime // period. Count those before each row and each link's end
-            # (one more round, bringing no pairs); a horizon before the link's first
-            # round also counts earlier links' pairs, but the stash holds none of them.
-            lag = lifetime_ps // np.array(round_ps)
-            horizon = np.append(nonzero - lag[link_of], starts[1:] - 1 - lag)
+            # Count the fresh pairs before each row and each link's end (one more
+            # round, bringing no pairs); a horizon before the link's first round also
+            # counts earlier links' pairs, but the stash holds none of them.
+            horizon = np.append(nonzero - lag, starts[1:] - 1 - lag)
             prior = np.concatenate(([0], np.cumsum(arrivals)))  # all pairs before each row
             fresh = np.append(prior[:-1], prior[edges[1:]])
             fresh -= prior[np.searchsorted(nonzero, horizon)]
@@ -326,12 +330,10 @@ def _queued_groups(flat, starts, raw, round_ps, lifetime):
                 formed[lo:hi] = made[:-1]
 
     # Rounds that formed groups, in the order a (time, insertion) event queue
-    # pops them: by time, then by when the round was queued (the end of the
-    # link's previous round), then by link index (lexsort is stable, and the
-    # rows are in link order).
+    # pops them: every link's round r ends at once, and the links queued theirs
+    # in link order, so by round, then link (a stable sort of the link-major rows).
     made = np.flatnonzero(formed)
-    finished_ps = times[made]
-    made = made[np.lexsort((finished_ps - period[made], finished_ps))]
+    made = made[np.argsort(rounds[made], kind="stable")]
     return link_of[made], formed[made], expired, pending
 
 
@@ -347,16 +349,12 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     nodes and one end-to-end ebit is counted. Elapsed time is the full
     duration regardless of how rounds align with it.
     """
-    links = chain.links
-    policy = chain.purification
-    n_links = len(links)
-    n_rounds = [round_count(link, duration, f"link {index}") for index, link in enumerate(links)]
-    flat = np.concatenate([  # every link's rounds, one link after another
-        sample_round_counts(_trial_rng(seed, index), link, count)
-        for index, (link, count) in enumerate(zip(links, n_rounds))
+    link, n_links, policy = chain.link, chain.link_count, chain.purification
+    n_rounds = round_count(link, duration, "a chain link")
+    counts = np.stack([  # link i's round counts in row i
+        sample_round_counts(_trial_rng(seed, index), link, n_rounds) for index in range(n_links)
     ])
-    starts = np.cumsum([0] + n_rounds)
-    raw = np.add.reduceat(flat, starts[:-1])
+    raw = counts.sum(axis=1)
 
     if policy is None:
         # every pair waits until each link holds one, then one per link is swapped
@@ -368,10 +366,10 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
             purified_pending=tuple((raw - ebits).tolist()),
         )
 
+    lifetime = policy.raw_pair_lifetime
+    lag = None if lifetime is None else lifetime.ps // link.round_time.ps
     # the round arrays die with the call: a lower heap peak, fewer pages refaulted per trial
-    link_of, groups, expired, pending = _queued_groups(
-        flat, starts, raw, [link.round_time.ps for link in links], policy.raw_pair_lifetime
-    )
+    link_of, groups, expired, pending = _queued_groups(counts, raw, lag)
     bounds = analytic.purification_bounds(policy.epsilon_in, n_links)
     aux_rng = _trial_rng(seed, _PURIFY_STREAM)
     succeeded = np.cumsum(aux_rng.random(int(groups.sum())) < bounds.p_success)

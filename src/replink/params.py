@@ -26,6 +26,7 @@ __all__ = [
     "MemoryBudget",
     "ProtocolKind",
     "ProtocolConfig",
+    "LinkProbabilities",
     "MpsSuccess",
     "validate_probability",
     "link_delay",
@@ -211,6 +212,22 @@ class ProtocolConfig:
                 )
         elif self.k_attempts is not None:
             raise ConfigurationError(f"k_attempts is only meaningful for mps, not {self.kind.value}")
+
+
+@dataclass(frozen=True)
+class LinkProbabilities:
+    """Per-attempt success probabilities feeding the samplers."""
+
+    p: float | None = None
+    p_mid: float | None = None
+    p_left: float | None = None
+    p_right: float | None = None
+
+    def __post_init__(self):
+        for name in ("p", "p_mid", "p_left", "p_right"):
+            value = getattr(self, name)
+            if value is not None:
+                validate_probability(value, name)
 
 
 def link_delay(geometry: LinkGeometry) -> Duration:

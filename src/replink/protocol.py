@@ -32,7 +32,6 @@ __all__ = [
     "SlotState",
     "BsaMessage",
     "RoundOutcome",
-    "LinkProbabilities",
     "ProtocolViolation",
     "Tick",
     "MessageArrival",
@@ -96,22 +95,6 @@ class RoundOutcome:
     def __post_init__(self):
         if self.entangled_pairs != len(self.slot_map):
             raise ValueError("entangled_pairs must match the slot map length")
-
-
-@dataclass(frozen=True)
-class LinkProbabilities:
-    """Per-attempt success probabilities feeding the samplers."""
-
-    p: float | None = None
-    p_mid: float | None = None
-    p_left: float | None = None
-    p_right: float | None = None
-
-    def __post_init__(self):
-        for name in ("p", "p_mid", "p_left", "p_right"):
-            value = getattr(self, name)
-            if value is not None:
-                validate_probability(value, name)
 
 
 # -- events ------------------------------------------------------------

@@ -11,8 +11,10 @@ this sampler.
 from __future__ import annotations
 
 from replink import analytic
-from replink.params import Duration, ProtocolConfig, ProtocolKind, validate_probability
-from replink.protocol import LinkProbabilities, RoundOutcome
+from replink.params import (
+    Duration, LinkProbabilities, ProtocolConfig, ProtocolKind, validate_probability,
+)
+from replink.protocol import RoundOutcome
 
 
 def sample_round(

@@ -16,7 +16,7 @@ from protocol_reference import sample_round
 from test_protocol import enumerate_mps_bin
 
 from replink import analytic, cli, engine, protocol
-from replink.params import Duration, MemoryBudget, ProtocolConfig, ProtocolKind
+from replink.params import Duration, LinkProbabilities, MemoryBudget, ProtocolConfig, ProtocolKind
 
 BASE_SEED = 20260809
 
@@ -44,7 +44,7 @@ def _sweep_means(scenario):
 
 def _chain_ebit_counts(scenario, distance):
     chain = cli.build_chain_model(scenario, distance)
-    duration = scenario.duration_in_tau_link * chain.links[0].tau_link
+    duration = scenario.duration_in_tau_link * chain.link.tau_link
     return [
         engine.run_chain_trial(chain, duration, scenario.base_seed + t).end_to_end_ebits
         for t in range(scenario.trials)
@@ -268,7 +268,7 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         rng = np.random.default_rng([BASE_SEED, 2])
         config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(4))
         sampled = [
-            sample_round(rng, config, protocol.LinkProbabilities(p=p), tau_link, tau_clock).entangled_pairs
+            sample_round(rng, config, LinkProbabilities(p=p), tau_link, tau_clock).entangled_pairs
             for _ in range(rounds)
         ]
         pvalues[("mitm", p)] = chi2_homogeneity_pvalue(stepped, sampled)
@@ -286,7 +286,7 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         rng = np.random.default_rng([BASE_SEED, 4])
         config = ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(4, 2))
         sampled = [
-            sample_round(rng, config, protocol.LinkProbabilities(p=p), tau_link, tau_clock).entangled_pairs
+            sample_round(rng, config, LinkProbabilities(p=p), tau_link, tau_clock).entangled_pairs
             for _ in range(rounds)
         ]
         pvalues[("sr", p)] = chi2_homogeneity_pvalue(stepped, sampled)
@@ -303,7 +303,7 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         ]
         rng = np.random.default_rng([BASE_SEED, 6])
         config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(2), k_attempts=4)
-        probs = protocol.LinkProbabilities(p_mid=0.8, p_left=p, p_right=p)
+        probs = LinkProbabilities(p_mid=0.8, p_left=p, p_right=p)
         sampled = [
             sample_round(rng, config, probs, tau_link, tau_clock).entangled_pairs
             for _ in range(rounds)

@@ -24,11 +24,11 @@ from replink.engine import (
 from replink.params import (
     ConfigurationError,
     Duration,
+    LinkProbabilities,
     MemoryBudget,
     ProtocolConfig,
     ProtocolKind,
 )
-from replink.protocol import LinkProbabilities
 
 US = Duration.from_us
 NS = Duration.from_ns
@@ -152,9 +152,9 @@ class TestBatchSampler:
             ["--protocol", "mps", "--preset", "fig8-optimistic", "--p-mid", "0.1"], env={}
         )
         chain = cli.build_chain_model(scenario, 10.0)
-        assert len(chain.links) == 10
+        assert chain.link_count == scenario.link_count == 10
         assert calls == []
-        duration = 20 * chain.links[0].tau_link
+        duration = 20 * chain.link.tau_link
         for seed in (1, 2):
             run_chain_trial(chain, duration, seed)
         assert len(calls) == 1
@@ -348,7 +348,7 @@ def _figure_chain(argv, distance):
     """A preset chain at one distance and its trial duration, as a sweep builds them."""
     scenario, _ = cli.parse_scenario(argv + ["--distances", str(distance)], env={})
     chain = cli.build_chain_model(scenario, distance)
-    return chain, scenario.duration_in_tau_link * chain.links[0].tau_link
+    return chain, scenario.duration_in_tau_link * chain.link.tau_link
 
 
 def _stream_draws(rng, n, p, size):
@@ -494,7 +494,28 @@ def small_chain(link, n_links, lifetime=Duration.from_ms(10), purification=True)
         if purification
         else None
     )
-    return ChainModel(links=(link,) * n_links, purification=policy)
+    return ChainModel(link, n_links, policy)
+
+
+class TestChainModel:
+    @pytest.mark.parametrize("link_count", [0, -1])
+    def test_a_chain_needs_a_link(self, link_count):
+        with pytest.raises(ConfigurationError, match="^a chain needs at least one link$"):
+            ChainModel(MITM_LINK, link_count)
+
+    @pytest.mark.parametrize("link_count", [1, 4])
+    def test_links_repeat_the_one_link(self, link_count):
+        chain = ChainModel(MITM_LINK, link_count, purification=None)
+        assert chain.links == (MITM_LINK,) * link_count
+
+    def test_built_from_the_scenario(self):
+        scenario, _ = cli.parse_scenario(
+            ["--protocol", "sr", "--preset", "fig9-pessimistic", "--links", "3"], env={}
+        )
+        chain = cli.build_chain_model(scenario, 20.0)
+        assert chain.link == cli.build_link_model(scenario, 20.0)
+        assert chain.link_count == scenario.link_count == 3
+        assert chain.purification.buffer_capacity == scenario.reserved_slots
 
 
 class TestChainTrial:
@@ -541,16 +562,6 @@ class TestChainTrial:
         stats = run_chain_trial(small_chain(MITM_LINK, 2), US(500_000), 3)
         assert all(p <= 3 for p in stats.purified_pending)
 
-    def test_heterogeneous_round_times_walk_in_time_order(self):
-        # different protocols per link exercise the merge across links
-        chain = ChainModel(
-            links=(MITM_LINK, MPS_LINK, SR_LINK),
-            purification=PurificationPolicy(raw_pair_lifetime=None),
-        )
-        stats = run_chain_trial(chain, US(5_000), 11)
-        assert stats.elapsed == US(5_000)
-        assert len(stats.raw_pairs) == 3
-
     def test_ebit_error_matches_chain_bound(self):
         chain = small_chain(MITM_LINK, 10)
         stats = run_chain_trial(chain, US(150_000), 0)
@@ -565,7 +576,7 @@ class TestChainTrial:
             env={},
         )
         chain = cli.build_chain_model(scenario, 25.0)
-        duration = scenario.duration_in_tau_link * chain.links[0].tau_link
+        duration = scenario.duration_in_tau_link * chain.link.tau_link
         ebits = [
             run_chain_trial(chain, duration, scenario.base_seed + t).end_to_end_ebits
             for t in range(scenario.trials)
@@ -595,8 +606,7 @@ CHAIN_VARIANTS = (("mitm", None), ("sr", None), ("mps", 1.0), ("mps", 0.1), ("mp
 
 @st.composite
 def chain_links(draw):
-    """A link with a small whole-microsecond round time, so that rounds of
-    different links often end at the same instant."""
+    """A link of any protocol with a small whole-microsecond round time."""
     kind = draw(st.sampled_from(["mitm", "sr", "mps"]))
     tau_link = draw(st.sampled_from([US(4), US(6), US(12)]))
     n = draw(st.integers(1, 6))
@@ -626,127 +636,6 @@ def mitm_link(n, p, tau_link):
     )
 
 
-class TestChainOracle:
-    """The round-skipping engine against the per-event reference loop."""
-
-    @pytest.mark.parametrize("preset", ["fig8-optimistic", "fig9-pessimistic"])
-    @pytest.mark.parametrize("protocol_name,p_mid", CHAIN_VARIANTS)
-    def test_figure_chains_match_reference(self, preset, protocol_name, p_mid):
-        argv = ["--preset", preset, "--protocol", protocol_name, "--distances", "5,30,50"]
-        if p_mid is not None:
-            argv += ["--p-mid", str(p_mid)]
-        scenario, _ = cli.parse_scenario(argv, env={})
-        for distance in scenario.distances_km:
-            chain = cli.build_chain_model(scenario, distance)
-            duration = scenario.duration_in_tau_link * chain.links[0].tau_link
-            for seed in (1, 2):
-                expected = chain_reference.run_chain_trial(chain, duration, seed)
-                assert run_chain_trial(chain, duration, seed) == expected
-
-    def test_walked_and_running_total_links_in_one_trial(self, monkeypatch):
-        # link 0 makes sparse pairs that outlive the horizon; link 1 makes
-        # seven or so every round, so none of its pairs ever waits that long
-        chain = ChainModel(
-            links=(mitm_link(n=2, p=0.5, tau_link=US(10)), mitm_link(n=6, p=0.9, tau_link=US(4))),
-            purification=PurificationPolicy(buffer_capacity=1, raw_pair_lifetime=US(80)),
-        )
-        calls = []
-        recurrence = engine._stash_recurrence
-
-        def counting_recurrence(fresh, arrivals):
-            calls.append(arrivals)
-            return recurrence(fresh, arrivals)
-
-        monkeypatch.setattr(engine, "_stash_recurrence", counting_recurrence)
-        for seed in range(4):
-            calls.clear()
-            stats = run_chain_trial(chain, US(2_000), seed)
-            assert stats == chain_reference.run_chain_trial(chain, US(2_000), seed)
-            # one recurrence, over the non-empty rounds of the link whose pairs
-            # expired (and its end); the other took its groups from the running total
-            assert len(calls) == 1 and sum(calls[0]) == stats.raw_pairs[0]
-            assert stats.raw_expired[0] > 0 and stats.purify_attempts[0] > 0
-            assert stats.raw_expired[1] == 0 and stats.purify_attempts[1] > 0
-            assert stats.end_to_end_ebits > 0
-
-    @pytest.mark.parametrize("dead_at", range(3))
-    def test_link_without_pairs_next_to_busy_links(self, dead_at):
-        links = [mitm_link(n=6, p=0.9, tau_link=US(4)), mitm_link(n=3, p=0.6, tau_link=US(6))]
-        links.insert(dead_at, mitm_link(n=4, p=0.0, tau_link=US(6)))
-        chain = ChainModel(
-            links=tuple(links), purification=PurificationPolicy(raw_pair_lifetime=US(20))
-        )
-        for seed in range(3):
-            stats = run_chain_trial(chain, US(1_000), seed)
-            assert stats == chain_reference.run_chain_trial(chain, US(1_000), seed)
-            assert stats.raw_pairs[dead_at] == 0 and stats.end_to_end_ebits == 0
-            assert min(stats.raw_pairs[:dead_at] + stats.raw_pairs[dead_at + 1:]) > 0
-            assert_conserved(stats)
-
-    def test_rounds_ending_together_pop_in_queue_then_link_order(self):
-        # round times 6, 4, 12 and 6 us: every 12 us all four links finish
-        # together; link 2 was queued first (its round is longest), then
-        # links 0 and 3 (equal queue times, so link order), then link 1
-        chain = ChainModel(
-            links=(
-                mitm_link(n=2, p=0.9, tau_link=US(4)),
-                mitm_link(n=2, p=0.9, tau_link=US(2)),
-                mitm_link(n=2, p=0.9, tau_link=US(10)),
-                mitm_link(n=1, p=0.9, tau_link=US(5)),
-            ),
-            purification=PurificationPolicy(buffer_capacity=1, raw_pair_lifetime=None),
-        )
-        assert [link.round_time for link in chain.links] == [US(6), US(4), US(12), US(6)]
-        for seed in range(6):
-            stats = run_chain_trial(chain, US(3_000), seed)
-            assert stats == chain_reference.run_chain_trial(chain, US(3_000), seed)
-            assert sum(stats.purified_discarded) > 0
-
-    def test_unbalanced_pairs_raise(self, monkeypatch, capsys):
-        recurrence = engine._stash_recurrence
-
-        def lose_a_pair(fresh, arrivals):
-            formed, expired, pending = recurrence(fresh, arrivals)
-            return formed, expired, pending - 1
-
-        monkeypatch.setattr(engine, "_stash_recurrence", lose_a_pair)
-        chain = ChainModel(
-            links=(mitm_link(n=2, p=0.5, tau_link=US(10)), mitm_link(n=6, p=0.9, tau_link=US(4))),
-            purification=PurificationPolicy(raw_pair_lifetime=US(80)),
-        )
-        with pytest.raises(RuntimeError, match=r"chain link 0 does not conserve pairs: raw \d+"):
-            run_chain_trial(chain, US(2_000), 0)
-        # through the command line, every link of a fig9 midpoint-source chain
-        # runs the recurrence
-        argv = ["--preset", "fig9-pessimistic", "--protocol", "mps", "--p-mid", "0.1",
-                "--distances", "30", "--trials", "1"]
-        assert cli.main(argv) == 1
-        assert "does not conserve pairs" in capsys.readouterr().err
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        links=st.lists(chain_links(), min_size=1, max_size=4),
-        lifetime=st.sampled_from([None, US(20), Duration.from_ms(10)]),
-        capacity=st.sampled_from([0, 1, 3]),
-        purification=st.booleans(),
-        duration=st.sampled_from([US(50), US(400), US(2_000)]),
-        seed=st.integers(0, 2**32),
-    )
-    def test_heterogeneous_chains_match_reference(
-        self, links, lifetime, capacity, purification, duration, seed
-    ):
-        policy = (
-            PurificationPolicy(buffer_capacity=capacity, raw_pair_lifetime=lifetime)
-            if purification
-            else None
-        )
-        chain = ChainModel(links=tuple(links), purification=policy)
-        stats = run_chain_trial(chain, duration, seed)
-        assert stats == chain_reference.run_chain_trial(chain, duration, seed)
-        if purification:
-            assert_conserved(stats)
-
-
 R = US(10).ps  # the round time of mitm_link(1, p, US(9)), in ps
 
 
@@ -762,11 +651,144 @@ def feed_round_counts(patch, counts):
     patch.setattr(engine, "sample_round_counts", drawn)
 
 
-def stash_walks(chain, counts, lifetime_ps):
-    """``chain_reference.walk_stash`` over each link's drawn rounds."""
+def sparse_and_dense_rounds(seed, n_rounds):
+    """Round counts of a two-link chain: link 0 makes about one pair a round,
+    so its pairs often wait more than eight rounds for a group; link 1 makes
+    about five, so none of its pairs waits that long."""
+    rng = np.random.default_rng(seed)
+    return [rng.binomial(2, 0.5, n_rounds).tolist(), rng.binomial(6, 0.9, n_rounds).tolist()]
+
+
+class TestChainOracle:
+    """The round-skipping engine against the per-event reference loop."""
+
+    @pytest.mark.parametrize("preset", ["fig8-optimistic", "fig9-pessimistic"])
+    @pytest.mark.parametrize("protocol_name,p_mid", CHAIN_VARIANTS)
+    def test_figure_chains_match_reference(self, preset, protocol_name, p_mid):
+        argv = ["--preset", preset, "--protocol", protocol_name, "--distances", "5,30,50"]
+        if p_mid is not None:
+            argv += ["--p-mid", str(p_mid)]
+        scenario, _ = cli.parse_scenario(argv, env={})
+        for distance in scenario.distances_km:
+            chain = cli.build_chain_model(scenario, distance)
+            duration = scenario.duration_in_tau_link * chain.link.tau_link
+            for seed in (1, 2):
+                expected = chain_reference.run_chain_trial(chain, duration, seed)
+                assert run_chain_trial(chain, duration, seed) == expected
+
+    def test_walked_and_running_total_links_in_one_trial(self, monkeypatch):
+        # link 0's sparse pairs outlive the eight-round horizon; link 1's never do
+        chain = ChainModel(
+            mitm_link(n=1, p=0.5, tau_link=US(9)), 2,
+            PurificationPolicy(buffer_capacity=1, raw_pair_lifetime=US(80)),
+        )
+        calls = []
+        recurrence = engine._stash_recurrence
+
+        def counting_recurrence(fresh, arrivals):
+            calls.append(arrivals)
+            return recurrence(fresh, arrivals)
+
+        monkeypatch.setattr(engine, "_stash_recurrence", counting_recurrence)
+        for seed in range(4):
+            calls.clear()
+            feed_round_counts(monkeypatch, sparse_and_dense_rounds(seed, US(2_000).ps // R))
+            stats = run_chain_trial(chain, US(2_000), seed)
+            assert stats == chain_reference.run_chain_trial(chain, US(2_000), seed)
+            # one recurrence, over the non-empty rounds of the link whose pairs
+            # expired (and its end); the other took its groups from the running total
+            assert len(calls) == 1 and sum(calls[0]) == stats.raw_pairs[0]
+            assert stats.raw_expired[0] > 0 and stats.purify_attempts[0] > 0
+            assert stats.raw_expired[1] == 0 and stats.purify_attempts[1] > 0
+            assert stats.end_to_end_ebits > 0
+
+    @pytest.mark.parametrize("dead_at", range(3))
+    def test_link_without_pairs_next_to_busy_links(self, monkeypatch, dead_at):
+        chain = ChainModel(
+            mitm_link(n=1, p=0.5, tau_link=US(5)), 3, PurificationPolicy(raw_pair_lifetime=US(20))
+        )
+        n_rounds = US(1_000) // chain.link.round_time
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            counts = [rng.binomial(6, 0.9, n_rounds).tolist(), rng.binomial(3, 0.6, n_rounds).tolist()]
+            counts.insert(dead_at, [0] * n_rounds)
+            feed_round_counts(monkeypatch, counts)
+            stats = run_chain_trial(chain, US(1_000), seed)
+            assert stats == chain_reference.run_chain_trial(chain, US(1_000), seed)
+            assert stats.raw_pairs[dead_at] == 0 and stats.end_to_end_ebits == 0
+            assert min(stats.raw_pairs[:dead_at] + stats.raw_pairs[dead_at + 1:]) > 0
+            assert_conserved(stats)
+
+    def test_rounds_ending_together_pop_in_queue_then_link_order(self):
+        # every link's round r ends at the same instant, so groups pop round by
+        # round, and within a round in link order: round 0 forms groups on links
+        # 0 and 2, round 1 on link 1, round 2 two on link 0 and one on link 1
+        counts = np.array([[7, 0, 14], [0, 7, 7], [9, 0, 0]])
+        link_of, groups, _, _ = engine._queued_groups(counts, counts.sum(axis=1), None)
+        assert link_of.tolist() == [0, 2, 1, 0, 1]
+        assert groups.tolist() == [1, 1, 1, 2, 1]
+        chain = ChainModel(
+            mitm_link(n=2, p=0.9, tau_link=US(4)), 4,
+            PurificationPolicy(buffer_capacity=1, raw_pair_lifetime=None),
+        )
+        for seed in range(6):
+            stats = run_chain_trial(chain, US(3_000), seed)
+            assert stats == chain_reference.run_chain_trial(chain, US(3_000), seed)
+            assert sum(stats.purified_discarded) > 0
+
+    def test_unbalanced_pairs_raise(self, monkeypatch, capsys):
+        recurrence = engine._stash_recurrence
+
+        def lose_a_pair(fresh, arrivals):
+            formed, expired, pending = recurrence(fresh, arrivals)
+            return formed, expired, pending - 1
+
+        monkeypatch.setattr(engine, "_stash_recurrence", lose_a_pair)
+        chain = ChainModel(
+            mitm_link(n=1, p=0.5, tau_link=US(9)), 2, PurificationPolicy(raw_pair_lifetime=US(80))
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            feed_round_counts(patch, sparse_and_dense_rounds(0, US(2_000).ps // R))
+            with pytest.raises(RuntimeError, match=r"chain link 0 does not conserve pairs: raw \d+"):
+                run_chain_trial(chain, US(2_000), 0)
+        # through the command line, every link of a fig9 midpoint-source chain
+        # runs the recurrence
+        argv = ["--preset", "fig9-pessimistic", "--protocol", "mps", "--p-mid", "0.1",
+                "--distances", "30", "--trials", "1"]
+        assert cli.main(argv) == 1
+        assert "does not conserve pairs" in capsys.readouterr().err
+
+    # Chains of every protocol, length, lifetime and buffer capacity.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        link=chain_links(),
+        link_count=st.integers(1, 4),
+        lifetime=st.sampled_from([None, US(20), Duration.from_ms(10)]),
+        capacity=st.sampled_from([0, 1, 3]),
+        purification=st.booleans(),
+        duration=st.sampled_from([US(50), US(400), US(2_000)]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_heterogeneous_chains_match_reference(
+        self, link, link_count, lifetime, capacity, purification, duration, seed
+    ):
+        policy = (
+            PurificationPolicy(buffer_capacity=capacity, raw_pair_lifetime=lifetime)
+            if purification
+            else None
+        )
+        chain = ChainModel(link, link_count, policy)
+        stats = run_chain_trial(chain, duration, seed)
+        assert stats == chain_reference.run_chain_trial(chain, duration, seed)
+        if purification:
+            assert_conserved(stats)
+
+
+def stash_walks(link, counts, lifetime_ps):
+    """``chain_reference.walk_stash`` over each chain link's drawn rounds."""
+    period = link.round_time.ps
     walks = []
-    for link, rounds in zip(chain.links, counts):
-        period = link.round_time.ps
+    for rounds in counts:
         rows = [k for k, count in enumerate(rounds) if count]
         times = [(k + 1) * period for k in rows]
         arrivals = [rounds[k] for k in rows]
@@ -778,23 +800,24 @@ def stash_walks(chain, counts, lifetime_ps):
 
 @st.composite
 def drawn_rounds(draw):
-    """Links with drawn round counts (often empty, often seven or more), and
-    a lifetime that is often a whole number of one link's rounds or shorter
-    than one round."""
-    taus = draw(st.lists(st.sampled_from([US(3), US(5), US(11)]), min_size=1, max_size=3))
-    links = tuple(mitm_link(n=1, p=0.5, tau_link=tau) for tau in taus)  # rounds of 4, 6, 12 us
+    """A link, the drawn round counts of a chain of one to three such links
+    (often empty, often seven or more), and a lifetime that is often a whole
+    number of rounds or shorter than one round."""
+    # rounds of 4, 6 or 12 us
+    link = mitm_link(n=1, p=0.5, tau_link=draw(st.sampled_from([US(3), US(5), US(11)])))
     duration = US(draw(st.integers(12, 240)))
+    n = duration // link.round_time
     counts = [
         draw(st.lists(st.just(0) | st.integers(0, 15), min_size=n, max_size=n))
-        for n in (duration // link.round_time for link in links)
+        for _ in range(draw(st.integers(1, 3)))
     ]
-    period = draw(st.sampled_from(links)).round_time.ps
+    period = link.round_time.ps
     lifetime_ps = draw(
         st.integers(0, 8).map(lambda m: m * period)
         | st.integers(1, period - 1)
         | st.integers(1, duration.ps)
     )
-    return links, duration, counts, lifetime_ps
+    return link, duration, counts, lifetime_ps
 
 
 class TestStashRecurrence:
@@ -818,9 +841,7 @@ class TestStashRecurrence:
     def test_boundaries(self, monkeypatch, rounds, lifetime_ps, expected):
         link = mitm_link(n=1, p=0.5, tau_link=US(9))
         assert link.round_time.ps == R
-        chain = ChainModel(
-            links=(link,), purification=PurificationPolicy(raw_pair_lifetime=Duration(lifetime_ps))
-        )
+        chain = ChainModel(link, 1, PurificationPolicy(raw_pair_lifetime=Duration(lifetime_ps)))
         duration = len(rounds) * link.round_time
         calls = []
         recurrence = engine._stash_recurrence
@@ -835,17 +856,17 @@ class TestStashRecurrence:
         assert (stats.purify_attempts, stats.raw_expired, stats.raw_pending) == (
             (attempts,), (expired,), (pending,)
         )
-        formed, *walked = stash_walks(chain, [rounds], lifetime_ps)[0]
+        formed, *walked = stash_walks(link, [rounds], lifetime_ps)[0]
         assert (sum(formed), *walked) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(case=drawn_rounds(), capacity=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**32))
     def test_recurrence_matches_the_list_walk(self, case, capacity, seed):
-        links, duration, counts, lifetime_ps = case
+        link, duration, counts, lifetime_ps = case
         lifetime = Duration(lifetime_ps)
         policy = PurificationPolicy(buffer_capacity=capacity, raw_pair_lifetime=lifetime)
-        chain = ChainModel(links=links, purification=policy)
-        walks = stash_walks(chain, counts, lifetime_ps)
+        chain = ChainModel(link, len(counts), policy)
+        walks = stash_walks(link, counts, lifetime_ps)
         calls = []
         recurrence = engine._stash_recurrence
 

@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import ScriptedRng
 from protocol_reference import sample_round
 from replink import analytic
-from replink.params import Duration, MemoryBudget, ProtocolConfig, ProtocolKind
+from replink.params import Duration, LinkProbabilities, MemoryBudget, ProtocolConfig, ProtocolKind
 from replink.protocol import (
     BsaMessage,
-    LinkProbabilities,
     MessageArrival,
     MitmMachine,
     MpsReceiverMachine,
