@@ -15,8 +15,10 @@ hardware cycle time:
 * midpoint-source:    round tau_l + N*K*tau_c where K latch attempts fill
   one time bin; the per-bin entanglement probability accounts for each
   receiver locking onto its first latched photon and pairs matching only
-  when both sides latched the same attempt index. Its sum over the K
-  attempts is a finite geometric series, evaluated in closed form.
+  when both sides latched the same attempt index. The source sits at the
+  middle of a link between identical nodes, so both sides latch with one
+  probability. The sum over the K attempts is a finite geometric series,
+  evaluated in closed form.
 """
 
 from __future__ import annotations
@@ -77,11 +79,9 @@ class RateBundle:
 class MpsEntanglement:
     """Per-bin entanglement probability for the midpoint-source protocol.
 
-    ``p_ent_sum`` is the sum over the K attempts, for any sides;
-    ``p_ent_closed`` the symmetric-sides formula, evaluated independently
-    (for asymmetric inputs it simply mirrors the sum). The bounds bracket the
-    closed form whenever K is chosen to make latching near-certain; they
-    are degenerate (0, 1) for asymmetric sides.
+    ``p_ent_sum`` is the sum over the K attempts and ``p_ent_closed`` the
+    closed form in p_side, evaluated independently. The bounds bracket both
+    whenever K is chosen to make latching near-certain.
     """
 
     k_attempts: int
@@ -90,8 +90,7 @@ class MpsEntanglement:
     p_ent_closed: float
     lower_bound: float
     upper_bound: float
-    p_left: float
-    p_right: float
+    p_side: float
     p_mid: float
 
 
@@ -230,29 +229,28 @@ def mps_attempts_per_bin(p_l: float, p_m: float) -> int:
     return math.ceil(attempts)
 
 
-def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglement:
+def mps_entanglement(p_l: float, p_m: float, k: int) -> MpsEntanglement:
     """Per-bin entanglement probability after K latch attempts.
 
     Each attempt generates a photon pair with probability p_m; each side
-    latches its photon with probability p_l (p_r) and then rejects further
+    latches its photon with probability p_l and then rejects further
     photons. A bin yields entanglement only if both sides latch the same
     attempt, so the probability is the sum over the attempt index of
     p'' * (no earlier latch on either side)^(attempts so far), with
-    p'' = p_l * p_m * p_r.
+    p'' = p_l * p_m * p_l.
 
     The sum is the geometric series p'' * (1 - s^K) / (1 - s), where
-    1 - s = p_m * (p_l + p_r * (1 - p_l)) is the chance that either side
+    1 - s = p_m * (p_l + p_l * (1 - p_l)) is the chance that either side
     latches; that form has no cancellation, and ``log1p``/``expm1`` keep
     1 - s^K accurate when s is within rounding of one.
     """
     validate_probability(p_l, "p_l")
-    validate_probability(p_r, "p_r")
     validate_probability(p_m, "p_m")
     if k < 1:
         raise ConfigurationError("at least one latch attempt per bin is required")
 
-    p_joint = p_l * p_m * p_r
-    p_any = p_m * (p_l + p_r * (1.0 - p_l))  # either side latches this attempt
+    p_joint = p_l * p_m * p_l
+    p_any = p_m * (p_l + p_l * (1.0 - p_l))  # either side latches this attempt
     p_latch = 1.0 - (1.0 - p_l * p_m) ** k
     if p_joint == 0.0:
         p_sum = limit = 0.0
@@ -262,32 +260,22 @@ def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglem
         limit = p_joint / p_any  # the sum's K -> infinity limit, rounded as the sum is
         p_sum = p_joint * -math.expm1(k * math.log1p(-p_any)) / p_any
 
-    symmetric = p_l == p_r
-    if symmetric and p_l > 0.0:
+    if p_l > 0.0:
         shrink = p_joint * (2.0 / p_l - 1.0)
         p_closed = (p_l / (2.0 - p_l)) * (1.0 - (1.0 - shrink) ** k)
-    elif symmetric:
+    else:
         p_closed = 0.0
-    else:
-        p_closed = p_sum
-
-    if symmetric:
-        lower = 0.95 * p_l / 2.0
-        # the sum's limit and p_l / (2 - p_l) round the same real number two
-        # ways; the larger bounds both p_ent_sum and p_ent_closed
-        upper = max(limit, p_l / (2.0 - p_l))
-    else:
-        lower, upper = 0.0, 1.0
 
     return MpsEntanglement(
         k_attempts=k,
         p_latch=p_latch,
         p_ent_sum=p_sum,
         p_ent_closed=p_closed,
-        lower_bound=lower,
-        upper_bound=upper,
-        p_left=p_l,
-        p_right=p_r,
+        lower_bound=0.95 * p_l / 2.0,
+        # the sum's limit and p_l / (2 - p_l) round the same real number two
+        # ways; the larger bounds both p_ent_sum and p_ent_closed
+        upper_bound=max(limit, p_l / (2.0 - p_l)),
+        p_side=p_l,
         p_mid=p_m,
     )
 
@@ -328,7 +316,7 @@ def mps_rate(n: int, ent: MpsEntanglement, tau_link: Duration, tau_clock: Durati
         ProtocolKind.MPS, MemoryBudget.symmetric(n), tau_link, tau_clock, ent.k_attempts
     )
     tau_bin = ent.k_attempts * tau_clock
-    f_bin = mps_bin_utilization(ent.p_left, ent.p_mid, ent.k_attempts)
+    f_bin = mps_bin_utilization(ent.p_side, ent.p_mid, ent.k_attempts)
     utilization = n * f_bin * (tau_bin.ps / tau_round.ps)
     bound_prob = ent.upper_bound if ent.upper_bound > 0 else 1.0
     return RateBundle(

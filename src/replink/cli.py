@@ -376,8 +376,9 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
     length is simply replaced by one.
     """
     topology = merged["topology"]
-    merged.setdefault("link_count", 10 if topology == "chain" else 1)
-    merged.setdefault("duration_in_tau_link", 1000 if topology == "chain" else 10_000)
+    campaign = _CHAIN_CAMPAIGN if topology == "chain" else _SINGLE_LINK_CAMPAIGN
+    for name in ("link_count", "duration_in_tau_link"):
+        merged.setdefault(name, campaign[name])
     # each field alone: present, finite, and inside its declared bounds
     for name, field in _SCENARIO_FIELDS.items():
         if name not in merged:
@@ -416,6 +417,10 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
         raise ConfigurationError("the mps protocol requires --p-mid")
     if protocol_name != "mps" and p_mid is not None:
         raise ConfigurationError(f"--p-mid only applies to mps, not {protocol_name}")
+
+    if p_mid is not None:
+        params.validate_probability(p_mid, "p_mid")
+    params.validate_probability(merged["epsilon_in"], "epsilon_in")
 
     round_counts = merged["duration_in_tau_link"] * merged["link_count"]
     if round_counts > _MAX_ROUND_COUNTS:
@@ -465,7 +470,7 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
     """Derive one link's protocol config and probabilities at a distance."""
     geometry = _geometry(scenario, distance_km)
     profile = _profile(scenario)
-    stack = params.OpticalStack(scenario.p_bsa, profile.interface_efficiency, scenario.p_mid)
+    stack = params.OpticalStack(scenario.p_bsa)
     tau_link = params.link_delay(geometry)
     tau_clock = profile.cycle_time
     p_optical = params.optical_transmission(profile, geometry)
@@ -486,12 +491,11 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
             config = ProtocolConfig(ProtocolKind.SR, analytic.sr_receiver_allocation(n, p))
         probs = params.LinkProbabilities(p=p)
     else:
-        success = params.mps_success_probability(stack, p_optical)
-        k = analytic.mps_attempts_per_bin(success.p_side, scenario.p_mid)
-        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=k)
         probs = params.LinkProbabilities(
-            p_mid=scenario.p_mid, p_left=success.p_side, p_right=success.p_side
+            p=params.mps_success_probability(stack, p_optical), p_mid=scenario.p_mid
         )
+        k = analytic.mps_attempts_per_bin(probs.p, probs.p_mid)
+        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=k)
     return engine.LinkModel(config=config, probs=probs, tau_link=tau_link, tau_clock=tau_clock)
 
 
@@ -649,8 +653,7 @@ def _trace_round(scenario: Scenario) -> list:
         )
     else:
         protocol.step_mps_round(
-            rng, memory.n_per_side, link.config.k_attempts,
-            link.probs.p_mid, link.probs.p_left, link.probs.p_right,
+            rng, memory.n_per_side, link.config.k_attempts, link.probs.p_mid, link.probs.p,
             link.tau_link, link.tau_clock, trace=trace,
         )
     return trace

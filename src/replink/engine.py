@@ -93,10 +93,7 @@ class LinkModel:
     def mps_entanglement(self) -> analytic.MpsEntanglement:
         """The midpoint source's per-bin law (mps links only), derived at its
         first use: many models are built and never sampled."""
-        probs = self.probs
-        return analytic.mps_entanglement(
-            probs.p_left, probs.p_right, probs.p_mid, self.config.k_attempts
-        )
+        return analytic.mps_entanglement(self.probs.p, self.probs.p_mid, k=self.config.k_attempts)
 
     @cached_property
     def round_law(self) -> tuple[int, float, int]:
@@ -119,18 +116,19 @@ class PurificationPolicy:
     horizon entirely.
     """
 
-    epsilon_in: float = 0.05
-    buffer_capacity: int = 3
-    raw_pair_lifetime: Duration | None = Duration.from_ms(10)
+    epsilon_in: float
+    buffer_capacity: int
+    raw_pair_lifetime: Duration | None
 
 
 @dataclass(frozen=True)
 class ChainModel:
-    """A linear chain of ``link_count`` links that all follow ``link``."""
+    """A linear chain of ``link_count`` links that all follow ``link`` and
+    purify by ``purification``."""
 
     link: LinkModel
     link_count: int
-    purification: PurificationPolicy | None = PurificationPolicy()
+    purification: PurificationPolicy
 
     def __post_init__(self):
         if self.link_count < 1:
@@ -341,13 +339,13 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     """Run a linear chain for ``duration``, reporting end-to-end ebits.
 
     Each link runs its protocol rounds independently; confirmed pairs
-    become available at their round's completion. With purification on,
-    every seven fresh raw pairs on a link are consumed by one purification
-    attempt; purified pairs wait in the link's reserved buffer (overflow
-    drops the oldest). Whenever every link holds a purified pair, one pair
-    per link is consumed by deterministic swapping at the intermediate
-    nodes and one end-to-end ebit is counted. Elapsed time is the full
-    duration regardless of how rounds align with it.
+    become available at their round's completion. Every seven fresh raw
+    pairs on a link are consumed by one purification attempt; purified
+    pairs wait in the link's reserved buffer (overflow drops the oldest).
+    Whenever every link holds a purified pair, one pair per link is
+    consumed by deterministic swapping at the intermediate nodes and one
+    end-to-end ebit is counted. Elapsed time is the full duration
+    regardless of how rounds align with it.
     """
     link, n_links, policy = chain.link, chain.link_count, chain.purification
     n_rounds = round_count(link, duration, "a chain link")
@@ -355,17 +353,6 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
         sample_round_counts(_trial_rng(seed, index), link, n_rounds) for index in range(n_links)
     ])
     raw = counts.sum(axis=1)
-
-    if policy is None:
-        # every pair waits until each link holds one, then one per link is swapped
-        ebits, idle = int(raw.min()), (0,) * n_links
-        return ChainTrialStats(
-            end_to_end_ebits=ebits, elapsed=duration, rate_per_s=ebits / duration.seconds,
-            per_link_purified_counts=idle, ebit_error=0.0, raw_pairs=tuple(raw.tolist()),
-            purify_attempts=idle, raw_expired=idle, raw_pending=idle, purified_discarded=idle,
-            purified_pending=tuple((raw - ebits).tolist()),
-        )
-
     lifetime = policy.raw_pair_lifetime
     lag = None if lifetime is None else lifetime.ps // link.round_time.ps
     # the round arrays die with the call: a lower heap peak, fewer pages refaulted per trial

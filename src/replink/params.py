@@ -15,7 +15,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 __all__ = [
     "ConfigurationError",
@@ -27,7 +26,6 @@ __all__ = [
     "ProtocolKind",
     "ProtocolConfig",
     "LinkProbabilities",
-    "MpsSuccess",
     "validate_probability",
     "link_delay",
     "optical_transmission",
@@ -146,11 +144,9 @@ class HardwareProfile:
 
 @dataclass(frozen=True)
 class OpticalStack:
-    """Analyzer and source probabilities shared by a link's optical path."""
+    """The analyzer on a link's optical path."""
 
     p_bsa: float
-    interface_efficiency: float
-    p_mid: float | None = None
 
     def __post_init__(self):
         validate_probability(self.p_bsa, "p_bsa")
@@ -159,9 +155,6 @@ class OpticalStack:
                 "a linear-optics analyzer succeeds for at most half of attempts; "
                 f"p_bsa = {self.p_bsa} exceeds 0.5"
             )
-        validate_probability(self.interface_efficiency, "interface_efficiency")
-        if self.p_mid is not None:
-            validate_probability(self.p_mid, "p_mid")
 
 
 @dataclass(frozen=True)
@@ -216,18 +209,20 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class LinkProbabilities:
-    """Per-attempt success probabilities feeding the samplers."""
+    """Per-attempt success probabilities feeding the samplers.
 
-    p: float | None = None
+    ``p`` is the success probability of a two-photon herald (mitm, sr) or
+    of one side's latch (mps), the same for both sides; ``p_mid`` is the
+    midpoint source's pair-generation probability (mps only).
+    """
+
+    p: float
     p_mid: float | None = None
-    p_left: float | None = None
-    p_right: float | None = None
 
     def __post_init__(self):
-        for name in ("p", "p_mid", "p_left", "p_right"):
-            value = getattr(self, name)
-            if value is not None:
-                validate_probability(value, name)
+        validate_probability(self.p, "p")
+        if self.p_mid is not None:
+            validate_probability(self.p_mid, "p_mid")
 
 
 def link_delay(geometry: LinkGeometry) -> Duration:
@@ -248,23 +243,9 @@ def link_success_probability(stack: OpticalStack, p_optical: float) -> float:
     return stack.p_bsa * p_optical * p_optical
 
 
-class MpsSuccess(NamedTuple):
-    """Joint and single-side success probabilities for the midpoint source."""
-
-    p_joint: float
-    p_side: float
-
-
-def mps_success_probability(stack: OpticalStack, p_optical: float) -> MpsSuccess:
-    """Midpoint-source success terms.
-
-    ``p_side`` is the probability one emitted photon is latched by its
-    receiver (p_bsa * p_optical); ``p_joint`` multiplies in the pair source
-    and the other side: p_mid * (p_bsa * p_optical)^2.
-    """
+def mps_success_probability(stack: OpticalStack, p_optical: float) -> float:
+    """Midpoint-source side probability: one emitted photon is latched by
+    its receiver with probability p_bsa * p_optical."""
     validate_probability(p_optical, "p_optical")
-    if stack.p_mid is None:
-        raise ConfigurationError("midpoint-source links require p_mid on the optical stack")
-    p_side = stack.p_bsa * p_optical
-    return MpsSuccess(p_joint=stack.p_mid * p_side * p_side, p_side=p_side)
+    return stack.p_bsa * p_optical
 

@@ -542,8 +542,7 @@ def step_mps_round(
     n_bins: int,
     k: int,
     p_mid: float,
-    p_left: float,
-    p_right: float,
+    p_side: float,
     tau_link: Duration,
     tau_clock: Duration,
     left: MpsReceiverMachine | None = None,
@@ -553,14 +552,15 @@ def step_mps_round(
     """Drive one midpoint-source round through both receiver machines.
 
     Per attempt the driver draws pair generation, then lets the left and
-    right machines draw their latches from the shared generator, matching
-    the sampler's draw order exactly.
+    right machines, each latching with probability ``p_side``, draw their
+    latches from the shared generator, matching the sampler's draw order
+    exactly.
     """
     validate_probability(p_mid, "p_mid")
     if left is None:
-        left = MpsReceiverMachine(n_bins, k, p_left, tau_clock, tau_link, rng, node="left", trace=trace)
+        left = MpsReceiverMachine(n_bins, k, p_side, tau_clock, tau_link, rng, node="left", trace=trace)
     if right is None:
-        right = MpsReceiverMachine(n_bins, k, p_right, tau_clock, tau_link, rng, node="right", trace=trace)
+        right = MpsReceiverMachine(n_bins, k, p_side, tau_clock, tau_link, rng, node="right", trace=trace)
     start, clock = left.round_start.ps + tau_link.ps // 2, tau_clock.ps
     for bin_index in range(1, n_bins + 1):
         for attempt in range(1, k + 1):

@@ -171,17 +171,11 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
         n_rounds.append(rounds)
 
     aux_rng = np.random.default_rng([seed, engine._PURIFY_STREAM])
-    if policy is not None:
-        bounds = analytic.purification_bounds(policy.epsilon_in, len(links))
-        lifetime_ps = None if policy.raw_pair_lifetime is None else policy.raw_pair_lifetime.ps
-        ebit_error = bounds.epsilon_total
-    else:
-        bounds = None
-        lifetime_ps = None
-        ebit_error = 0.0
+    bounds = analytic.purification_bounds(policy.epsilon_in, len(links))
+    lifetime_ps = None if policy.raw_pair_lifetime is None else policy.raw_pair_lifetime.ps
 
     pipelines = [_LinkPipeline() for _ in links]
-    ready = [0] * len(links)  # purified pairs (or raw pairs when purification is off)
+    ready = [0] * len(links)  # purified pairs
     ebits = 0
 
     queue = EventQueue()
@@ -192,24 +186,20 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
         now_ps, _, (index, round_idx) = queue.pop()
         new_pairs = int(counts[index][round_idx])
         pipe = pipelines[index]
-        if policy is None:
-            ready[index] += new_pairs
-            pipe.raw += new_pairs
-        else:
-            if lifetime_ps is not None:
-                pipe.expire(now_ps, lifetime_ps)
-            if new_pairs:
-                pipe.add(now_ps, new_pairs)
-                while pipe.stash_total >= PAIRS_PER_PURIFICATION:
-                    group = pipe.take_group()
-                    pipe.attempts += 1
-                    if purify(group, policy.epsilon_in, aux_rng, bounds=bounds) is not None:
-                        pipe.successes += 1
-                        ready[index] += 1
-                        if ready[index] > policy.buffer_capacity:
-                            # the oldest purified pair is displaced
-                            ready[index] = policy.buffer_capacity
-                            pipe.discarded += 1
+        if lifetime_ps is not None:
+            pipe.expire(now_ps, lifetime_ps)
+        if new_pairs:
+            pipe.add(now_ps, new_pairs)
+            while pipe.stash_total >= PAIRS_PER_PURIFICATION:
+                group = pipe.take_group()
+                pipe.attempts += 1
+                if purify(group, policy.epsilon_in, aux_rng, bounds=bounds) is not None:
+                    pipe.successes += 1
+                    ready[index] += 1
+                    if ready[index] > policy.buffer_capacity:
+                        # the oldest purified pair is displaced
+                        ready[index] = policy.buffer_capacity
+                        pipe.discarded += 1
         swappable = min(ready)
         if swappable:
             ebits += swappable
@@ -223,7 +213,7 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
         elapsed=duration,
         rate_per_s=ebits / duration.seconds,
         per_link_purified_counts=tuple(p.successes for p in pipelines),
-        ebit_error=ebit_error,
+        ebit_error=bounds.epsilon_total,
         raw_pairs=tuple(p.raw for p in pipelines),
         purify_attempts=tuple(p.attempts for p in pipelines),
         raw_expired=tuple(p.expired for p in pipelines),

@@ -34,24 +34,23 @@ def bin_terms(p_joint: float, survive: float, k: int) -> list[float]:
     return terms
 
 
-def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglement:
+def mps_entanglement(p_l: float, p_m: float, k: int) -> MpsEntanglement:
     """Per-bin entanglement probability after K latch attempts.
 
     Each attempt generates a photon pair with probability p_m; each side
-    latches its photon with probability p_l (p_r) and then rejects further
+    latches its photon with probability p_l and then rejects further
     photons. A bin yields entanglement only if both sides latch the same
     attempt, so the probability is the sum over the attempt index of
     p'' * (no earlier latch on either side)^(attempts so far), with
-    p'' = p_l * p_m * p_r.
+    p'' = p_l * p_m * p_l.
     """
     validate_probability(p_l, "p_l")
-    validate_probability(p_r, "p_r")
     validate_probability(p_m, "p_m")
     if k < 1:
         raise ConfigurationError("at least one latch attempt per bin is required")
 
-    p_joint = p_l * p_m * p_r
-    survive = 1.0 - p_m * (p_l + p_r) + p_joint  # neither side latches this attempt
+    p_joint = p_l * p_m * p_l
+    survive = 1.0 - p_m * (p_l + p_l) + p_joint  # neither side latches this attempt
     p_latch = 1.0 - (1.0 - p_l * p_m) ** k
 
     if p_joint == 0.0:
@@ -59,30 +58,20 @@ def mps_entanglement(p_l: float, p_r: float, p_m: float, k: int) -> MpsEntanglem
     else:
         p_sum = math.fsum(bin_terms(p_joint, survive, k))
 
-    symmetric = p_l == p_r
-    if symmetric and p_l > 0.0:
+    if p_l > 0.0:
         shrink = p_joint * (2.0 / p_l - 1.0)
         p_closed = (p_l / (2.0 - p_l)) * (1.0 - (1.0 - shrink) ** k)
-    elif symmetric:
+    else:
         p_closed = 0.0
-    else:
-        p_closed = p_sum
-
-    if symmetric:
-        lower = 0.95 * p_l / 2.0
-        upper = p_l / (2.0 - p_l) if p_l > 0.0 else 0.0
-    else:
-        lower, upper = 0.0, 1.0
 
     return MpsEntanglement(
         k_attempts=k,
         p_latch=p_latch,
         p_ent_sum=p_sum,
         p_ent_closed=p_closed,
-        lower_bound=lower,
-        upper_bound=upper,
-        p_left=p_l,
-        p_right=p_r,
+        lower_bound=0.95 * p_l / 2.0,
+        upper_bound=p_l / (2.0 - p_l) if p_l > 0.0 else 0.0,
+        p_side=p_l,
         p_mid=p_m,
     )
 

@@ -51,17 +51,16 @@ def sample_round(
     # midpoint source: iterate every attempt of every bin, drawing pair
     # generation then each free side's latch, and match pair ids
     p_mid = validate_probability(probs.p_mid, "p_mid")
-    p_left = validate_probability(probs.p_left, "p_left")
-    p_right = validate_probability(probs.p_right, "p_right")
+    p_side = validate_probability(probs.p, "p")
     k = config.k_attempts
     pairs = []
     for bin_index in range(1, config.memory.n_per_side + 1):
         left_k = right_k = None
         for attempt in range(1, k + 1):
             if rng.random() < p_mid:
-                if left_k is None and rng.random() < p_left:
+                if left_k is None and rng.random() < p_side:
                     left_k = attempt
-                if right_k is None and rng.random() < p_right:
+                if right_k is None and rng.random() < p_side:
                     right_k = attempt
         if left_k is not None and left_k == right_k:
             pairs.append((bin_index, bin_index))

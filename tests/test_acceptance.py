@@ -77,7 +77,7 @@ def test_criterion_2_entanglement_probability_identity_and_bounds():
     for p_l in np.linspace(0.05, 0.95, 10):
         for p_m in np.linspace(0.1, 1.0, 10):
             for k in attempts_grid:
-                ent = analytic.mps_entanglement(float(p_l), float(p_l), float(p_m), k)
+                ent = analytic.mps_entanglement(float(p_l), float(p_m), k)
                 worst_gap = max(worst_gap, abs(ent.p_ent_sum - ent.p_ent_closed))
                 combos += 1
     assert combos >= 1000
@@ -87,7 +87,7 @@ def test_criterion_2_entanglement_probability_identity_and_bounds():
     for p_l in np.linspace(0.05, 0.95, 19):
         for p_m in np.linspace(0.05, 1.0, 20):
             k = analytic.mps_attempts_per_bin(float(p_l), float(p_m))
-            ent = analytic.mps_entanglement(float(p_l), float(p_l), float(p_m), k)
+            ent = analytic.mps_entanglement(float(p_l), float(p_m), k)
             assert ent.lower_bound < ent.p_ent_closed < ent.upper_bound
             min_latch = min(min_latch, ent.p_latch)
     assert min_latch > 0.95
@@ -297,13 +297,13 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         right = protocol.MpsReceiverMachine(2, 4, p, tau_clock, tau_link, rng, node="right")
         stepped = [
             protocol.step_mps_round(
-                rng, 2, 4, 0.8, p, p, tau_link, tau_clock, left=left, right=right
+                rng, 2, 4, 0.8, p, tau_link, tau_clock, left=left, right=right
             ).entangled_pairs
             for _ in range(rounds)
         ]
         rng = np.random.default_rng([BASE_SEED, 6])
         config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(2), k_attempts=4)
-        probs = LinkProbabilities(p_mid=0.8, p_left=p, p_right=p)
+        probs = LinkProbabilities(p=p, p_mid=0.8)
         sampled = [
             sample_round(rng, config, probs, tau_link, tau_clock).entangled_pairs
             for _ in range(rounds)
@@ -315,17 +315,17 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
 
     # exhaustive check: every branch of a short bin, machine vs formula
     for k in (1, 2, 3):
-        exact, branches = enumerate_mps_bin(k, 0.6, 0.4, 0.3)
+        exact, branches = enumerate_mps_bin(k, 0.6, 0.4)
         machine_total = 0.0
         for script, prob, _ in branches:
             from conftest import ScriptedRng
 
             outcome = protocol.step_mps_round(
-                ScriptedRng(list(script)), 1, k, 0.6, 0.4, 0.3, tau_link, tau_clock
+                ScriptedRng(list(script)), 1, k, 0.6, 0.4, tau_link, tau_clock
             )
             if outcome.entangled_pairs:
                 machine_total += prob
-        formula = analytic.mps_entanglement(0.4, 0.3, 0.6, k).p_ent_sum
+        formula = analytic.mps_entanglement(0.4, 0.6, k).p_ent_sum
         assert abs(machine_total - exact) <= 1e-12
         assert abs(formula - exact) <= 1e-12
 

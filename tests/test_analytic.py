@@ -34,15 +34,15 @@ def traced_peak_bytes(fn, *args):
         tracemalloc.stop()
 
 
-def exact_bin_law(p_l, p_r, p_m, k):
+def exact_bin_law(p_l, p_m, k):
     """p''(1 - s^K)/(1 - s) at 80 digits from the exact input floats."""
     with decimal.localcontext() as context:
         context.prec = 80
-        left, right, mid = Decimal(p_l), Decimal(p_r), Decimal(p_m)
-        p_joint = left * mid * right
+        side, mid = Decimal(p_l), Decimal(p_m)
+        p_joint = side * mid * side
         if p_joint == 0:
             return p_joint
-        p_any = mid * (left + right - left * right)
+        p_any = mid * (side + side - side * side)
         return p_joint * (1 - (1 - p_any) ** k) / p_any
 
 
@@ -55,9 +55,9 @@ def exact_bin_utilization(y, k):
         return q * (1 - q**k * (1 + k * y)) / (y * k)
 
 
-def assert_near_exact_bin_law(p_l, p_r, p_m, k):
-    exact = exact_bin_law(p_l, p_r, p_m, k)
-    got = Decimal(analytic.mps_entanglement(p_l, p_r, p_m, k).p_ent_sum)
+def assert_near_exact_bin_law(p_l, p_m, k):
+    exact = exact_bin_law(p_l, p_m, k)
+    got = Decimal(analytic.mps_entanglement(p_l, p_m, k).p_ent_sum)
     assert abs(got - exact) <= Decimal(1e-14) * exact
 
 
@@ -258,7 +258,7 @@ class TestMpsAttempts:
 
 class TestMpsEntanglement:
     def test_worked_example(self):
-        ent = analytic.mps_entanglement(0.5, 0.5, 1.0, 6)
+        ent = analytic.mps_entanglement(0.5, 1.0, 6)
         assert ent.p_ent_sum == pytest.approx(0.333251953125, abs=1e-15)
         assert ent.p_ent_closed == pytest.approx(0.333251953125, abs=1e-15)
         assert ent.lower_bound == pytest.approx(0.2375)
@@ -266,21 +266,13 @@ class TestMpsEntanglement:
         assert ent.p_latch == pytest.approx(0.984375, abs=1e-15)
 
     def test_single_attempt_reduces_to_joint_probability(self):
-        ent = analytic.mps_entanglement(0.3, 0.3, 0.7, 1)
+        ent = analytic.mps_entanglement(0.3, 0.7, 1)
         assert ent.p_ent_sum == pytest.approx(0.3 * 0.7 * 0.3, abs=1e-15)
 
     def test_many_attempts_approach_geometric_limit(self):
-        ent = analytic.mps_entanglement(0.5, 0.5, 1.0, 10**6)
+        ent = analytic.mps_entanglement(0.5, 1.0, 10**6)
         assert ent.p_ent_sum == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert ent.p_ent_closed == pytest.approx(1.0 / 3.0, abs=1e-12)
-
-    def test_asymmetric_sides_fall_back_to_the_sum(self):
-        ent = analytic.mps_entanglement(0.2, 0.6, 0.5, 10)
-        manual = sum(
-            (0.2 * 0.5 * 0.6) * (1 - 0.5 * (0.2 + 0.6) + 0.2 * 0.5 * 0.6) ** j for j in range(10)
-        )
-        assert ent.p_ent_sum == pytest.approx(manual, abs=1e-12)
-        assert ent.p_ent_closed == ent.p_ent_sum
 
     @given(
         st.floats(min_value=0.01, max_value=0.99),
@@ -289,7 +281,7 @@ class TestMpsEntanglement:
     )
     @settings(max_examples=200)
     def test_sum_and_closed_form_agree(self, p_l, p_m, k):
-        ent = analytic.mps_entanglement(p_l, p_l, p_m, k)
+        ent = analytic.mps_entanglement(p_l, p_m, k)
         assert abs(ent.p_ent_sum - ent.p_ent_closed) <= 1e-12
 
     @given(st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=0.01, max_value=1.0))
@@ -297,7 +289,7 @@ class TestMpsEntanglement:
     @settings(max_examples=200)
     def test_bounds_and_latch_with_chosen_attempts(self, p_l, p_m):
         k = analytic.mps_attempts_per_bin(p_l, p_m)
-        ent = analytic.mps_entanglement(p_l, p_l, p_m, k)
+        ent = analytic.mps_entanglement(p_l, p_m, k)
         assert ent.lower_bound < ent.p_ent_closed < ent.upper_bound
         assert ent.p_latch > 0.95
 
@@ -305,77 +297,75 @@ class TestMpsEntanglement:
     @settings(max_examples=100)
     def test_half_latch_approximation_for_small_sides(self, p_l, p_m):
         k = analytic.mps_attempts_per_bin(p_l, p_m)
-        ent = analytic.mps_entanglement(p_l, p_l, p_m, k)
+        ent = analytic.mps_entanglement(p_l, p_m, k)
         assert abs(ent.p_ent_sum - p_l / 2.0) / (p_l / 2.0) <= 0.05
 
     @given(
-        st.floats(min_value=1e-6, max_value=1.0),
         st.floats(min_value=1e-6, max_value=1.0),
         st.floats(min_value=1e-4, max_value=1.0),
         st.integers(min_value=1, max_value=10**5),
     )
     @settings(max_examples=100, deadline=None)
-    def test_sum_is_the_first_latch_law(self, p_l, p_r, p_m, k):
+    def test_sum_is_the_first_latch_law(self, p_l, p_m, k):
         # A bin entangles iff its first latch event comes within K attempts
         # (probability 1 - (1 - p_any)^K) and is a both-sides latch
         # (probability p''/p_any given an event): the engine's Bernoulli law.
-        p_joint = p_l * p_m * p_r
-        p_any = p_m * (p_l + p_r) - p_joint
+        p_joint = p_l * p_m * p_l
+        p_any = p_m * (p_l + p_l) - p_joint
         # with p_any = 1 the first attempt always decides the bin
         latched = 1.0 if p_any >= 1.0 else -math.expm1(k * math.log1p(-p_any))
         law = p_joint * latched / p_any
-        ent = analytic.mps_entanglement(p_l, p_r, p_m, k)
+        ent = analytic.mps_entanglement(p_l, p_m, k)
         assert ent.p_ent_sum == pytest.approx(law, rel=1e-10)
 
     @given(
         st.floats(min_value=1e-30, max_value=1.0),
         st.floats(min_value=1e-30, max_value=1.0),
-        st.floats(min_value=1e-30, max_value=1.0),
         st.integers(min_value=1, max_value=10**12),
     )
     @settings(max_examples=300)
-    def test_sum_matches_an_80_digit_evaluation(self, p_l, p_r, p_m, k):
-        assert_near_exact_bin_law(p_l, p_r, p_m, k)
+    def test_sum_matches_an_80_digit_evaluation(self, p_l, p_m, k):
+        assert_near_exact_bin_law(p_l, p_m, k)
 
     @given(
-        st.floats(min_value=1e-6, max_value=1.0),
         st.floats(min_value=1e-6, max_value=1.0),
         st.floats(min_value=1e-4, max_value=1.0),
         st.integers(min_value=1, max_value=2 * 10**5),
     )
     @settings(max_examples=100, deadline=None)
-    def test_sum_matches_the_term_by_term_loop(self, p_l, p_r, p_m, k):
+    def test_sum_matches_the_term_by_term_loop(self, p_l, p_m, k):
         # the loop rounds s once and raises it to each power: about K ulps
-        expected = mps_reference.mps_entanglement(p_l, p_r, p_m, k).p_ent_sum
-        got = analytic.mps_entanglement(p_l, p_r, p_m, k).p_ent_sum
+        expected = mps_reference.mps_entanglement(p_l, p_m, k).p_ent_sum
+        got = analytic.mps_entanglement(p_l, p_m, k).p_ent_sum
         assert got == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize(
-        "p_l,p_r,p_m,k",
+        "p_l,p_m,k",
         [
-            pytest.param(0.0, 0.5, 0.5, 100, id="p_joint-zero"),
-            pytest.param(0.5, 0.5, 0.0, 100, id="p_mid-zero"),
+            pytest.param(0.0, 0.5, 100, id="p_joint-zero"),
+            pytest.param(0.5, 0.0, 100, id="p_mid-zero"),
             # s = 1 - 2e-18 + 1e-27 rounds to 1.0
-            pytest.param(1e-9, 1e-9, 1e-9, 2 * 10**4, id="survive-rounds-to-one"),
-            pytest.param(1.0, 1.0, 1.0, 5, id="survive-zero"),
-            # p_any = 0.7 + 1.0 * (1 - 0.7) rounds to exactly 1.0, where log1p(-1) raises
-            pytest.param(0.7, 1.0, 1.0, 10, id="p_any-rounds-to-one"),
-            pytest.param(0.3, 0.6, 0.7, 1, id="one-attempt"),
-            pytest.param(0.0385, 0.0385, 1e-6, 78 * 10**6, id="k-78-million"),
+            pytest.param(1e-9, 1e-9, 2 * 10**4, id="survive-rounds-to-one"),
+            pytest.param(1.0, 1.0, 5, id="survive-zero"),
+            # p_any = p_l + p_l * (1 - p_l) = 1 - 2^-60 rounds to exactly 1.0, where
+            # log1p(-1) raises
+            pytest.param(1.0 - 2.0**-30, 1.0, 10, id="p_any-rounds-to-one"),
+            pytest.param(0.3, 0.7, 1, id="one-attempt"),
+            pytest.param(0.0385, 1e-6, 78 * 10**6, id="k-78-million"),
         ],
     )
-    def test_sum_pinned_cases(self, p_l, p_r, p_m, k):
-        assert_near_exact_bin_law(p_l, p_r, p_m, k)
+    def test_sum_pinned_cases(self, p_l, p_m, k):
+        assert_near_exact_bin_law(p_l, p_m, k)
 
     def test_sum_memory_is_bounded_for_large_k(self):
         # survive is within 2e-7 of one: a list of all 2e6 terms alone would
         # take 65 MB, and the closed form keeps none of them
-        assert traced_peak_bytes(analytic.mps_entanglement, 1e-4, 1e-4, 1e-3, 2 * 10**6) < 4e6
+        assert traced_peak_bytes(analytic.mps_entanglement, 1e-4, 1e-3, 2 * 10**6) < 4e6
 
 
 class TestMpsRate:
     def test_worked_example(self):
-        ent = analytic.mps_entanglement(0.5, 0.5, 1.0, 6)
+        ent = analytic.mps_entanglement(0.5, 1.0, 6)
         bundle = analytic.mps_rate(3, ent, US(100), NS(10))
         assert bundle.round_time.ps == 100_180_000
         assert bundle.rate_per_s == pytest.approx(9.98e3, rel=1e-3)
@@ -390,18 +380,18 @@ class TestMpsRate:
         # once 1 - s^K rounds to one, p_ent_sum and the bound p_l / (2 - p_l)
         # are the same limit, so the bound must be rounded as the sum is
         k = analytic.mps_attempts_per_bin(p_l, p_m) if k is None else k
-        ent = analytic.mps_entanglement(p_l, p_l, p_m, k)
+        ent = analytic.mps_entanglement(p_l, p_m, k)
         assert ent.p_ent_sum <= ent.upper_bound == pytest.approx(p_l / (2.0 - p_l), rel=1e-15)
         bundle = analytic.mps_rate(10, ent, US(10), NS(1))
         assert bundle.rate_per_s <= bundle.upper_bound_per_s
 
     def test_rate_at_the_bound(self):
-        ent = analytic.mps_entanglement(0.8, 0.8, 1.0, 200)
+        ent = analytic.mps_entanglement(0.8, 1.0, 200)
         bundle = analytic.mps_rate(10, ent, US(10), NS(1))
         assert bundle.rate_per_s == bundle.upper_bound_per_s
 
     def test_zero_entanglement(self):
-        ent = analytic.mps_entanglement(0.5, 0.5, 0.0, 6)
+        ent = analytic.mps_entanglement(0.5, 0.0, 6)
         assert analytic.mps_rate(3, ent, US(100), NS(10)).rate_per_s == 0.0
 
     def test_bin_utilization_matches_rational_brute_force(self):
@@ -446,7 +436,7 @@ class TestMpsRate:
     def test_utilization_within_unit_interval(self):
         for p_l, p_m in [(0.9, 1.0), (0.05, 0.5), (0.3, 0.1)]:
             k = analytic.mps_attempts_per_bin(p_l, p_m)
-            ent = analytic.mps_entanglement(p_l, p_l, p_m, k)
+            ent = analytic.mps_entanglement(p_l, p_m, k)
             bundle = analytic.mps_rate(50, ent, US(50), NS(1))
             assert 0.0 <= bundle.utilization <= 1.0
 
@@ -502,7 +492,8 @@ class TestMonotonicity:
         )
 
         profile = HardwareProfile(Duration.from_ns(1), 1.00, 0.50)  # the optimistic preset
-        stack = OpticalStack(0.5, profile.interface_efficiency, p_mid=1.0 if protocol == "mps1" else 0.1)
+        stack = OpticalStack(0.5)
+        p_mid = 1.0 if protocol == "mps1" else 0.1
         previous = math.inf
         for km in range(1, 101, 1):
             geometry = LinkGeometry(km * 1000.0)
@@ -515,9 +506,9 @@ class TestMonotonicity:
                 budget = analytic.sr_receiver_allocation(100, p)
                 rate = analytic.sr_rate(budget.n_sender, budget.n_receiver, p, tau_link, profile.cycle_time).rate_per_s
             else:
-                success = mps_success_probability(stack, p_opt)
-                k = analytic.mps_attempts_per_bin(success.p_side, stack.p_mid)
-                ent = analytic.mps_entanglement(success.p_side, success.p_side, stack.p_mid, k)
+                p_side = mps_success_probability(stack, p_opt)
+                k = analytic.mps_attempts_per_bin(p_side, p_mid)
+                ent = analytic.mps_entanglement(p_side, p_mid, k)
                 rate = analytic.mps_rate(100, ent, tau_link, profile.cycle_time).rate_per_s
             assert rate <= previous + 1e-9
             previous = rate

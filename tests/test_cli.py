@@ -419,9 +419,9 @@ class TestSweepAndReport:
         for module, name in (
             (analytic, "mps_entanglement"), (cli, "build_link_model"), (cli, "analytic_rate")
         ):
-            def counted(*args, _original=getattr(module, name), _name=name):
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         scenario = parse(["--protocol", "mps", "--preset", "fig8-optimistic", "--p-mid", "0.1",
@@ -454,6 +454,49 @@ class TestSweepAndReport:
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):
             emit_report([], "csv", "-")
+
+
+# The (slots, repr(p), cap) round law at 20 km of every preset and protocol
+# variant that the benchmark workloads and figure scripts run.
+ROUND_LAWS = [
+    ("fig8-optimistic", "mitm", None, 97, "0.050361290191141626", 97),
+    ("fig8-optimistic", "sr", None, 178, "0.050361290191141626", 16),
+    ("fig8-optimistic", "mps", 1.0, 97, "0.0860584317531551", 97),
+    ("fig8-optimistic", "mps", 0.1, 97, "0.08587178850769078", 97),
+    ("fig8-optimistic", "mps", 0.02, 97, "0.0858428290979438", 97),
+    ("fig9-pessimistic", "mitm", None, 97, "0.00040289032152913317", 97),
+    ("fig9-pessimistic", "sr", None, 187, "0.00040289032152913317", 7),
+    ("fig9-pessimistic", "mps", 1.0, 97, "0.003176079781353969", 97),
+    ("fig9-pessimistic", "mps", 0.1, 97, "0.0031757796701145894", 97),
+    ("fig9-pessimistic", "mps", 0.02, 97, "0.003175749264861409", 97),
+    ("fig10-ion", "mitm", None, 3, "0.00024173419291747988", 3),
+    ("fig10-ion", "mps", 1.0, 3, "0.0038137361620545216", 3),
+    ("fig10-ion", "mps", 0.5, 3, "0.0038135208193934545", 3),
+    ("fig10-ion", "mps", 0.02, 3, "0.0038132938730926274", 3),
+    ("fig10-nv", "mitm", None, 3, "6.043354822936997e-05", 3),
+    ("fig10-nv", "mps", 1.0, 3, "0.0019031766537191744", 3),
+    ("fig10-nv", "mps", 0.5, 3, "0.0019031228185442618", 3),
+    ("fig10-nv", "mps", 0.02, 3, "0.0019030613725694173", 3),
+    ("fig10-qd", "mitm", None, 3, "0.02417341929174798", 3),
+    ("fig10-qd", "mps", 1.0, 3, "0.03952202511142818", 3),
+    ("fig10-qd", "mps", 0.5, 3, "0.03949496320321513", 3),
+    ("fig10-qd", "mps", 0.02, 3, "0.039469965798550534", 3),
+]
+
+
+@pytest.mark.parametrize(
+    "preset,protocol,p_mid,slots,p,cap", ROUND_LAWS,
+    ids=[f"{preset}-{protocol}" + ("" if p_mid is None else f"-{p_mid:g}")
+         for preset, protocol, p_mid, *_ in ROUND_LAWS],
+)
+def test_round_laws_are_pinned(preset, protocol, p_mid, slots, p, cap):
+    # bit for bit: a reordered float expression in the link's derivation moves
+    # every report that samples this law
+    argv = ["--preset", preset, "--protocol", protocol]
+    if p_mid is not None:
+        argv += ["--p-mid", str(p_mid)]
+    drawn_slots, drawn_p, drawn_cap = cli.build_link_model(parse(argv), 20.0).round_law
+    assert (drawn_slots, repr(drawn_p), drawn_cap) == (slots, p, cap)
 
 
 class TestMain:
@@ -504,6 +547,25 @@ class TestMain:
         # a single link never purifies, so the field is unused there
         assert main(TINY + ["--epsilon-in", "1"]) == 0
         assert main(CHAIN + ["--epsilon-in", "0.999"]) == 0
+
+    @pytest.mark.parametrize(
+        "field,value", [("epsilon_in", "7"), ("epsilon_in", "-0.5"), ("p_mid", "1.5")]
+    )
+    @pytest.mark.parametrize("base", [TINY, CHAIN], ids=["single-link", "chain"])
+    def test_probability_outside_the_unit_interval_exits_2(
+        self, tmp_path, capsys, base, field, value
+    ):
+        # checked with the scenario, so even --dump-config refuses it
+        base = base + ["--protocol", "mps", "--p-mid", "0.5"]
+        flag = "--" + field.replace("_", "-")
+        message = f"{field} must lie in [0, 1], got {float(value)!r}"
+        for extra in ([], ["--dump-config"]):
+            assert main(base + [flag, value] + extra) == 2
+            assert message in capsys.readouterr().err
+        config = tmp_path / "probability.cfg"
+        config.write_text(dump_config(parse(base)) + f"{field} = {value}\n")
+        assert main(["--config", str(config), "--dump-config"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_overflowing_attempts_per_bin_exits_2(self, capsys):
         argv = ["--preset", "qd", "--protocol", "mps", "--p-mid", "1e-300",

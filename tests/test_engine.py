@@ -53,13 +53,7 @@ SR_UNCAPPED_LINK = LinkModel(
 )
 MPS_LINK = LinkModel(
     ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(3), k_attempts=6),
-    LinkProbabilities(p_mid=1.0, p_left=0.5, p_right=0.5),
-    tau_link=US(10),
-    tau_clock=NS(10),
-)
-ASYMMETRIC_MPS_LINK = LinkModel(
-    ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(4), k_attempts=5),
-    LinkProbabilities(p_mid=0.7, p_left=0.3, p_right=0.6),
+    LinkProbabilities(p=0.5, p_mid=1.0),
     tau_link=US(10),
     tau_clock=NS(10),
 )
@@ -104,8 +98,8 @@ class TestBatchSampler:
 
     @pytest.mark.parametrize(
         "link,seed",
-        [(MITM_LINK, 0), (SR_LINK, 1), (MPS_LINK, 2), (ASYMMETRIC_MPS_LINK, 3)],
-        ids=["mitm", "sr", "mps", "mps-asymmetric"],
+        [(MITM_LINK, 0), (SR_LINK, 1), (MPS_LINK, 2)],
+        ids=["mitm", "sr", "mps"],
     )
     def test_counts_distribution_matches_sample_round(self, link, seed):
         rounds = 20_000
@@ -120,7 +114,7 @@ class TestBatchSampler:
     def test_mps_zero_rate_cases(self):
         dead = LinkModel(
             ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(3), k_attempts=6),
-            LinkProbabilities(p_mid=0.0, p_left=0.5, p_right=0.5),
+            LinkProbabilities(p=0.5, p_mid=0.0),
             tau_link=US(10),
             tau_clock=NS(10),
         )
@@ -143,9 +137,9 @@ class TestBatchSampler:
         calls = []
         original = analytic.mps_entanglement
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(analytic, "mps_entanglement", counted)
         scenario, _ = cli.parse_scenario(
@@ -211,9 +205,9 @@ class TestLinkTrial:
             k = analytic.mps_attempts_per_bin(p, 1.0)
             link = LinkModel(
                 ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(100), k_attempts=k),
-                LinkProbabilities(p_mid=1.0, p_left=p, p_right=p), tau_link, tau_clock,
+                LinkProbabilities(p=p, p_mid=1.0), tau_link, tau_clock,
             )
-            ent = analytic.mps_entanglement(p, p, 1.0, k)
+            ent = analytic.mps_entanglement(p, 1.0, k)
             oracle = analytic.mps_rate(100, ent, tau_link, tau_clock).rate_per_s
         duration = 1000 * tau_link
         values = np.array(
@@ -488,12 +482,8 @@ def assert_conserved(stats):
         )
 
 
-def small_chain(link, n_links, lifetime=Duration.from_ms(10), purification=True):
-    policy = (
-        PurificationPolicy(epsilon_in=0.05, buffer_capacity=3, raw_pair_lifetime=lifetime)
-        if purification
-        else None
-    )
+def small_chain(link, n_links, lifetime=Duration.from_ms(10)):
+    policy = PurificationPolicy(epsilon_in=0.05, buffer_capacity=3, raw_pair_lifetime=lifetime)
     return ChainModel(link, n_links, policy)
 
 
@@ -501,11 +491,11 @@ class TestChainModel:
     @pytest.mark.parametrize("link_count", [0, -1])
     def test_a_chain_needs_a_link(self, link_count):
         with pytest.raises(ConfigurationError, match="^a chain needs at least one link$"):
-            ChainModel(MITM_LINK, link_count)
+            small_chain(MITM_LINK, link_count)
 
     @pytest.mark.parametrize("link_count", [1, 4])
     def test_links_repeat_the_one_link(self, link_count):
-        chain = ChainModel(MITM_LINK, link_count, purification=None)
+        chain = small_chain(MITM_LINK, link_count)
         assert chain.links == (MITM_LINK,) * link_count
 
     def test_built_from_the_scenario(self):
@@ -519,23 +509,6 @@ class TestChainModel:
 
 
 class TestChainTrial:
-    def test_single_link_without_purification_reduces_to_link_trial(self):
-        # a capped sender-receiver link trial draws the chain's per-round stream
-        duration = US(100_000)
-        for seed in range(5):
-            chain_stats = run_chain_trial(small_chain(SR_LINK, 1, purification=False), duration, seed)
-            link_stats = run_link_trial(SR_LINK, duration, seed)
-            assert chain_stats.end_to_end_ebits == link_stats.entanglement_events
-        # an uncapped link trial draws its total at once, so they agree in law
-        duration = 20 * MITM_LINK.round_time
-        chain = small_chain(MITM_LINK, 1, purification=False)
-        chain_ebits = [run_chain_trial(chain, duration, seed).end_to_end_ebits for seed in range(2000)]
-        link_events = [
-            run_link_trial(MITM_LINK, duration, seed).entanglement_events
-            for seed in range(2000, 4000)
-        ]
-        assert chi2_homogeneity_pvalue(chain_ebits, link_events) > 0.01
-
     def test_deterministic(self):
         chain = small_chain(MITM_LINK, 3)
         duration = US(100_000)
@@ -623,7 +596,7 @@ def chain_links(draw):
             ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=draw(st.integers(1, 4))
         )
         side = draw(st.floats(0.05, 0.9))
-        probs = LinkProbabilities(p_mid=draw(st.floats(0.1, 1.0)), p_left=side, p_right=side)
+        probs = LinkProbabilities(p=side, p_mid=draw(st.floats(0.1, 1.0)))
     return LinkModel(config, probs, tau_link=tau_link, tau_clock=US(1))
 
 
@@ -680,7 +653,7 @@ class TestChainOracle:
         # link 0's sparse pairs outlive the eight-round horizon; link 1's never do
         chain = ChainModel(
             mitm_link(n=1, p=0.5, tau_link=US(9)), 2,
-            PurificationPolicy(buffer_capacity=1, raw_pair_lifetime=US(80)),
+            PurificationPolicy(epsilon_in=0.05, buffer_capacity=1, raw_pair_lifetime=US(80)),
         )
         calls = []
         recurrence = engine._stash_recurrence
@@ -704,9 +677,7 @@ class TestChainOracle:
 
     @pytest.mark.parametrize("dead_at", range(3))
     def test_link_without_pairs_next_to_busy_links(self, monkeypatch, dead_at):
-        chain = ChainModel(
-            mitm_link(n=1, p=0.5, tau_link=US(5)), 3, PurificationPolicy(raw_pair_lifetime=US(20))
-        )
+        chain = small_chain(mitm_link(n=1, p=0.5, tau_link=US(5)), 3, lifetime=US(20))
         n_rounds = US(1_000) // chain.link.round_time
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -729,7 +700,7 @@ class TestChainOracle:
         assert groups.tolist() == [1, 1, 1, 2, 1]
         chain = ChainModel(
             mitm_link(n=2, p=0.9, tau_link=US(4)), 4,
-            PurificationPolicy(buffer_capacity=1, raw_pair_lifetime=None),
+            PurificationPolicy(epsilon_in=0.05, buffer_capacity=1, raw_pair_lifetime=None),
         )
         for seed in range(6):
             stats = run_chain_trial(chain, US(3_000), seed)
@@ -744,9 +715,7 @@ class TestChainOracle:
             return formed, expired, pending - 1
 
         monkeypatch.setattr(engine, "_stash_recurrence", lose_a_pair)
-        chain = ChainModel(
-            mitm_link(n=1, p=0.5, tau_link=US(9)), 2, PurificationPolicy(raw_pair_lifetime=US(80))
-        )
+        chain = small_chain(mitm_link(n=1, p=0.5, tau_link=US(9)), 2, lifetime=US(80))
         with pytest.MonkeyPatch.context() as patch:
             feed_round_counts(patch, sparse_and_dense_rounds(0, US(2_000).ps // R))
             with pytest.raises(RuntimeError, match=r"chain link 0 does not conserve pairs: raw \d+"):
@@ -765,23 +734,19 @@ class TestChainOracle:
         link_count=st.integers(1, 4),
         lifetime=st.sampled_from([None, US(20), Duration.from_ms(10)]),
         capacity=st.sampled_from([0, 1, 3]),
-        purification=st.booleans(),
         duration=st.sampled_from([US(50), US(400), US(2_000)]),
         seed=st.integers(0, 2**32),
     )
     def test_heterogeneous_chains_match_reference(
-        self, link, link_count, lifetime, capacity, purification, duration, seed
+        self, link, link_count, lifetime, capacity, duration, seed
     ):
-        policy = (
-            PurificationPolicy(buffer_capacity=capacity, raw_pair_lifetime=lifetime)
-            if purification
-            else None
+        policy = PurificationPolicy(
+            epsilon_in=0.05, buffer_capacity=capacity, raw_pair_lifetime=lifetime
         )
         chain = ChainModel(link, link_count, policy)
         stats = run_chain_trial(chain, duration, seed)
         assert stats == chain_reference.run_chain_trial(chain, duration, seed)
-        if purification:
-            assert_conserved(stats)
+        assert_conserved(stats)
 
 
 def stash_walks(link, counts, lifetime_ps):
@@ -841,7 +806,7 @@ class TestStashRecurrence:
     def test_boundaries(self, monkeypatch, rounds, lifetime_ps, expected):
         link = mitm_link(n=1, p=0.5, tau_link=US(9))
         assert link.round_time.ps == R
-        chain = ChainModel(link, 1, PurificationPolicy(raw_pair_lifetime=Duration(lifetime_ps)))
+        chain = small_chain(link, 1, lifetime=Duration(lifetime_ps))
         duration = len(rounds) * link.round_time
         calls = []
         recurrence = engine._stash_recurrence
@@ -864,7 +829,9 @@ class TestStashRecurrence:
     def test_recurrence_matches_the_list_walk(self, case, capacity, seed):
         link, duration, counts, lifetime_ps = case
         lifetime = Duration(lifetime_ps)
-        policy = PurificationPolicy(buffer_capacity=capacity, raw_pair_lifetime=lifetime)
+        policy = PurificationPolicy(
+            epsilon_in=0.05, buffer_capacity=capacity, raw_pair_lifetime=lifetime
+        )
         chain = ChainModel(link, len(counts), policy)
         walks = stash_walks(link, counts, lifetime_ps)
         calls = []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from replink import cli
+from replink import analytic, cli
 from replink.params import (
     ConfigurationError,
     Duration,
@@ -103,40 +103,40 @@ class TestOpticalTransmission:
         assert 0.0 <= far <= 1.0
 
 
+def mps_joint(stack, p_mid, p_optical):
+    """p_mid * p_side^2: the midpoint source's one-attempt bin law."""
+    return analytic.mps_entanglement(mps_success_probability(stack, p_optical), p_mid, 1).p_ent_sum
+
+
 class TestSuccessProbabilities:
     def test_link_success_example(self):
-        stack = OpticalStack(p_bsa=0.5, interface_efficiency=0.5)
+        stack = OpticalStack(p_bsa=0.5)
         assert link_success_probability(stack, 0.5) == pytest.approx(0.125)
 
     def test_total_loss(self):
-        stack = OpticalStack(p_bsa=0.5, interface_efficiency=0.5)
+        stack = OpticalStack(p_bsa=0.5)
         assert link_success_probability(stack, 0.0) == 0.0
 
     def test_snspd_detector_model(self):
-        stack = OpticalStack(p_bsa=0.24, interface_efficiency=0.05)
+        stack = OpticalStack(p_bsa=0.24)
         assert link_success_probability(stack, 0.05) == pytest.approx(6.0e-4)
 
     def test_mps_success_example(self):
-        stack = OpticalStack(p_bsa=0.5, interface_efficiency=0.5, p_mid=1.0)
-        result = mps_success_probability(stack, 0.5)
-        assert result.p_joint == pytest.approx(0.0625)
-        assert result.p_side == pytest.approx(0.25)
+        stack = OpticalStack(p_bsa=0.5)
+        assert mps_joint(stack, 1.0, 0.5) == pytest.approx(0.0625)
+        assert mps_success_probability(stack, 0.5) == pytest.approx(0.25)
 
     def test_mps_source_never_fires(self):
-        stack = OpticalStack(p_bsa=0.5, interface_efficiency=0.5, p_mid=0.0)
-        assert mps_success_probability(stack, 0.5).p_joint == 0.0
+        stack = OpticalStack(p_bsa=0.5)
+        assert mps_joint(stack, 0.0, 0.5) == 0.0
 
     def test_beamsplitter_source_halves_joint_probability(self):
-        full = OpticalStack(p_bsa=0.5, interface_efficiency=0.5, p_mid=1.0)
-        half = OpticalStack(p_bsa=0.5, interface_efficiency=0.5, p_mid=0.5)
-        assert mps_success_probability(half, 0.3).p_joint == pytest.approx(
-            0.5 * mps_success_probability(full, 0.3).p_joint
-        )
+        stack = OpticalStack(p_bsa=0.5)
+        assert mps_joint(stack, 0.5, 0.3) == pytest.approx(0.5 * mps_joint(stack, 1.0, 0.3))
 
     def test_mps_requires_p_mid(self):
-        stack = OpticalStack(p_bsa=0.5, interface_efficiency=0.5)
-        with pytest.raises(ConfigurationError):
-            mps_success_probability(stack, 0.5)
+        with pytest.raises(ConfigurationError, match="requires --p-mid"):
+            cli.parse_scenario(["--protocol", "mps", "--preset", "qd", "--distances", "10"], env={})
 
     @given(
         st.floats(min_value=0.0, max_value=0.5),
@@ -144,8 +144,8 @@ class TestSuccessProbabilities:
         st.floats(min_value=0.0, max_value=1.0),
     )
     def test_mps_joint_equals_p_mid_times_p_bsa_times_link_success(self, p_bsa, p_mid, p_opt):
-        stack = OpticalStack(p_bsa=p_bsa, interface_efficiency=1.0, p_mid=p_mid)
-        joint = mps_success_probability(stack, p_opt).p_joint
+        stack = OpticalStack(p_bsa=p_bsa)
+        joint = mps_joint(stack, p_mid, p_opt)
         p = link_success_probability(stack, p_opt)
         assert joint <= p_mid * p_bsa * p + 1e-15
         assert joint == pytest.approx(p_mid * p_bsa * p, abs=1e-15)
@@ -200,7 +200,7 @@ class TestValidation:
 
     def test_bsa_ceiling(self):
         with pytest.raises(ConfigurationError, match="0.5"):
-            OpticalStack(p_bsa=0.51, interface_efficiency=1.0)
+            OpticalStack(p_bsa=0.51)
 
     def test_geometry_invariants(self):
         with pytest.raises(ConfigurationError):

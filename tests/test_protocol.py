@@ -173,7 +173,7 @@ class TestMpsReceiverMachine:
     def test_matching_pair_ids_confirm(self):
         # bin 1: k=1 fails both sides, k=2 latches both -> confirmed
         rng = ScriptedRng([0.0, 0.9, 0.9, 0.0, 0.1, 0.1])
-        outcome = step_mps_round(rng, 1, 2, 1.0, 0.5, 0.5, TL, TC)
+        outcome = step_mps_round(rng, 1, 2, 1.0, 0.5, TL, TC)
         assert outcome.slot_map == ((1, 1),)
 
     def test_mismatched_pair_ids_discard_the_bin(self):
@@ -183,13 +183,13 @@ class TestMpsReceiverMachine:
                            0.0, 0.9,       # k=3: right only
                            0.0, 0.9,       # k=4
                            0.0, 0.1])      # k=5: right latches
-        outcome = step_mps_round(rng, 1, 5, 1.0, 0.5, 0.5, TL, TC)
+        outcome = step_mps_round(rng, 1, 5, 1.0, 0.5, TL, TC)
         assert outcome.entangled_pairs == 0
 
     def test_certain_latching_locks_first_attempt(self):
         # per bin: gen+left+right at k=1, then gen-only draws for k=2,3
         rng = ScriptedRng([0.0] * 15)
-        outcome = step_mps_round(rng, 3, 3, 1.0, 1.0, 1.0, TL, TC)
+        outcome = step_mps_round(rng, 3, 3, 1.0, 1.0, TL, TC)
         assert outcome.slot_map == ((1, 1), (2, 2), (3, 3))
         assert rng.remaining == 0
 
@@ -246,9 +246,9 @@ class TestSamplerEquivalence:
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_mps_seed_paired(self, p):
-        probs = LinkProbabilities(p_mid=0.7, p_left=p, p_right=p)
+        probs = LinkProbabilities(p=p, p_mid=0.7)
         for seed in range(30):
-            stepped = step_mps_round(np.random.default_rng(seed), 3, 4, 0.7, p, p, TL, TC)
+            stepped = step_mps_round(np.random.default_rng(seed), 3, 4, 0.7, p, TL, TC)
             sampled = sample_round(np.random.default_rng(seed), mps_config(3, 4), probs, TL, TC)
             assert stepped == sampled
 
@@ -265,7 +265,7 @@ class TestSamplerEquivalence:
 
     def test_mps_sampler_matches_entanglement_probability(self):
         rng = np.random.default_rng(1234)
-        probs = LinkProbabilities(p_mid=1.0, p_left=0.5, p_right=0.5)
+        probs = LinkProbabilities(p=0.5, p_mid=1.0)
         mean = np.mean(
             [
                 sample_round(rng, mps_config(1, 6), probs, TL, TC).entangled_pairs
@@ -301,9 +301,9 @@ class TestSamplerEquivalence:
         rng_s = np.random.default_rng(33)
         left = MpsReceiverMachine(2, 4, 0.4, TC, TL, rng_m, node="left")
         right = MpsReceiverMachine(2, 4, 0.4, TC, TL, rng_m, node="right")
-        probs = LinkProbabilities(p_mid=0.7, p_left=0.4, p_right=0.4)
+        probs = LinkProbabilities(p=0.4, p_mid=0.7)
         for _ in range(rounds):
-            stepped = step_mps_round(rng_m, 2, 4, 0.7, 0.4, 0.4, TL, TC, left=left, right=right)
+            stepped = step_mps_round(rng_m, 2, 4, 0.7, 0.4, TL, TC, left=left, right=right)
             sampled = sample_round(rng_s, mps_config(2, 4), probs, TL, TC)
             assert stepped.slot_map == sampled.slot_map
 
@@ -318,14 +318,14 @@ class TestSamplerEquivalence:
         outcome = sample_round(
             np.random.default_rng(0),
             config,
-            LinkProbabilities(p_mid=0.5, p_left=0.5, p_right=0.5),
+            LinkProbabilities(p=0.5, p_mid=0.5),
             TL,
             TC,
         )
         assert outcome.wall_time == analytic.round_time(config, TL, TC)
 
 
-def enumerate_mps_bin(k, p_mid, p_l, p_r):
+def enumerate_mps_bin(k, p_mid, p_side):
     """Exact single-bin confirmation probability by exhaustive branching.
 
     Also returns the list of (script, probability, entangled) branches, so
@@ -338,8 +338,9 @@ def enumerate_mps_bin(k, p_mid, p_l, p_r):
             branches.append((tuple(script), prob, left_k is not None and left_k == right_k))
             return
         recurse(attempt + 1, left_k, right_k, prob * (1 - p_mid), script + [1.0])
-        outcomes_left = [(attempt, p_l), (None, 1 - p_l)] if left_k is None else [(left_k, 1.0)]
-        outcomes_right = [(attempt, p_r), (None, 1 - p_r)] if right_k is None else [(right_k, 1.0)]
+        unlatched = [(attempt, p_side), (None, 1 - p_side)]
+        outcomes_left = unlatched if left_k is None else [(left_k, 1.0)]
+        outcomes_right = unlatched if right_k is None else [(right_k, 1.0)]
         for l_k, l_p in outcomes_left:
             for r_k, r_p in outcomes_right:
                 piece = [0.0]
@@ -363,28 +364,28 @@ def enumerate_mps_bin(k, p_mid, p_l, p_r):
 class TestExhaustiveEnumeration:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_formula_matches_exhaustive_branching(self, k):
-        p_mid, p_l, p_r = 0.6, 0.4, 0.3
-        exact, branches = enumerate_mps_bin(k, p_mid, p_l, p_r)
+        p_mid, p_side = 0.6, 0.4
+        exact, branches = enumerate_mps_bin(k, p_mid, p_side)
         assert sum(prob for _, prob, _ in branches) == pytest.approx(1.0, abs=1e-12)
-        ent = analytic.mps_entanglement(p_l, p_r, p_mid, k)
+        ent = analytic.mps_entanglement(p_side, p_mid, k)
         assert ent.p_ent_sum == pytest.approx(exact, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_machines_match_exhaustive_branching(self, k):
-        p_mid, p_l, p_r = 0.6, 0.4, 0.3
-        exact, branches = enumerate_mps_bin(k, p_mid, p_l, p_r)
+        p_mid, p_side = 0.6, 0.4
+        exact, branches = enumerate_mps_bin(k, p_mid, p_side)
         machine_total = 0.0
         for script, prob, _ in branches:
-            outcome = step_mps_round(ScriptedRng(list(script)), 1, k, p_mid, p_l, p_r, TL, TC)
+            outcome = step_mps_round(ScriptedRng(list(script)), 1, k, p_mid, p_side, TL, TC)
             if outcome.entangled_pairs:
                 machine_total += prob
         assert machine_total == pytest.approx(exact, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sampler_matches_exhaustive_branching(self, k):
-        p_mid, p_l, p_r = 0.6, 0.4, 0.3
-        exact, branches = enumerate_mps_bin(k, p_mid, p_l, p_r)
-        probs = LinkProbabilities(p_mid=p_mid, p_left=p_l, p_right=p_r)
+        p_mid, p_side = 0.6, 0.4
+        exact, branches = enumerate_mps_bin(k, p_mid, p_side)
+        probs = LinkProbabilities(p=p_side, p_mid=p_mid)
         sampler_total = 0.0
         for script, prob, _ in branches:
             outcome = sample_round(ScriptedRng(list(script)), mps_config(1, k), probs, TL, TC)
@@ -397,7 +398,7 @@ class TestDeterminism:
     def test_identical_seeds_produce_identical_traces(self):
         def run(seed):
             trace = []
-            step_mps_round(np.random.default_rng(seed), 2, 3, 0.8, 0.5, 0.5, TL, TC, trace=trace)
+            step_mps_round(np.random.default_rng(seed), 2, 3, 0.8, 0.5, TL, TC, trace=trace)
             return trace
 
         assert run(7) == run(7)
@@ -446,7 +447,7 @@ class TestDeterminism:
         ),
         "mps": (
             lambda trace: step_mps_round(
-                np.random.default_rng(0), 3, 3, 0.8, 0.5, 0.5, TL, TC, trace=trace
+                np.random.default_rng(0), 3, 3, 0.8, 0.5, TL, TC, trace=trace
             ),
             RoundOutcome(1, ((1, 1),), Duration(10_009_000)),
             [
