@@ -444,7 +444,12 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
             f"raw_lifetime_ms must round to at least 1 ps without overflowing, got {lifetime_ms!r}"
         )
 
-    return Scenario(**merged)
+    scenario = Scenario(**merged)
+    # the hardware values, by the checks that build every run's model
+    params.OpticalStack(scenario.p_bsa)
+    _profile(scenario)
+    _geometry(scenario, 0.0)
+    return scenario
 
 
 # -- model construction --------------------------------------------------

@@ -105,8 +105,8 @@ class LinkGeometry:
     """Optical channel between two neighboring repeater nodes."""
 
     length_m: float
-    refractive_index: float = 1.5
-    attenuation_length_m: float = 22_000.0
+    refractive_index: float
+    attenuation_length_m: float
 
     def __post_init__(self):
         if self.length_m < 0:

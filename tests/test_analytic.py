@@ -496,7 +496,7 @@ class TestMonotonicity:
         p_mid = 1.0 if protocol == "mps1" else 0.1
         previous = math.inf
         for km in range(1, 101, 1):
-            geometry = LinkGeometry(km * 1000.0)
+            geometry = LinkGeometry(km * 1000.0, refractive_index=1.5, attenuation_length_m=22_000.0)
             tau_link = link_delay(geometry)
             p_opt = optical_transmission(profile, geometry)
             if protocol == "mitm":

@@ -85,8 +85,8 @@ def valid_scenarios(draw):
         protocol=protocol,
         preset=draw(st.none() | st.sampled_from(cli.PRESET_CHOICES)),
         p_mid=draw(PROBABILITY) if protocol == "mps" else None,
-        p_bsa=draw(PROBABILITY),
-        cycle_time_ns=draw(POSITIVE),
+        p_bsa=draw(st.floats(min_value=0.0, max_value=0.5)),  # a linear-optics analyzer's ceiling
+        cycle_time_ns=draw(st.floats(min_value=1e-3, max_value=1e6)),  # at least 1 ps
         emission_fraction=draw(PROBABILITY),
         collection_efficiency=draw(PROBABILITY),
         topology="chain" if chain else "single_link",
@@ -96,7 +96,7 @@ def valid_scenarios(draw):
         trials=draw(st.integers(min_value=1, max_value=10**6)),
         duration_in_tau_link=draw(st.integers(min_value=1, max_value=10**6)),
         base_seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
-        refractive_index=draw(POSITIVE),
+        refractive_index=draw(st.floats(min_value=1.0, max_value=1e6)),
         attenuation_km=draw(POSITIVE | st.just(math.inf)),
         reserved_slots=reserved_slots,
         epsilon_in=draw(PROBABILITY),
@@ -566,6 +566,34 @@ class TestMain:
         config.write_text(dump_config(parse(base)) + f"{field} = {value}\n")
         assert main(["--config", str(config), "--dump-config"]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("p_bsa", "0.7", "a linear-optics analyzer succeeds for at most half of attempts; "
+             "p_bsa = 0.7 exceeds 0.5"),
+            ("collection_efficiency", "2", "collection_efficiency must lie in [0, 1], got 2.0"),
+            ("emission_fraction", "-0.1", "emission_fraction must lie in [0, 1], got -0.1"),
+            ("refractive_index", "0.5", "refractive index must be at least 1"),
+            ("attenuation_km", "-1", "attenuation length must be positive"),
+            ("cycle_time_ns", "0.0001", "cycle time must be positive"),
+            ("cycle_time_ns", "-5", "durations cannot be negative, got -5000 ps"),
+        ],
+        ids=["p-bsa", "collection", "emission", "refractive-index", "attenuation",
+             "cycle-rounds-to-zero", "cycle-negative"],
+    )
+    def test_hardware_value_a_run_refuses_exits_2(self, tmp_path, capsys, field, value, message):
+        # checked with the scenario, so even --dump-config refuses it
+        flag = "--" + field.replace("_", "-")
+        config = tmp_path / "hardware.cfg"
+        config.write_text(dump_config(parse(TINY)) + f"{field} = {value}\n")
+        for extra in ([], ["--dump-config"]):
+            assert main(TINY + [flag, value] + extra) == 2
+            assert message in capsys.readouterr().err
+            assert main(["--config", str(config)] + extra) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
 
     def test_overflowing_attempts_per_bin_exits_2(self, capsys):
         argv = ["--preset", "qd", "--protocol", "mps", "--p-mid", "1e-300",

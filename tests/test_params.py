@@ -28,6 +28,11 @@ QD = HardwareProfile(Duration.from_ns(10), 1.00, 0.50)
 OPTIMISTIC = HardwareProfile(Duration.from_ns(1), 1.00, 0.50)
 
 
+def fiber(length_m):
+    """A link of the scenario's default fiber: index 1.5, attenuation length 22 km."""
+    return LinkGeometry(length_m, refractive_index=1.5, attenuation_length_m=22_000.0)
+
+
 class TestDuration:
     def test_basic_arithmetic_is_exact(self):
         a = Duration(1_000_000)
@@ -60,45 +65,45 @@ class TestDuration:
 
 class TestLinkDelay:
     def test_5_km_is_about_25_us(self):
-        delay = link_delay(LinkGeometry(5_000))
+        delay = link_delay(fiber(5_000))
         assert delay.seconds * 1e6 == pytest.approx(25.0, rel=1e-2)
 
     def test_zero_length(self):
-        assert link_delay(LinkGeometry(0)).ps == 0
+        assert link_delay(fiber(0)).ps == 0
 
     def test_20_km_matches_exact_rational_evaluation(self):
         # 1.5 * 20000 m / c, in ps, rounded to nearest
         exact = Fraction(3 * 10**16, 299_792_458)
         expected = int(exact) + (1 if exact - int(exact) >= Fraction(1, 2) else 0)
-        delay = link_delay(LinkGeometry(20_000))
+        delay = link_delay(fiber(20_000))
         assert abs(delay.ps - expected) <= 1
 
     @given(st.floats(min_value=1.0, max_value=200_000.0))
     def test_linear_in_length(self, length):
-        one = link_delay(LinkGeometry(length))
-        two = link_delay(LinkGeometry(2 * length))
+        one = link_delay(fiber(length))
+        two = link_delay(fiber(2 * length))
         assert abs(two.ps - 2 * one.ps) <= 1
 
 
 class TestOpticalTransmission:
     def test_optimistic_prefactor_at_zero_distance(self):
-        assert optical_transmission(OPTIMISTIC, LinkGeometry(0)) == pytest.approx(0.5)
+        assert optical_transmission(OPTIMISTIC, fiber(0)) == pytest.approx(0.5)
 
     def test_qd_at_44_km_is_half_over_e(self):
-        value = optical_transmission(QD, LinkGeometry(44_000))
+        value = optical_transmission(QD, fiber(44_000))
         assert value == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
         assert value == pytest.approx(0.18394, abs=1e-5)
 
     def test_ion_prefactor(self):
-        assert optical_transmission(ION, LinkGeometry(0)) == pytest.approx(0.05)
+        assert optical_transmission(ION, fiber(0)) == pytest.approx(0.05)
 
     def test_nv_prefactor(self):
-        assert optical_transmission(NV, LinkGeometry(0)) == pytest.approx(0.025)
+        assert optical_transmission(NV, fiber(0)) == pytest.approx(0.025)
 
     @given(st.floats(min_value=0.0, max_value=100_000.0), st.floats(min_value=100.0, max_value=100_000.0))
     def test_strictly_decreasing_in_length(self, length, extra):
-        near = optical_transmission(QD, LinkGeometry(length))
-        far = optical_transmission(QD, LinkGeometry(length + extra))
+        near = optical_transmission(QD, fiber(length))
+        far = optical_transmission(QD, fiber(length + extra))
         assert far < near
         assert 0.0 <= far <= 1.0
 
@@ -204,11 +209,11 @@ class TestValidation:
 
     def test_geometry_invariants(self):
         with pytest.raises(ConfigurationError):
-            LinkGeometry(-1.0)
+            fiber(-1.0)
         with pytest.raises(ConfigurationError):
-            LinkGeometry(10.0, refractive_index=0.5)
+            LinkGeometry(10.0, refractive_index=0.5, attenuation_length_m=22_000.0)
         with pytest.raises(ConfigurationError):
-            LinkGeometry(10.0, attenuation_length_m=0.0)
+            LinkGeometry(10.0, refractive_index=1.5, attenuation_length_m=0.0)
 
     def test_profile_needs_positive_cycle(self):
         with pytest.raises(ConfigurationError):

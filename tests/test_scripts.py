@@ -1,4 +1,5 @@
-"""Smoke tests of the figure campaign scripts at one trial per cell."""
+"""Smoke tests of the figure campaign script at one trial per cell, and of the
+workload report script."""
 
 import os
 import subprocess
@@ -12,20 +13,34 @@ from replink.cli import CSV_COLUMNS
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "script,tables",
-    [("fig8_optimistic.py", 5), ("fig9_pessimistic.py", 5), ("fig10_hardware.py", 12)],
-)
-def test_figure_script_writes_every_table(tmp_path, script, tables):
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--trials", "1", "--outdir", str(tmp_path)],
+CHAIN_TABLES = ["mitm.csv", "mps_pmid0.02.csv", "mps_pmid0.1.csv", "mps_pmid1.csv", "sr.csv"]
+LINK_TABLES = [
+    f"{platform}_{variant}.csv"
+    for platform in ("ion", "nv", "qd")
+    for variant in ("mitm", "mps_pmid0.02", "mps_pmid0.5", "mps_pmid1")
+]
+
+
+def run_script(*args):
+    return subprocess.run(
+        [sys.executable, *map(str, args)],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
     )
+
+
+@pytest.mark.parametrize(
+    "figure,tables",
+    [("fig8", CHAIN_TABLES), ("fig9", CHAIN_TABLES), ("fig10", LINK_TABLES)],
+    ids=["fig8", "fig9", "fig10"],
+)
+def test_figure_script_writes_every_table(tmp_path, figure, tables):
+    done = run_script(ROOT / "scripts" / "figures.py", figure, "--trials", "1", "--outdir", tmp_path)
     assert done.returncode == 0, done.stderr
+    assert done.stdout == f"wrote {len(tables)} tables to {tmp_path}\n"
     written = sorted(tmp_path.glob("*.csv"))
-    assert len(written) == tables
+    assert [path.name for path in written] == tables
     for path in written:
         header, *rows = path.read_text().splitlines()
         assert header == ",".join(CSV_COLUMNS)
@@ -33,13 +48,15 @@ def test_figure_script_writes_every_table(tmp_path, script, tables):
         assert len(rows) == 20
 
 
+def test_figure_script_refuses_an_unknown_figure(tmp_path):
+    done = run_script(ROOT / "scripts" / "figures.py", "fig11", "--outdir", tmp_path)
+    assert done.returncode == 2
+    assert "invalid choice: 'fig11'" in done.stderr
+    assert not any(tmp_path.iterdir())
+
+
 def test_workload_reports_writes_every_case_at_both_seeds(tmp_path):
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "workload_reports.py"), str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-    )
+    done = run_script(ROOT / "scripts" / "workload_reports.py", tmp_path)
     assert done.returncode == 0, done.stderr
     written = sorted(tmp_path.rglob("*.csv"))
     assert len(written) == 44
