@@ -57,6 +57,7 @@ _TOPOLOGIES = ("single_link", "chain")
 _MAX_ROUND_COUNTS = 10**8
 _MAX_SWEEP_DISTANCES = 10**4
 _MAX_MEMORY_N = 10**6  # the sender-receiver law holds arrays over N_A < 2 * memory_n outcomes
+_MAX_TRIALS = 10**6  # a sweep cell holds one count or rate per trial
 _MAX_TRACE_TRANSMISSIONS = 10**6  # --trace steps a round one transmission at a time
 
 
@@ -225,7 +226,7 @@ class Scenario:
     distances_km: tuple[float, ...] = _field(
         "--distances", _parse_distances, help="comma-separated distances in km"
     )
-    trials: int = _field("--trials", int, 1000, low=1)
+    trials: int = _field("--trials", int, 1000, low=1, high=_MAX_TRIALS)
     duration_in_tau_link: int = _field(
         "--duration", int, low=1, help="trial duration in units of the one-way link delay"
     )
@@ -465,7 +466,7 @@ def _geometry(scenario: Scenario, distance_km: float) -> params.LinkGeometry:
 
 def _profile(scenario: Scenario) -> params.HardwareProfile:
     return params.HardwareProfile(
-        cycle_time=Duration.from_ns(scenario.cycle_time_ns),
+        cycle_time=Duration.from_ns(scenario.cycle_time_ns, "cycle_time_ns"),
         emission_fraction=scenario.emission_fraction,
         collection_efficiency=scenario.collection_efficiency,
     )
@@ -506,11 +507,6 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
 
 def build_chain_model(scenario: Scenario, distance_km: float) -> engine.ChainModel:
     link = build_link_model(scenario, distance_km)
-    if analytic.purification_bounds(scenario.epsilon_in, scenario.link_count).p_success <= 0.0:
-        raise ConfigurationError(
-            "purification is impossible when (1 - epsilon_in)^7 = 0 "
-            f"(epsilon_in = {scenario.epsilon_in:g})"
-        )
     lifetime = (
         None if scenario.raw_lifetime_ms is None else Duration.from_ms(scenario.raw_lifetime_ms)
     )

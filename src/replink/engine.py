@@ -27,11 +27,14 @@ binomials is itself Binomial(rounds * slots, p), drawn once from stream
 cell is one batch of trial seeds that share the rounds, law and elapsed
 time; a chain needs every round's count, so it always draws one per round.
 
-A chain trial runs without an event loop, in one pass over the
-non-empty rounds of all its links at once. Each link's purification
-groups come from its running pair total, unless a stashed pair could
-outlive the freshness horizon; only such a link steps its stash, the
-newest 0-6 of its pairs, through its rounds as an integer recurrence. All
+A chain model derives its purification bounds and its freshness horizon
+in whole rounds once, so a trial pays only for its own rounds. A chain
+trial runs without an event loop, in one pass over the non-empty rounds
+of all its links at once. Each link's purification groups come from its
+running pair total, unless a stashed pair could outlive the freshness
+horizon; only such a link steps its stash, the newest 0-6 of its pairs,
+through its rounds as an integer recurrence. A horizon of at least the
+trial's rounds less one expires nothing, so such a trial skips the test. All
 links share one round time, so the rounds that form groups are merged in
 the order of a (time, insertion) event queue: round by round, and within
 a round in link order. One vector of uniforms decides every purification
@@ -133,6 +136,24 @@ class ChainModel:
     def __post_init__(self):
         if self.link_count < 1:
             raise ConfigurationError("a chain needs at least one link")
+        if self.bounds.p_success <= 0.0:
+            raise ConfigurationError(
+                "purification is impossible when (1 - epsilon_in)^7 = 0 "
+                f"(epsilon_in = {self.purification.epsilon_in:g})"
+            )
+
+    @cached_property
+    def bounds(self) -> analytic.PurificationBounds:
+        """Every link's purification success and the chain's ebit error."""
+        return analytic.purification_bounds(self.purification.epsilon_in, self.link_count)
+
+    @cached_property
+    def lag(self) -> int | None:
+        """Whole rounds a raw pair stays fresh (None without a lifetime): a
+        pair from round r is fresh at the end of round q iff r >= q - lag.
+        Read only once the round time is known to be positive."""
+        lifetime = self.purification.raw_pair_lifetime
+        return None if lifetime is None else lifetime.ps // self.link.round_time.ps
 
     @property
     def links(self) -> tuple[LinkModel, ...]:  # for readers that walk the links one by one
@@ -252,15 +273,15 @@ def _stash_recurrence(fresh, arrivals):
     pairs (at most six), so a round keeps min(held, fresh[k]) of them, where
     ``fresh[k]`` counts the link's earlier pairs still inside the horizon.
     """
-    formed = []
+    formed = [0] * len(arrivals)
     held = expired = 0
-    for kept, count in zip(fresh, arrivals):
+    for k, (kept, count) in enumerate(zip(fresh, arrivals)):
         if held > kept:
             expired += held - kept
             held = kept
         held += count
-        formed.append(held // PAIRS_PER_PURIFICATION)
-        held %= PAIRS_PER_PURIFICATION
+        if held >= PAIRS_PER_PURIFICATION:
+            formed[k], held = divmod(held, PAIRS_PER_PURIFICATION)
     return formed, expired, held
 
 
@@ -298,32 +319,35 @@ def _queued_groups(counts, raw, lag):
     formed = stashed // PAIRS_PER_PURIFICATION - (stashed - arrivals) // PAIRS_PER_PURIFICATION
     expired = [0] * n_links
     pending = (raw % PAIRS_PER_PURIFICATION).tolist()
-    if lag is not None:
+    # a pair ages at most n_rounds - 1 rounds inside the trial
+    if lag is not None and lag < n_rounds - 1:
+        size = len(nonzero)
         starts = n_rounds * np.arange(n_links + 1)
         edges = np.searchsorted(nonzero, starts)  # where each link's non-empty rounds begin
         # expiry is monotone in time: stale pairs go at the next non-empty round or
         # at the end of the last round
-        checked = np.append(rounds[1:], 0)
-        checked[edges[1:][raw > 0] - 1] = n_rounds - 1
+        checked = np.empty_like(rounds)
+        checked[:-1] = rounds[1:]
+        checked[edges[1:][raw > 0] - 1] = n_rounds - 1  # each link's last row, and so the last
         left = stashed % PAIRS_PER_PURIFICATION
         # a round that leaves more pairs stashed than it brought formed no
         # group, so its oldest stashed pair arrived with the previous round's
-        arrived = np.maximum.accumulate(np.where(left <= arrivals, np.arange(len(left)), 0))
+        arrived = np.maximum.accumulate(np.where(left <= arrivals, np.arange(size), 0))
         late = (left > 0) & (checked - rounds[arrived] > lag)
-        expiring = np.unique(link_of[late]).tolist()
-        if expiring:
+        if late.any():
+            expiring = np.flatnonzero(np.bincount(link_of[late], minlength=n_links)).tolist()
             # Count the fresh pairs before each row and each link's end (one more
             # round, bringing no pairs); a horizon before the link's first round also
             # counts earlier links' pairs, but the stash holds none of them.
-            horizon = np.append(nonzero - lag, starts[1:] - 1 - lag)
+            horizon = np.concatenate((nonzero, starts[1:] - 1)) - lag
             prior = np.concatenate(([0], np.cumsum(arrivals)))  # all pairs before each row
-            fresh = np.append(prior[:-1], prior[edges[1:]])
+            fresh = np.concatenate((prior[:-1], prior[edges[1:]]))
             fresh -= prior[np.searchsorted(nonzero, horizon)]
+            fresh, counted, edges = fresh.tolist(), arrivals.tolist(), edges.tolist()
             for i in expiring:
                 lo, hi = edges[i], edges[i + 1]
                 made, expired[i], pending[i] = _stash_recurrence(
-                    fresh[lo:hi].tolist() + [int(fresh[len(nonzero) + i])],
-                    arrivals[lo:hi].tolist() + [0],
+                    fresh[lo:hi] + [fresh[size + i]], counted[lo:hi] + [0]
                 )
                 formed[lo:hi] = made[:-1]
 
@@ -349,15 +373,13 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     """
     link, n_links, policy = chain.link, chain.link_count, chain.purification
     n_rounds = round_count(link, duration, "a chain link")
-    counts = np.stack([  # link i's round counts in row i
-        sample_round_counts(_trial_rng(seed, index), link, n_rounds) for index in range(n_links)
-    ])
+    counts = np.empty((n_links, n_rounds), dtype=np.int64)  # link i's round counts in row i
+    for index in range(n_links):
+        counts[index] = sample_round_counts(_trial_rng(seed, index), link, n_rounds)
     raw = counts.sum(axis=1)
-    lifetime = policy.raw_pair_lifetime
-    lag = None if lifetime is None else lifetime.ps // link.round_time.ps
     # the round arrays die with the call: a lower heap peak, fewer pages refaulted per trial
-    link_of, groups, expired, pending = _queued_groups(counts, raw, lag)
-    bounds = analytic.purification_bounds(policy.epsilon_in, n_links)
+    link_of, groups, expired, pending = _queued_groups(counts, raw, chain.lag)
+    bounds = chain.bounds
     aux_rng = _trial_rng(seed, _PURIFY_STREAM)
     succeeded = np.cumsum(aux_rng.random(int(groups.sum())) < bounds.p_success)
     succeeded = np.concatenate(([0], succeeded))  # successes before each group

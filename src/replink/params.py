@@ -47,6 +47,17 @@ def validate_probability(value, name: str = "probability") -> float:
     return x
 
 
+def _whole_ps(ps, name: str, given: str) -> int:
+    """``ps`` rounded to whole picoseconds; a configuration error naming the
+    quantity ``name`` (``given`` as set) if that count is not finite."""
+    try:
+        return round(ps)
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        raise ConfigurationError(
+            f"{name} must round to a finite number of picoseconds, got {given}"
+        ) from None
+
+
 @dataclass(frozen=True, order=True)
 class Duration:
     """Non-negative time span stored as an exact picosecond count.
@@ -64,16 +75,16 @@ class Duration:
         object.__setattr__(self, "ps", ps)
 
     @classmethod
-    def from_ns(cls, value) -> "Duration":
-        return cls(round(value * 1_000))
+    def from_ns(cls, value, name: str = "duration") -> "Duration":
+        return cls(_whole_ps(value * 1_000, name, f"{value!r} ns"))
 
     @classmethod
-    def from_us(cls, value) -> "Duration":
-        return cls(round(value * 1_000_000))
+    def from_us(cls, value, name: str = "duration") -> "Duration":
+        return cls(_whole_ps(value * 1_000_000, name, f"{value!r} us"))
 
     @classmethod
-    def from_ms(cls, value) -> "Duration":
-        return cls(round(value * 1_000_000_000))
+    def from_ms(cls, value, name: str = "duration") -> "Duration":
+        return cls(_whole_ps(value * 1_000_000_000, name, f"{value!r} ms"))
 
     @property
     def seconds(self) -> float:
@@ -228,7 +239,10 @@ class LinkProbabilities:
 def link_delay(geometry: LinkGeometry) -> Duration:
     """One-way signal delay n*L/c, rounded to the nearest picosecond."""
     seconds = geometry.refractive_index * geometry.length_m / SPEED_OF_LIGHT_M_PER_S
-    return Duration(round(seconds * 1e12))
+    given = (
+        f"n*L/c = {seconds!r} s (n = {geometry.refractive_index!r}, L = {geometry.length_m!r} m)"
+    )
+    return Duration(_whole_ps(seconds * 1e12, "the link delay", given))
 
 
 def optical_transmission(profile: HardwareProfile, geometry: LinkGeometry) -> float:

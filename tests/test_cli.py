@@ -190,6 +190,17 @@ class TestParsing:
         assert main(argv + ["--n", "1000000", "--dump-config"]) == 0
         assert "memory_n = 1000000\n" in capsys.readouterr().out
 
+    def test_trials_are_bounded(self, monkeypatch, capsys):
+        trials = _spy_on_link_trials(monkeypatch)
+        argv = ["--preset", "qd", "--protocol", "mitm", "--topology", "single-link",
+                "--distances", "10"]
+        for extra in ([], ["--dump-config"]):
+            assert main(argv + ["--trials", "1000000000000"] + extra) == 2
+            err = capsys.readouterr().err
+            assert "trials must be in [1, 1000000], got 1000000000000 (--trials)" in err
+            assert "[replink]" not in err
+        assert not trials  # rejected before any trial
+
     def test_round_count_bound_itself_passes(self):
         chain = parse(["--protocol", "mitm", "--preset", "fig8-optimistic",
                        "--links", "100000", "--duration", "1000"])
@@ -601,6 +612,32 @@ class TestMain:
                 "--distances", "10", "--trials", "1"]
         assert main(argv) == 2
         assert "3 / (p_l * p_m) is infinite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--cycle-time-ns", "1e308"],
+             "cycle_time_ns must round to a finite number of picoseconds, got 1e+308 ns"),
+            (["--cycle-time-ns", "1e308", "--dump-config"],
+             "cycle_time_ns must round to a finite number of picoseconds, got 1e+308 ns"),
+            (["--refractive-index", "1e308"],
+             "the link delay must round to a finite number of picoseconds, got n*L/c = inf s "
+             "(n = 1e+308, L = 10000.0 m)"),
+            (["--distances", "1e308"],
+             "the link delay must round to a finite number of picoseconds, got n*L/c = inf s "
+             "(n = 1.5, L = inf m)"),
+        ],
+        ids=["cycle-time", "cycle-time-dump-config", "refractive-index", "distance"],
+    )
+    def test_duration_that_overflows_picoseconds_exits_2(self, monkeypatch, capsys, extra, message):
+        trials = _spy_on_link_trials(monkeypatch)
+        argv = ["--preset", "qd", "--protocol", "mitm", "--topology", "single-link",
+                "--trials", "1", "--distances", "10"]
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert f"replink: configuration error: {message}\n" == captured.err
+        assert captured.out == ""
+        assert not trials
 
     @pytest.mark.parametrize("value", ["1e300", "1e-12"], ids=["overflows", "rounds-to-zero"])
     def test_unconvertible_lifetime_exits_2_before_any_trial(self, monkeypatch, capsys, value):

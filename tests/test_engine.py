@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as scipy_stats
 
 import chain_reference
 from chain_reference import EventQueue, purify
@@ -498,6 +499,34 @@ class TestChainModel:
         chain = small_chain(MITM_LINK, link_count)
         assert chain.links == (MITM_LINK,) * link_count
 
+    def test_purification_that_never_succeeds_is_refused(self):
+        policy = PurificationPolicy(epsilon_in=1, buffer_capacity=3, raw_pair_lifetime=None)
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^purification is impossible when \(1 - epsilon_in\)\^7 = 0 \(epsilon_in = 1\)$",
+        ):
+            ChainModel(MITM_LINK, 2, policy)
+
+    def test_chain_facts_are_derived_once(self, monkeypatch):
+        policy = PurificationPolicy(epsilon_in=0.05, buffer_capacity=3, raw_pair_lifetime=US(250))
+        chain = ChainModel(MITM_LINK, 3, policy)
+        assert chain.bounds == analytic.purification_bounds(0.05, 3)
+        assert chain.lag == US(250).ps // MITM_LINK.round_time.ps == 2
+        assert small_chain(MITM_LINK, 3, lifetime=None).lag is None
+        # a sweep cell of several trials derives them once per built model
+        calls = []
+        original = analytic.purification_bounds
+        monkeypatch.setattr(
+            analytic, "purification_bounds", lambda *args: calls.append(args) or original(*args)
+        )
+        scenario, _ = cli.parse_scenario(
+            ["--protocol", "mitm", "--preset", "fig9-pessimistic", "--links", "3",
+             "--trials", "4", "--distances", "5,10"], env={},
+        )
+        rows = cli.run_sweep(scenario, progress=io.StringIO())
+        assert [row.trials for row in rows] == [4, 4]
+        assert calls == [(scenario.epsilon_in, 3)] * 2
+
     def test_built_from_the_scenario(self):
         scenario, _ = cli.parse_scenario(
             ["--protocol", "sr", "--preset", "fig9-pessimistic", "--links", "3"], env={}
@@ -824,6 +853,34 @@ class TestStashRecurrence:
         formed, *walked = stash_walks(link, [rounds], lifetime_ps)[0]
         assert (sum(formed), *walked) == expected
 
+    @pytest.mark.parametrize(
+        "lifetime_ps,expired",
+        [
+            # a pair can age at most four rounds in five: none expires, and the
+            # expiry test is skipped
+            pytest.param(4 * R, 0, id="lifetime-of-the-trial"),
+            pytest.param(4 * R - 1, 1, id="one-round-less"),
+        ],
+    )
+    def test_lifetime_at_the_trial_length(self, monkeypatch, lifetime_ps, expired):
+        link = mitm_link(n=1, p=0.5, tau_link=US(9))
+        chain = small_chain(link, 2, lifetime=Duration(lifetime_ps))
+        rounds = [[1, 0, 0, 0, 0], [0, 7, 0, 3, 0]]
+        duration = 5 * link.round_time
+        assert chain.lag == (4 if expired == 0 else 3)
+        calls = []
+        recurrence = engine._stash_recurrence
+        monkeypatch.setattr(
+            engine, "_stash_recurrence", lambda *args: calls.append(args) or recurrence(*args)
+        )
+        feed_round_counts(monkeypatch, rounds)
+        stats = run_chain_trial(chain, duration, 0)
+        assert stats == chain_reference.run_chain_trial(chain, duration, 0)
+        assert stats.raw_expired == (expired, 0)
+        assert stats.raw_pending == (1 - expired, 3)
+        # only the link whose stashed pair goes stale runs the recurrence
+        assert calls == ([([0, 0], [1, 0])] if expired else [])
+
     @settings(max_examples=300, deadline=None)
     @given(case=drawn_rounds(), capacity=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**32))
     def test_recurrence_matches_the_list_walk(self, case, capacity, seed):
@@ -852,6 +909,90 @@ class TestStashRecurrence:
         # exactly the links whose pairs expire run the recurrence, and each
         # round forms the walk's groups; the trial's end forms none
         assert calls == [(made + [0], expired, left) for made, expired, left in walks if expired]
+
+
+def exact_two_link_ebits(round_law, capacity, p_success, n_rounds):
+    """E[end_to_end_ebits] of a two-link chain without expiry after
+    ``n_rounds`` rounds, by propagating the distribution of its finite
+    Markov chain. A link's state is its stash s (0-6) and its purified pairs
+    l above the ebits so far (0..capacity). A round brings c = min(Binomial(
+    slots, p), cap) pairs, forms (s + c) // 7 groups and stashes (s + c) % 7;
+    Binomial(groups, p_success) of them win, and in link order each link
+    takes l = min(l + wins, capacity), after which the common minimum of the
+    levels is swapped."""
+    slots, p, cap = round_law
+    arrivals = scipy_stats.binom.pmf(np.arange(cap + 1), slots, p)
+    arrivals[cap] = scipy_stats.binom.sf(cap - 1, slots, p)  # P(min(X, cap) = cap)
+    most = (6 + cap) // 7  # groups a round can form
+    # totals[s, 7g + left]: a link with stash s holds 7g + left pairs after the round
+    totals = np.zeros((7, 7 * (most + 1)))
+    for s in range(7):
+        totals[s, s:s + cap + 1] = arrivals
+    groups = np.arange(most + 1)
+    wins = scipy_stats.binom.pmf(groups[None, :], groups[:, None], p_success)
+    stash_wins = np.einsum("sgl,gw->slw", totals.reshape(7, most + 1, 7), wins)
+    # step[s, s2, l, l2]: one link's move from stash s and level l
+    levels = np.arange(capacity + 1)
+    step = np.zeros((7, 7, capacity + 1, capacity + 1))
+    for won in groups:
+        step[:, :, levels, np.minimum(levels + won, capacity)] += stash_wins[:, :, won, None]
+
+    def swap(state):
+        swapped = 0.0
+        for x in range(1, capacity + 1):
+            for y in range(1, capacity + 1):
+                common = min(x, y)
+                swapped += common * state[:, :, x, y].sum()
+                state[:, :, x - common, y - common] += state[:, :, x, y]
+                state[:, :, x, y] = 0.0
+        return swapped
+
+    # state[s0, s1, l0, l1], from the empty chain
+    state = np.zeros((7, 7, capacity + 1, capacity + 1))
+    state[0, 0, 0, 0] = 1.0
+    ebits = 0.0
+    for _ in range(n_rounds):
+        state = np.einsum("abxy,acxz->cbzy", state, step)  # link 0
+        ebits += swap(state)
+        state = np.einsum("abxy,bcyz->acxz", state, step)  # link 1
+        ebits += swap(state)
+    return ebits
+
+
+class TestChainLaw:
+    """The engine's ebits against the exact mean of a two-link chain's law."""
+
+    @pytest.mark.parametrize(
+        "protocol_name,p_mid,distance,capacity",
+        [
+            ("mitm", None, 10.0, 3),
+            ("sr", None, 10.0, 1),  # 177 senders, 21 receivers: the cap binds
+            ("mps", 0.1, 30.0, 3),
+        ],
+    )
+    def test_two_link_mean_is_the_exact_mean(self, protocol_name, p_mid, distance, capacity):
+        argv = ["--preset", "fig8-optimistic", "--protocol", protocol_name, "--links", "2",
+                "--raw-lifetime-ms", "none", "--reserved-slots", str(capacity),
+                "--distances", str(distance)]
+        if p_mid is not None:
+            argv += ["--p-mid", str(p_mid)]
+        scenario, _ = cli.parse_scenario(argv, env={})
+        chain = cli.build_chain_model(scenario, distance)
+        round_law = chain.link.round_law
+        slots, _, cap = round_law
+        assert cap < slots if protocol_name == "sr" else cap == slots
+        n_rounds = 200
+        duration = n_rounds * chain.link.round_time
+        ebits = np.array([
+            run_chain_trial(chain, duration, seed).end_to_end_ebits for seed in range(1, 1501)
+        ])
+        mean, error = ebits.mean(), ebits.std(ddof=1) / np.sqrt(len(ebits))
+        p_success = chain.bounds.p_success
+        exact = exact_two_link_ebits(round_law, capacity, p_success, n_rounds)
+        assert abs(mean - exact) < 4 * error
+        # a purification one percent less likely is told apart
+        weaker = exact_two_link_ebits(round_law, capacity, 0.99 * p_success, n_rounds)
+        assert mean - weaker > 5 * error
 
 
 class TestSummarize:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,18 @@ class TestDuration:
     def test_seconds(self):
         assert Duration.from_us(25).seconds == pytest.approx(25e-6)
 
+    @pytest.mark.parametrize(
+        "convert,unit",
+        [(Duration.from_ns, "ns"), (Duration.from_us, "us"), (Duration.from_ms, "ms")],
+    )
+    @pytest.mark.parametrize("value", [1e308, math.inf, -math.inf, math.nan])
+    def test_no_finite_picosecond_count_is_a_configuration_error(self, convert, unit, value):
+        message = f"the hold must round to a finite number of picoseconds, got {value!r} {unit}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            convert(value, "the hold")
+        with pytest.raises(ConfigurationError, match="^duration must round to a finite"):
+            convert(value)
+
 
 class TestLinkDelay:
     def test_5_km_is_about_25_us(self):
@@ -77,6 +90,14 @@ class TestLinkDelay:
         expected = int(exact) + (1 if exact - int(exact) >= Fraction(1, 2) else 0)
         delay = link_delay(fiber(20_000))
         assert abs(delay.ps - expected) <= 1
+
+    @pytest.mark.parametrize("length,index", [(math.inf, 1.5), (1e305, 1.5), (10_000.0, 1e308)])
+    def test_delay_past_a_finite_picosecond_count_is_a_configuration_error(self, length, index):
+        geometry = LinkGeometry(length, refractive_index=index, attenuation_length_m=22_000.0)
+        message = "^the link delay must round to a finite number of picoseconds"
+        with pytest.raises(ConfigurationError, match=message) as error:
+            link_delay(geometry)
+        assert f"(n = {index!r}, L = {length!r} m)" in str(error.value)
 
     @given(st.floats(min_value=1.0, max_value=200_000.0))
     def test_linear_in_length(self, length):
