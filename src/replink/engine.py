@@ -33,14 +33,12 @@ trial runs without an event loop, in one pass over the non-empty rounds
 of all its links at once. Each link's purification groups come from its
 running pair total, unless a stashed pair could outlive the freshness
 horizon; only such a link steps its stash, the newest 0-6 of its pairs,
-through its rounds as an integer recurrence. A horizon of at least the
-trial's rounds less one expires nothing, so such a trial skips the test. All
-links share one round time, so the rounds that form groups are merged in
-the order of a (time, insertion) event queue: round by round, and within
-a round in link order. One vector of uniforms decides every purification
-in that order, a Python pass over the rounds with a success applies the
-buffer cap and the swaps, and a check that every link's pairs balance
-ends the trial.
+through its rounds as an integer recurrence. All links share one round
+time, so the rounds that form groups are merged in the order of a (time,
+insertion) event queue: round by round, and within a round in link order.
+One vector of uniforms decides every purification in that order, a Python
+pass over the rounds with a success applies the buffer cap and the swaps,
+and a check that every link's pairs balance ends the trial.
 """
 
 from __future__ import annotations
@@ -319,8 +317,7 @@ def _queued_groups(counts, raw, lag):
     formed = stashed // PAIRS_PER_PURIFICATION - (stashed - arrivals) // PAIRS_PER_PURIFICATION
     expired = [0] * n_links
     pending = (raw % PAIRS_PER_PURIFICATION).tolist()
-    # a pair ages at most n_rounds - 1 rounds inside the trial
-    if lag is not None and lag < n_rounds - 1:
+    if lag is not None:
         size = len(nonzero)
         starts = n_rounds * np.arange(n_links + 1)
         edges = np.searchsorted(nonzero, starts)  # where each link's non-empty rounds begin

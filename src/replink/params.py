@@ -79,12 +79,12 @@ class Duration:
         return cls(_whole_ps(value * 1_000, name, f"{value!r} ns"))
 
     @classmethod
-    def from_us(cls, value, name: str = "duration") -> "Duration":
-        return cls(_whole_ps(value * 1_000_000, name, f"{value!r} us"))
+    def from_us(cls, value) -> "Duration":
+        return cls(_whole_ps(value * 1_000_000, "duration", f"{value!r} us"))
 
     @classmethod
-    def from_ms(cls, value, name: str = "duration") -> "Duration":
-        return cls(_whole_ps(value * 1_000_000_000, name, f"{value!r} ms"))
+    def from_ms(cls, value) -> "Duration":
+        return cls(_whole_ps(value * 1_000_000_000, "duration", f"{value!r} ms"))
 
     @property
     def seconds(self) -> float:

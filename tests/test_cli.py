@@ -197,7 +197,7 @@ class TestParsing:
         for extra in ([], ["--dump-config"]):
             assert main(argv + ["--trials", "1000000000000"] + extra) == 2
             err = capsys.readouterr().err
-            assert "trials must be in [1, 1000000], got 1000000000000 (--trials)" in err
+            assert "trials must be in [1, 10000000], got 1000000000000 (--trials)" in err
             assert "[replink]" not in err
         assert not trials  # rejected before any trial
 

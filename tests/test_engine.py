@@ -856,8 +856,7 @@ class TestStashRecurrence:
     @pytest.mark.parametrize(
         "lifetime_ps,expired",
         [
-            # a pair can age at most four rounds in five: none expires, and the
-            # expiry test is skipped
+            # a pair can age at most four rounds in five: none expires
             pytest.param(4 * R, 0, id="lifetime-of-the-trial"),
             pytest.param(4 * R - 1, 1, id="one-round-less"),
         ],
