@@ -554,13 +554,21 @@ def run_sweep(scenario: Scenario, progress=None) -> list[ReportRow]:
     durations = [scenario.duration_in_tau_link * link.tau_link for link in links]
     for distance, link, duration in zip(distances, links, durations):
         engine.round_count(link, duration, f"the link at {_format_value(distance)} km")
+        if duration.ps > sys.float_info.max:  # every rate divides by its seconds
+            raise ConfigurationError(
+                f"the trial duration at {_format_value(distance)} km does not fit a float "
+                f"count of seconds ({scenario.duration_in_tau_link} link delays)"
+            )
+    # a chain trial seeds its own streams; a link cell's trials share one
     seeds = range(scenario.base_seed, scenario.base_seed + scenario.trials)
     rows = []
     for distance, model, link, duration in zip(distances, models, links, durations):
         if chain:
             rates = [engine.run_chain_trial(model, duration, seed).rate_per_s for seed in seeds]
         else:
-            events, elapsed = engine.run_link_trials(model, duration, seeds)
+            events, elapsed = engine.run_link_trials(
+                model, duration, scenario.base_seed, scenario.trials
+            )
             rates = events / elapsed.seconds
         summary = engine.summarize(rates)
         print(

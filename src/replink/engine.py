@@ -1,15 +1,17 @@
 """Monte Carlo trial runners for single links and repeater chains.
 
-A trial is deterministic and single-threaded, seeded from the trial
-seed: link ``i`` of a trial draws the stream of ``default_rng([seed, i])``
-and purification that of ``default_rng([seed, 104729])``, so disjoint
-seeds give independent trials and equal seeds byte-identical results.
-Building such a generator costs about 20 us, and a sweep reuses its trial
-seeds at every distance, so one reused generator is set to cached seeded
-PCG64 states, about 2 us per stream, with unchanged streams. The cache
-keeps 16384 (seed, stream) pairs (about 11 MB, by ``tracemalloc``); past
-that a sweep misses every time, and each stream costs 3-7 us more than a
-fresh generator (a --trials 2000 ten-link chain, 2-vCPU x86-64).
+A trial is deterministic and single-threaded. A chain trial is seeded
+from its trial seed: link ``i`` draws the stream of
+``default_rng([seed, i])`` and purification that of
+``default_rng([seed, 104729])``, so disjoint seeds give independent trials
+and equal seeds byte-identical results. Building such a generator costs
+about 20 us, and a sweep reuses its trial seeds at every distance, so one
+reused generator is set to cached seeded PCG64 states, about 2 us per
+stream, with unchanged streams. The cache keeps 16384 (seed, stream) pairs
+(about 11 MB, by ``tracemalloc``); past that a sweep misses every time,
+and each stream costs 3-7 us more than a fresh generator (a --trials 2000
+ten-link chain, 2-vCPU x86-64). Only chains need the cache: a single-link
+cell seeds one stream.
 
 Every protocol's round confirms min(Binomial(slots, p), cap) pairs,
 drawn for all rounds at once. The two-sender protocols try each sending
@@ -22,10 +24,13 @@ check the two agree.
 
 A single-link trial needs only its total. Where the cap cannot bind
 (mitm, mps, and sender-receiver with N_B >= N_A), the sum of the rounds'
-binomials is itself Binomial(rounds * slots, p), drawn once from stream
-0; a capped sender-receiver link still sums one count per round. A sweep
-cell is one batch of trial seeds that share the rounds, law and elapsed
-time; a chain needs every round's count, so it always draws one per round.
+binomials is itself Binomial(rounds * slots, p); a capped sender-receiver
+link still sums one count per round. A sweep cell's trials share the
+rounds, law and elapsed time, and are consecutive draws from the one
+stream ``default_rng([seed, 0])`` of the cell's base seed: trial 0 is the
+seed's one trial, and where the cap cannot bind the whole cell is one
+vector draw. A chain needs every round's count, so it always draws one
+per round.
 
 A chain model derives its purification bounds and its freshness horizon
 in whole rounds once, so a trial pays only for its own rounds. A chain
@@ -241,27 +246,31 @@ def round_count(link: LinkModel, duration: Duration, name: str) -> int:
     return duration.ps // round_ps
 
 
-def run_link_trials(link: LinkModel, duration: Duration, seeds) -> tuple[np.ndarray, Duration]:
-    """Pair counts of one trial per seed, each of whole rounds until the next
-    would overrun, and the trials' elapsed time. A trial's pairs are one
-    Binomial(rounds * slots, p) draw unless the sender-receiver cap can bind,
-    in which case its capped per-round counts are summed. Deterministic for
-    a fixed (link, duration, seed)."""
+def run_link_trials(
+    link: LinkModel, duration: Duration, seed: int, trials: int
+) -> tuple[np.ndarray, Duration]:
+    """Pair counts of a sweep cell's ``trials`` trials, each of whole rounds
+    until the next would overrun, and the trials' elapsed time. Trial t is
+    the (t+1)-th draw from the cell's one stream ``default_rng([seed, 0])``:
+    one Binomial(rounds * slots, p) unless the sender-receiver cap can bind,
+    in which case the trial's capped per-round counts are summed.
+    Deterministic for a fixed (link, duration, seed), and the first k trials
+    of a cell are its k-trial cell."""
     n_rounds = round_count(link, duration, "the link")
     slots, p, cap = link.round_law
-    events = np.empty(len(seeds), dtype=np.int64)
+    rng = _trial_rng(seed, 0)
     if cap >= slots:
-        for index, seed in enumerate(seeds):
-            events[index] = _trial_rng(seed, 0).binomial(n_rounds * slots, p)
+        events = rng.binomial(n_rounds * slots, p, size=trials)
     else:
-        for index, seed in enumerate(seeds):
-            events[index] = sample_round_counts(_trial_rng(seed, 0), link, n_rounds).sum()
+        events = np.empty(trials, dtype=np.int64)
+        for index in range(trials):  # one trial's rounds at a time
+            events[index] = sample_round_counts(rng, link, n_rounds).sum()
     return events, n_rounds * link.round_time
 
 
 def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialStats:
-    """The one-seed case of ``run_link_trials``, with its rate."""
-    (events,), elapsed = run_link_trials(link, duration, (seed,))
+    """The one-trial case of ``run_link_trials``, with its rate."""
+    (events,), elapsed = run_link_trials(link, duration, seed, 1)
     return LinkTrialStats(int(events), elapsed, int(events) / elapsed.seconds)
 
 

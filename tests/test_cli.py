@@ -639,6 +639,31 @@ class TestMain:
         assert captured.out == ""
         assert not trials
 
+    @pytest.mark.parametrize(
+        "topology,delays",
+        [(["--topology", "single-link"], 10000), (["--topology", "chain", "--links", "2"], 1000)],
+        ids=["single-link", "chain"],
+    )
+    def test_duration_past_float_seconds_exits_2_before_any_trial(
+        self, monkeypatch, capsys, topology, delays
+    ):
+        # lossless fiber keeps a 1e300 km link possible, and its delays are a
+        # finite picosecond count, but no float count of seconds
+        trials = _spy_on_link_trials(monkeypatch)
+        monkeypatch.setattr(engine, "run_chain_trial", lambda *args: trials.append(args))
+        argv = ["--preset", "qd", "--protocol", "mitm", "--trials", "1", "--attenuation-km",
+                "inf", "--distances", "10,1e300"] + topology
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "replink: configuration error: the trial duration at 1e+300 km does not fit a "
+            f"float count of seconds ({delays} link delays)\n"
+        )
+        assert captured.out == ""
+        assert not trials
+        # the scenario itself is valid: --dump-config builds no per-distance model
+        assert main(argv + ["--dump-config"]) == 0
+
     @pytest.mark.parametrize("value", ["1e300", "1e-12"], ids=["overflows", "rounds-to-zero"])
     def test_unconvertible_lifetime_exits_2_before_any_trial(self, monkeypatch, capsys, value):
         # 1e300 ms overflows the picosecond conversion; 1e-12 ms rounds to 0 ps,

@@ -223,16 +223,19 @@ class TestLinkTrial:
         ids=["mitm", "mps", "sr-capped", "sr-uncapped"],
     )
     def test_trial_total_has_the_summed_round_law(self, link):
-        # the trial's one draw (or capped sum) against per-round counts summed
-        # over independent streams
+        # the trial's one draw (or capped sum), alone on its seed's stream and as
+        # one of a cell's trials, against per-round counts summed over
+        # independent streams
         n_rounds, trials = 20, 2000
         duration = n_rounds * link.round_time
         totals = [run_link_trial(link, duration, seed).entanglement_events for seed in range(trials)]
+        cell, _ = run_link_trials(link, duration, 0, trials)  # the same trials from one stream
         summed = [
             int(sample_round_counts(np.random.default_rng([seed, 7]), link, n_rounds).sum())
             for seed in range(trials)
         ]
         assert chi2_homogeneity_pvalue(totals, summed) > 0.01
+        assert chi2_homogeneity_pvalue(cell.tolist(), summed) > 0.01
 
     def test_gate_catches_a_round_law_that_loses_pairs(self, monkeypatch):
         # The benchmark gate's statistical check, read from perfbench/gate.py,
@@ -285,14 +288,15 @@ class TestLinkTrial:
         assert cold == after_others == warm
 
 
-def _reference_link_trials(link, duration, seeds):
-    """Each trial's pairs from its own ``default_rng([seed, 0])``: one binomial
-    for all rounds where the cap cannot bind, else the capped rounds summed."""
+def _reference_link_trials(link, duration, seed, trials):
+    """A cell's pairs, trial after trial from its one ``default_rng([seed, 0])``:
+    one binomial for all of a trial's rounds where the cap cannot bind, else
+    the trial's capped rounds summed."""
     n_rounds = duration.ps // link.round_time.ps
     slots, p, cap = link.round_law
+    rng = np.random.default_rng([seed, 0])
     totals = []
-    for seed in seeds:
-        rng = np.random.default_rng([seed, 0])
+    for _ in range(trials):
         if cap >= slots:
             totals.append(int(rng.binomial(n_rounds * slots, p)))
         else:
@@ -308,35 +312,53 @@ LINKS = pytest.mark.parametrize(
 
 
 class TestLinkTrials:
-    """A sweep cell's batch against per-seed streams built here."""
+    """A sweep cell's trials against one stream per cell built here."""
 
     @LINKS
     def test_batch_draws_each_seeds_own_stream(self, link):
-        # unsorted, repeated, and past 2**64, with the seed cache cold then warm
+        # each cell draws from its base seed's stream: unsorted, repeated and
+        # past 2**64 base seeds, with the seed cache cold then warm
         seeds = [9, 2, 2**64 + 3, 0, 9, 2**70, 1]
         duration = 40 * link.round_time + Duration(1)
-        expected, elapsed = _reference_link_trials(link, duration, seeds)
         engine._seeded_state.cache_clear()
         for _ in ("cold", "warm"):
-            events, batch_elapsed = run_link_trials(link, duration, seeds)
-            assert events.dtype == np.int64
-            assert events.tolist() == expected
-            assert batch_elapsed == elapsed == 40 * link.round_time
+            for seed in seeds:
+                expected, elapsed = _reference_link_trials(link, duration, seed, 7)
+                events, batch_elapsed = run_link_trials(link, duration, seed, 7)
+                assert events.dtype == np.int64
+                assert events.tolist() == expected
+                assert batch_elapsed == elapsed == 40 * link.round_time
 
     @given(
         st.sampled_from([MITM_LINK, MPS_LINK, SR_UNCAPPED_LINK, SR_LINK]),
         st.integers(1, 200),
-        st.lists(st.one_of(st.integers(0, 50), st.integers(0, 2**70)), min_size=1, max_size=20),
+        st.one_of(st.integers(0, 50), st.integers(0, 2**70)),
+        st.integers(1, 20),
+        st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_cell_rates_are_the_per_trial_rates(self, link, n_rounds, seeds):
+    def test_cell_rates_are_the_per_trial_rates(self, link, n_rounds, seed, trials, data):
         # the sweep's array division against each trial's own int / float rate
         duration = n_rounds * link.round_time
-        expected, elapsed = _reference_link_trials(link, duration, seeds)
+        expected, elapsed = _reference_link_trials(link, duration, seed, trials)
         per_trial = [events / elapsed.seconds for events in expected]
-        events, batch_elapsed = run_link_trials(link, duration, seeds)
+        events, batch_elapsed = run_link_trials(link, duration, seed, trials)
         assert (events / batch_elapsed.seconds).tolist() == per_trial
-        assert [run_link_trial(link, duration, seed).rate_per_s for seed in seeds] == per_trial
+        # a cell's first k trials are its k-trial cell, and its first is the
+        # seed's one trial
+        k = data.draw(st.integers(1, trials))
+        assert run_link_trials(link, duration, seed, k)[0].tolist() == events[:k].tolist()
+        assert run_link_trial(link, duration, seed).rate_per_s == per_trial[0]
+
+    @LINKS
+    def test_adjacent_base_seeds_share_no_trials(self, link):
+        # a cell at base seed b + 1 is not the cell at b shifted by one trial
+        duration = 40 * link.round_time
+        for base in (0, 41, 2**64 - 1):
+            first, _ = run_link_trials(link, duration, base, 100)
+            second, _ = run_link_trials(link, duration, base + 1, 100)
+            assert first[1:].tolist() != second[:-1].tolist()
+            assert first[:-1].tolist() != second[1:].tolist()
 
 
 def _figure_chain(argv, distance):
