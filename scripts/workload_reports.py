@@ -5,8 +5,9 @@
 
 Runs ``cli.main`` in process with the argv of every case of the three
 workloads in ``perfbench/workloads.py`` (22 preset x variant campaigns),
-at seeds 3 and 4, with closed-form overlay rows, one trial per chain cell
-and five per single-link cell: 44 CSV files under ``OUTDIR/seed<S>/``.
+at seeds 3 and 4, with closed-form overlay rows, two trials per chain cell
+(so that a cell's later trials are compared too) and five per single-link
+cell: 44 CSV files under ``OUTDIR/seed<S>/``.
 Next to each report it writes the case's resolved scenario as
 ``<label>.cfg`` (the ``--dump-config`` text), so the comparison also
 covers every preset value, and for the five chain-fig8 cases the
@@ -24,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 SEEDS = (3, 4)
-TRIALS = {"chain-fig8": 1, "chain-fig9": 1, "link-fig10": 5}
+TRIALS = {"chain-fig8": 2, "chain-fig9": 2, "link-fig10": 5}
 TRACED = "chain-fig8"
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -81,24 +82,14 @@ _HARDWARE_PRESETS = {
     )
 }
 
-_SWEEP_5_50 = tuple(float(d) for d in range(5, 55, 5))
-
+# Both figure campaigns run 1000 trials at 5..50 km in 5 km steps.
 _CHAIN_CAMPAIGN = {
-    "topology": "chain",
-    "link_count": 10,
-    "memory_n": 100,
-    "trials": 1000,
-    "duration_in_tau_link": 1000,
-    "distances_km": _SWEEP_5_50,
+    "topology": "chain", "link_count": 10, "memory_n": 100, "duration_in_tau_link": 1000,
+    "trials": 1000, "distances_km": tuple(float(d) for d in range(5, 55, 5)),
 }
-
 _SINGLE_LINK_CAMPAIGN = {
-    "topology": "single_link",
-    "link_count": 1,
-    "memory_n": 3,
-    "trials": 1000,
-    "duration_in_tau_link": 10_000,
-    "distances_km": _SWEEP_5_50,
+    **_CHAIN_CAMPAIGN,
+    "topology": "single_link", "link_count": 1, "memory_n": 3, "duration_in_tau_link": 10_000,
 }
 
 _FIGURE_PRESETS = {
@@ -133,12 +124,9 @@ def _parse_distances(text: str) -> tuple[float, ...]:
 
 
 def _parse_sweep(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigurationError(f"sweep must look like start:stop:step, got {text!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
+        start, stop, step = (float(p) for p in text.split(":"))
+    except ValueError:  # also too few or too many parts
         raise ConfigurationError(f"sweep must look like start:stop:step, got {text!r}") from None
     if step <= 0:
         raise ConfigurationError("sweep step must be positive")
@@ -559,16 +547,13 @@ def run_sweep(scenario: Scenario, progress=None) -> list[ReportRow]:
                 f"the trial duration at {_format_value(distance)} km does not fit a float "
                 f"count of seconds ({scenario.duration_in_tau_link} link delays)"
             )
-    # a chain trial seeds its own streams; a link cell's trials share one
-    seeds = range(scenario.base_seed, scenario.base_seed + scenario.trials)
     rows = []
     for distance, model, link, duration in zip(distances, models, links, durations):
+        cell = (model, duration, scenario.base_seed, scenario.trials)
         if chain:
-            rates = [engine.run_chain_trial(model, duration, seed).rate_per_s for seed in seeds]
+            rates = [stats.rate_per_s for stats in engine.run_chain_trials(*cell)]
         else:
-            events, elapsed = engine.run_link_trials(
-                model, duration, scenario.base_seed, scenario.trials
-            )
+            events, elapsed = engine.run_link_trials(*cell)
             rates = events / elapsed.seconds
         summary = engine.summarize(rates)
         print(
@@ -670,14 +655,31 @@ def _trace_round(scenario: Scenario) -> list:
     return trace
 
 
+def _check_writable(path: str) -> None:
+    """Raise the error that writing a file at ``path`` would raise, without
+    creating or truncating it."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 def main(argv=None) -> int:
     try:
         scenario, options = parse_scenario(argv)
         if options.dump_config:
             sys.stdout.write(dump_config(scenario))
             return 0
-        # the trace's bound is checked before any trial, its file after every check
+        # the trace's bound and both files are checked before any trial, and
+        # the files are written after every trial
         trace = _trace_round(scenario) if options.trace_path else None
+        if options.trace_path:
+            _check_writable(options.trace_path)
+        if options.output != "-":  # stdout
+            _check_writable(options.output)
         rows = run_sweep(scenario)
         if trace is not None:
             with open(options.trace_path, "w", encoding="utf-8") as fh:

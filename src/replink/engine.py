@@ -1,17 +1,12 @@
 """Monte Carlo trial runners for single links and repeater chains.
 
-A trial is deterministic and single-threaded. A chain trial is seeded
-from its trial seed: link ``i`` draws the stream of
-``default_rng([seed, i])`` and purification that of
-``default_rng([seed, 104729])``, so disjoint seeds give independent trials
-and equal seeds byte-identical results. Building such a generator costs
-about 20 us, and a sweep reuses its trial seeds at every distance, so one
-reused generator is set to cached seeded PCG64 states, about 2 us per
-stream, with unchanged streams. The cache keeps 16384 (seed, stream) pairs
-(about 11 MB, by ``tracemalloc``); past that a sweep misses every time,
-and each stream costs 3-7 us more than a fresh generator (a --trials 2000
-ten-link chain, 2-vCPU x86-64). Only chains need the cache: a single-link
-cell seeds one stream.
+A trial is deterministic and single-threaded. A sweep cell, single-link
+or chain, draws its trials one after another from the one stream
+``default_rng([seed, 0])`` of its base seed, so distinct seeds give
+independent cells, equal seeds byte-identical ones, and a cell's first k
+trials are its k-trial cell. A sweep reuses its base seed at every
+distance, so one reused generator is set to that seed's cached state:
+about 2 us, against 20 us to build a generator.
 
 Every protocol's round confirms min(Binomial(slots, p), cap) pairs,
 drawn for all rounds at once. The two-sender protocols try each sending
@@ -26,11 +21,10 @@ A single-link trial needs only its total. Where the cap cannot bind
 (mitm, mps, and sender-receiver with N_B >= N_A), the sum of the rounds'
 binomials is itself Binomial(rounds * slots, p); a capped sender-receiver
 link still sums one count per round. A sweep cell's trials share the
-rounds, law and elapsed time, and are consecutive draws from the one
-stream ``default_rng([seed, 0])`` of the cell's base seed: trial 0 is the
-seed's one trial, and where the cap cannot bind the whole cell is one
-vector draw. A chain needs every round's count, so it always draws one
-per round.
+rounds, law and elapsed time, so where the cap cannot bind the whole
+cell is one vector draw. A chain trial needs every round's count: it
+draws all its links' rounds in one call, link 0's first, and then one
+uniform per purification group.
 
 A chain model derives its purification bounds and its freshness horizon
 in whole rounds once, so a trial pays only for its own rounds. A chain
@@ -70,13 +64,11 @@ __all__ = [
     "run_link_trial",
     "run_link_trials",
     "run_chain_trial",
+    "run_chain_trials",
     "summarize",
 ]
 
 PAIRS_PER_PURIFICATION = 7
-
-# distinct seed-stream index for purification draws; link streams use 0..links-1
-_PURIFY_STREAM = 104729
 
 
 @dataclass(frozen=True)
@@ -213,23 +205,22 @@ def sample_round_counts(rng, link: LinkModel, n_rounds: int) -> np.ndarray:
     return counts
 
 
-_SEEDED_STATES = 1 << 14  # cached stream states; about 11 MB when full
 _GENERATOR = np.random.Generator(np.random.PCG64())
 
 
-@lru_cache(maxsize=_SEEDED_STATES)
-def _seeded_state(seed: int, stream: int) -> dict:
+@lru_cache(maxsize=1)  # a sweep runs every cell at one base seed
+def _seeded_state(seed: int) -> dict:
     """The seeded state, shared by every hit: only the state setter reads it."""
-    return np.random.PCG64([seed, stream]).state
+    return np.random.PCG64([seed, 0]).state
 
 
-def _trial_rng(seed: int, stream: int) -> np.random.Generator:
-    """The engine's one generator, set to the start of ``default_rng([seed, stream])``.
+def _cell_rng(seed: int) -> np.random.Generator:
+    """The engine's one generator, set to the start of ``default_rng([seed, 0])``.
 
-    It is valid only until the next call: every caller draws from it at
-    once, and the engine is single-threaded.
+    It is valid only until the next call: every caller draws a whole cell
+    from it at once, and the engine is single-threaded.
     """
-    _GENERATOR.bit_generator.state = _seeded_state(seed, stream)
+    _GENERATOR.bit_generator.state = _seeded_state(seed)
     return _GENERATOR
 
 
@@ -258,7 +249,7 @@ def run_link_trials(
     of a cell are its k-trial cell."""
     n_rounds = round_count(link, duration, "the link")
     slots, p, cap = link.round_law
-    rng = _trial_rng(seed, 0)
+    rng = _cell_rng(seed)
     if cap >= slots:
         events = rng.binomial(n_rounds * slots, p, size=trials)
     else:
@@ -365,8 +356,15 @@ def _queued_groups(counts, raw, lag):
     return link_of[made], formed[made], expired, pending
 
 
-def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTrialStats:
-    """Run a linear chain for ``duration``, reporting end-to-end ebits.
+def run_chain_trials(chain: ChainModel, duration: Duration, seed: int, trials: int) -> list:
+    """A sweep cell's chain trials, one after another from its one stream
+    ``default_rng([seed, 0])``: the first k trials are its k-trial cell."""
+    rng = _cell_rng(seed)
+    return [run_chain_trial(chain, duration, rng) for _ in range(trials)]
+
+
+def run_chain_trial(chain: ChainModel, duration: Duration, rng) -> ChainTrialStats:
+    """Run a linear chain for ``duration`` on ``rng``, reporting end-to-end ebits.
 
     Each link runs its protocol rounds independently; confirmed pairs
     become available at their round's completion. Every seven fresh raw
@@ -379,15 +377,13 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
     """
     link, n_links, policy = chain.link, chain.link_count, chain.purification
     n_rounds = round_count(link, duration, "a chain link")
-    counts = np.empty((n_links, n_rounds), dtype=np.int64)  # link i's round counts in row i
-    for index in range(n_links):
-        counts[index] = sample_round_counts(_trial_rng(seed, index), link, n_rounds)
+    # link i's round counts in row i
+    counts = sample_round_counts(rng, link, n_links * n_rounds).reshape(n_links, n_rounds)
     raw = counts.sum(axis=1)
     # the round arrays die with the call: a lower heap peak, fewer pages refaulted per trial
     link_of, groups, expired, pending = _queued_groups(counts, raw, chain.lag)
     bounds = chain.bounds
-    aux_rng = _trial_rng(seed, _PURIFY_STREAM)
-    succeeded = np.cumsum(aux_rng.random(int(groups.sum())) < bounds.p_success)
+    succeeded = np.cumsum(rng.random(int(groups.sum())) < bounds.p_success)
     succeeded = np.concatenate(([0], succeeded))  # successes before each group
     ends = np.cumsum(groups)
     wins = succeeded[ends] - succeeded[ends - groups]

@@ -3,11 +3,13 @@
 ``engine.run_chain_trial`` skips empty rounds and works on whole arrays;
 this module keeps the straightforward event loop it replaced, so the
 tests can require the two to return equal ``ChainTrialStats`` for every
-(chain, duration, seed). Both draw round counts through
-``engine.sample_round_counts`` from the streams ``default_rng([seed, i])``
-and take purification uniforms from ``default_rng([seed, 104729])``, one
-per group of seven in event order. This module builds those generators
-itself, so the tests also check the engine's cached seeding.
+trial of a (chain, duration, seed, trials) cell. A cell's trials draw one
+after another from its one stream ``default_rng([seed, 0])``: a trial
+draws each link's round counts through ``engine.sample_round_counts``,
+link by link, and then one purification uniform per group of seven in
+event order. This module builds that generator itself, so the tests also
+check the engine's cached seeding, and its link-by-link draws check the
+engine's one draw for all links.
 
 Every round of every link is an event, popped from a min-heap in
 (time, insertion sequence) order. At each event the link first drops raw
@@ -150,8 +152,14 @@ class _LinkPipeline:
         return tuple(taken)
 
 
-def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTrialStats:
-    """Event-by-event chain trial; the oracle for ``engine.run_chain_trial``."""
+def run_chain_trials(chain: ChainModel, duration: Duration, seed: int, trials: int) -> list:
+    """A cell's trials from its one stream; the oracle for ``engine.run_chain_trials``."""
+    rng = np.random.default_rng([seed, 0])
+    return [run_chain_trial(chain, duration, rng) for _ in range(trials)]
+
+
+def run_chain_trial(chain: ChainModel, duration: Duration, rng) -> ChainTrialStats:
+    """Event-by-event chain trial on ``rng``; the oracle for ``engine.run_chain_trial``."""
     links = chain.links
     policy = chain.purification
     counts = []
@@ -166,11 +174,10 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
             raise ConfigurationError(
                 f"duration {duration.ps} ps is shorter than one round of link {index}"
             )
-        counts.append(engine.sample_round_counts(np.random.default_rng([seed, index]), link, rounds))
+        counts.append(engine.sample_round_counts(rng, link, rounds))
         round_ps.append(rt.ps)
         n_rounds.append(rounds)
 
-    aux_rng = np.random.default_rng([seed, engine._PURIFY_STREAM])
     bounds = analytic.purification_bounds(policy.epsilon_in, len(links))
     lifetime_ps = None if policy.raw_pair_lifetime is None else policy.raw_pair_lifetime.ps
 
@@ -193,7 +200,7 @@ def run_chain_trial(chain: ChainModel, duration: Duration, seed: int) -> ChainTr
             while pipe.stash_total >= PAIRS_PER_PURIFICATION:
                 group = pipe.take_group()
                 pipe.attempts += 1
-                if purify(group, policy.epsilon_in, aux_rng, bounds=bounds) is not None:
+                if purify(group, policy.epsilon_in, rng, bounds=bounds) is not None:
                     pipe.successes += 1
                     ready[index] += 1
                     if ready[index] > policy.buffer_capacity:

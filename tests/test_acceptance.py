@@ -29,12 +29,8 @@ def _scenario(argv):
 def _mc_link_rates(scenario, distance):
     link = cli.build_link_model(scenario, distance)
     duration = scenario.duration_in_tau_link * link.tau_link
-    return np.array(
-        [
-            engine.run_link_trial(link, duration, scenario.base_seed + t).rate_per_s
-            for t in range(scenario.trials)
-        ]
-    )
+    events, elapsed = engine.run_link_trials(link, duration, scenario.base_seed, scenario.trials)
+    return events / elapsed.seconds
 
 
 def _sweep_means(scenario):
@@ -45,10 +41,8 @@ def _sweep_means(scenario):
 def _chain_ebit_counts(scenario, distance):
     chain = cli.build_chain_model(scenario, distance)
     duration = scenario.duration_in_tau_link * chain.link.tau_link
-    return [
-        engine.run_chain_trial(chain, duration, scenario.base_seed + t).end_to_end_ebits
-        for t in range(scenario.trials)
-    ]
+    trials = engine.run_chain_trials(chain, duration, scenario.base_seed, scenario.trials)
+    return [stats.end_to_end_ebits for stats in trials]
 
 
 def test_criterion_1_purification_numbers():

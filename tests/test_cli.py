@@ -712,6 +712,26 @@ class TestMain:
         assert main(TINY + ["--output", str(missing_dir)]) == 1
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [TINY, CHAIN], ids=["single-link", "chain"])
+    def test_unwritable_path_exits_1_before_any_trial(self, tmp_path, monkeypatch, capsys, argv):
+        trials = _spy_on_link_trials(monkeypatch)
+        monkeypatch.setattr(engine, "run_chain_trial", lambda *args: trials.append(args))
+        missing = tmp_path / "no" / "such" / "dir" / "out"
+        report, trace = tmp_path / "report.csv", tmp_path / "round.trace"
+        report.write_text("kept\n")
+        for paths, bad, error in [
+            ([missing, trace], missing, "[Errno 2] No such file or directory"),
+            ([report, missing], missing, "[Errno 2] No such file or directory"),
+            ([tmp_path, trace], tmp_path, "[Errno 21] Is a directory"),
+        ]:
+            output, trace_path = paths
+            assert main(argv + ["--output", str(output), "--trace", str(trace_path)]) == 1
+            assert capsys.readouterr().err == f"replink: i/o error: {error}: '{bad}'\n"
+            assert not trials
+            # neither file is created or truncated
+            assert report.read_text() == "kept\n"
+            assert not trace.exists() and not missing.parent.exists()
+
     def test_message_less_error_names_its_type(self, capsys, monkeypatch):
         def run_out_of_memory(scenario):
             raise MemoryError()

@@ -16,7 +16,7 @@ from replink.engine import (
     ChainModel,
     LinkModel,
     PurificationPolicy,
-    run_chain_trial,
+    run_chain_trials,
     run_link_trial,
     run_link_trials,
     sample_round_counts,
@@ -151,7 +151,7 @@ class TestBatchSampler:
         assert calls == []
         duration = 20 * chain.link.tau_link
         for seed in (1, 2):
-            run_chain_trial(chain, duration, seed)
+            run_chain_trials(chain, duration, seed, 2)
         assert len(calls) == 1
 
 
@@ -279,13 +279,16 @@ class TestLinkTrial:
         assert first == again
         chain, duration = _figure_chain(["--preset", "fig9-pessimistic", "--protocol", "mps",
                                          "--p-mid", "0.1"], 30.0)
+        # other base seeds evict the cached state between the cells at seed 5,
+        # and each still draws the fresh stream default_rng([5, 0])
         engine._seeded_state.cache_clear()
-        cold = run_chain_trial(chain, duration, seed=5)
+        cold = run_chain_trials(chain, duration, 5, 3)
         for seed in (4, 6, 7):
-            run_chain_trial(chain, duration, seed)
-        after_others = run_chain_trial(chain, duration, seed=5)
-        warm = run_chain_trial(chain, duration, seed=5)
+            run_chain_trials(chain, duration, seed, 2)
+        after_others = run_chain_trials(chain, duration, 5, 3)
+        warm = run_chain_trials(chain, duration, 5, 3)
         assert cold == after_others == warm
+        assert cold == chain_reference.run_chain_trials(chain, duration, 5, 3)
 
 
 def _reference_link_trials(link, duration, seed, trials):
@@ -373,14 +376,13 @@ def _stream_draws(rng, n, p, size):
 
 
 class TestTrialStreams:
-    """The engine's cached seeding against fresh ``default_rng([seed, stream])``."""
+    """The engine's cached seeding against a fresh ``default_rng([seed, 0])``."""
 
     @given(
         st.lists(
             st.tuples(
                 st.one_of(st.integers(0, 3), st.integers(2**64 - 2, 2**64 + 2),
                           st.integers(0, 2**100)),
-                st.one_of(st.integers(0, 3), st.just(engine._PURIFY_STREAM)),
                 st.sampled_from([1, 7, 100, 10_000]),
                 st.one_of(st.sampled_from([0.0, 1e-3, 0.05, 0.5, 1.0]), st.floats(0.0, 1.0)),
                 st.integers(1, 40),
@@ -391,57 +393,65 @@ class TestTrialStreams:
     )
     @settings(max_examples=200)
     def test_interleaved_requests_draw_fresh_streams(self, requests):
-        for seed, stream, n, p, size in requests:
-            binomial, uniform = _stream_draws(engine._trial_rng(seed, stream), n, p, size)
+        for seed, n, p, size in requests:
+            binomial, uniform = _stream_draws(engine._cell_rng(seed), n, p, size)
             fresh_binomial, fresh_uniform = _stream_draws(
-                np.random.default_rng([seed, stream]), n, p, size
+                np.random.default_rng([seed, 0]), n, p, size
             )
             assert binomial.tolist() == fresh_binomial.tolist()
             assert uniform.tolist() == fresh_uniform.tolist()
 
     def test_evicted_and_cached_keys_draw_fresh_streams(self):
-        bound = engine._SEEDED_STATES
+        # the cache holds the last base seed's state: a repeat hits, and a seed
+        # evicted by another is seeded afresh
         engine._seeded_state.cache_clear()
-        engine._trial_rng(1, 0)
-        for seed in range(10**6, 10**6 + bound):
-            engine._seeded_state(seed, 3)
-        info = engine._seeded_state.cache_info()
-        assert info.currsize == info.maxsize == bound
-        for key, cached in (((1, 0), False), ((10**6 + bound - 1, 3), True)):
+        for seed, cached in ((1, False), (1, True), (2**64 + 5, False), (1, False), (1, True)):
             hits = engine._seeded_state.cache_info().hits
-            draws = _stream_draws(engine._trial_rng(*key), 100, 0.05, 20)
+            draws = _stream_draws(engine._cell_rng(seed), 100, 0.05, 20)
             assert (engine._seeded_state.cache_info().hits > hits) is cached
-            fresh = _stream_draws(np.random.default_rng(list(key)), 100, 0.05, 20)
+            fresh = _stream_draws(np.random.default_rng([seed, 0]), 100, 0.05, 20)
             assert [d.tolist() for d in draws] == [f.tolist() for f in fresh]
+        info = engine._seeded_state.cache_info()
+        assert info.currsize == info.maxsize == 1
 
     def test_pinned_chain_trials(self):
-        # the streams' values at seed 1, so that any change to a stream fails here
+        # a two-trial cell's values at seed 1, taken from tests/chain_reference.py,
+        # so that any change to the stream fails here; link 0's rounds of trial 0
+        # are the stream's first draws
         chain, duration = _figure_chain(["--preset", "fig8-optimistic", "--protocol", "mitm"], 10.0)
-        assert run_chain_trial(chain, duration, 1) == engine.ChainTrialStats(
-            end_to_end_ebits=625, elapsed=Duration(ps=50034614000),
-            rate_per_s=12491.352486500646,
-            per_link_purified_counts=(801, 779, 789, 732, 727, 758, 800, 767, 808, 745),
+        first, second = run_chain_trials(chain, duration, 1, 2)
+        assert first == engine.ChainTrialStats(
+            end_to_end_ebits=619, elapsed=Duration(ps=50034614000),
+            rate_per_s=12371.43550263024,
+            per_link_purified_counts=(768, 745, 759, 773, 765, 820, 787, 758, 782, 749),
             ebit_error=0.0071269375000000005,
-            raw_pairs=(7728, 7633, 7787, 7633, 7771, 7765, 7768, 7722, 7697, 7660),
-            purify_attempts=(1104, 1090, 1112, 1090, 1110, 1109, 1109, 1103, 1099, 1094),
+            raw_pairs=(7728, 7673, 7522, 7730, 7632, 7850, 7838, 7665, 7772, 7559),
+            purify_attempts=(1104, 1096, 1074, 1104, 1090, 1121, 1119, 1095, 1110, 1079),
             raw_expired=(0,) * 10,
-            raw_pending=(0, 3, 3, 3, 1, 2, 5, 1, 4, 2),
-            purified_discarded=(174, 152, 163, 105, 100, 133, 172, 139, 181, 118),
-            purified_pending=(2, 2, 1, 2, 2, 0, 3, 3, 2, 2),
+            raw_pending=(0, 1, 4, 2, 2, 3, 5, 0, 2, 6),
+            purified_discarded=(148, 124, 139, 152, 146, 201, 166, 136, 160, 129),
+            purified_pending=(1, 2, 1, 2, 0, 0, 2, 3, 3, 1),
+        )
+        assert (second.end_to_end_ebits, second.raw_pairs) == (
+            626, (7659, 7660, 7737, 7634, 7714, 7658, 7845, 7595, 7694, 7701)
         )
         chain, duration = _figure_chain(
             ["--preset", "fig9-pessimistic", "--protocol", "mps", "--p-mid", "0.1"], 30.0
         )
-        assert run_chain_trial(chain, duration, 1) == engine.ChainTrialStats(
+        first, second = run_chain_trials(chain, duration, 1, 2)
+        assert first == engine.ChainTrialStats(
             end_to_end_ebits=0, elapsed=Duration(ps=150103843000), rate_per_s=0.0,
-            per_link_purified_counts=(0, 0, 2, 1, 2, 2, 4, 1, 0, 0),
+            per_link_purified_counts=(1, 0, 2, 5, 1, 2, 0, 1, 1, 0),
             ebit_error=0.0071269375000000005,
-            raw_pairs=(52, 45, 53, 59, 56, 56, 61, 56, 43, 43),
-            purify_attempts=(1, 0, 2, 3, 3, 2, 5, 1, 0, 1),
-            raw_expired=(43, 41, 35, 36, 31, 38, 23, 45, 40, 35),
-            raw_pending=(2, 4, 4, 2, 4, 4, 3, 4, 3, 1),
-            purified_discarded=(0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
-            purified_pending=(0, 0, 2, 1, 2, 2, 3, 1, 0, 0),
+            raw_pairs=(52, 44, 51, 64, 55, 61, 38, 48, 50, 44),
+            purify_attempts=(1, 0, 3, 5, 2, 3, 0, 1, 2, 0),
+            raw_expired=(43, 41, 26, 26, 36, 35, 35, 39, 35, 41),
+            raw_pending=(2, 3, 4, 3, 5, 5, 3, 2, 1, 3),
+            purified_discarded=(0, 0, 0, 2, 0, 0, 0, 0, 0, 0),
+            purified_pending=(1, 0, 2, 3, 1, 2, 0, 1, 1, 0),
+        )
+        assert (second.end_to_end_ebits, second.raw_pairs) == (
+            0, (53, 42, 56, 44, 64, 39, 69, 42, 50, 53)
         )
 
     def test_pinned_link_trial(self):
@@ -563,33 +573,51 @@ class TestChainTrial:
     def test_deterministic(self):
         chain = small_chain(MITM_LINK, 3)
         duration = US(100_000)
-        a = run_chain_trial(chain, duration, 5)
-        b = run_chain_trial(chain, duration, 5)
+        a = run_chain_trials(chain, duration, 5, 3)
+        b = run_chain_trials(chain, duration, 5, 3)
         assert a == b
 
     def test_elapsed_is_the_requested_duration(self):
-        stats = run_chain_trial(small_chain(MITM_LINK, 2), US(75_000), 1)
+        (stats,) = run_chain_trials(small_chain(MITM_LINK, 2), US(75_000), 1, 1)
         assert stats.elapsed == US(75_000)
         assert stats.rate_per_s == stats.end_to_end_ebits / stats.elapsed.seconds
 
     @pytest.mark.parametrize("seed", range(4))
     def test_conservation_identities(self, seed):
         chain = small_chain(MITM_LINK, 4)
-        assert_conserved(run_chain_trial(chain, US(200_000), seed))
+        for stats in run_chain_trials(chain, US(200_000), seed, 2):
+            assert_conserved(stats)
 
     def test_ebits_bounded_by_slowest_link(self):
         chain = small_chain(MITM_LINK, 4)
-        stats = run_chain_trial(chain, US(200_000), 9)
+        (stats,) = run_chain_trials(chain, US(200_000), 9, 1)
         assert stats.end_to_end_ebits <= min(stats.per_link_purified_counts)
 
     def test_buffer_capacity_caps_pending_pairs(self):
-        stats = run_chain_trial(small_chain(MITM_LINK, 2), US(500_000), 3)
+        (stats,) = run_chain_trials(small_chain(MITM_LINK, 2), US(500_000), 3, 1)
         assert all(p <= 3 for p in stats.purified_pending)
 
     def test_ebit_error_matches_chain_bound(self):
         chain = small_chain(MITM_LINK, 10)
-        stats = run_chain_trial(chain, US(150_000), 0)
+        (stats,) = run_chain_trials(chain, US(150_000), 0, 1)
         assert stats.ebit_error == pytest.approx(analytic.purification_bounds(0.05, 10).epsilon_total)
+
+    @pytest.mark.parametrize("chain,duration", [
+        (small_chain(MITM_LINK, 3), US(20_000)),
+        (small_chain(SR_LINK, 2, lifetime=US(100)), US(2_000)),  # capped, and pairs expire
+    ], ids=["mitm", "sr-expiring"])
+    def test_first_trials_of_a_cell_are_its_smaller_cell(self, chain, duration):
+        cell = run_chain_trials(chain, duration, 11, 6)
+        for k in range(7):
+            assert run_chain_trials(chain, duration, 11, k) == cell[:k]
+
+    @pytest.mark.parametrize("base", [0, 41, 2**64 - 1])
+    def test_adjacent_base_seeds_share_no_trials(self, base):
+        # a cell at base seed b + 1 holds none of the trials of the cell at b
+        chain, duration = small_chain(MITM_LINK, 3), US(20_000)
+        first = run_chain_trials(chain, duration, base, 6)
+        second = run_chain_trials(chain, duration, base + 1, 6)
+        assert not [stats for stats in first if stats in second]
 
     def test_pessimistic_chain_starves_the_two_sender_protocol(self):
         # low transmission at 25 km: raw pairs arrive far too slowly to
@@ -601,10 +629,8 @@ class TestChainTrial:
         )
         chain = cli.build_chain_model(scenario, 25.0)
         duration = scenario.duration_in_tau_link * chain.link.tau_link
-        ebits = [
-            run_chain_trial(chain, duration, scenario.base_seed + t).end_to_end_ebits
-            for t in range(scenario.trials)
-        ]
+        trials = run_chain_trials(chain, duration, scenario.base_seed, scenario.trials)
+        ebits = [stats.end_to_end_ebits for stats in trials]
         assert sum(count == 0 for count in ebits) > len(ebits) / 2
 
     def test_lifetime_discards_stale_pairs(self):
@@ -617,11 +643,11 @@ class TestChainTrial:
             tau_clock=NS(1),
         )
         starving = small_chain(sparse, 2, lifetime=US(150))
-        stats = run_chain_trial(starving, US(100_000), 2)
+        (stats,) = run_chain_trials(starving, US(100_000), 2, 1)
         assert sum(stats.purify_attempts) == 0
         assert sum(stats.raw_expired) > 0
         unlimited = small_chain(sparse, 2, lifetime=None)
-        stats2 = run_chain_trial(unlimited, US(100_000), 2)
+        (stats2,) = run_chain_trials(unlimited, US(100_000), 2, 1)
         assert sum(stats2.raw_expired) == 0
         assert sum(stats2.purify_attempts) > 0
 
@@ -664,13 +690,16 @@ R = US(10).ps  # the round time of mitm_link(1, p, US(9)), in ps
 
 
 def feed_round_counts(patch, counts):
-    """Make each chain trial draw ``counts[i]`` as link ``i``'s round counts."""
-    calls = itertools.count()
+    """Make each chain trial draw ``counts[i]`` as link ``i``'s round counts,
+    all links' rounds in one draw (the engine) or link by link (the reference)."""
+    flat = np.array(counts, dtype=np.int64).ravel()  # link-major, as one draw returns them
+    drawn_so_far = [0]
 
     def drawn(rng, link, n_rounds):
-        rounds = counts[next(calls) % len(counts)]
-        assert len(rounds) == n_rounds
-        return np.array(rounds, dtype=np.int64)
+        assert n_rounds in (len(counts[0]), flat.size)
+        start = drawn_so_far[0] % flat.size
+        drawn_so_far[0] += n_rounds
+        return flat[start:start + n_rounds].copy()
 
     patch.setattr(engine, "sample_round_counts", drawn)
 
@@ -696,9 +725,8 @@ class TestChainOracle:
         for distance in scenario.distances_km:
             chain = cli.build_chain_model(scenario, distance)
             duration = scenario.duration_in_tau_link * chain.link.tau_link
-            for seed in (1, 2):
-                expected = chain_reference.run_chain_trial(chain, duration, seed)
-                assert run_chain_trial(chain, duration, seed) == expected
+            expected = chain_reference.run_chain_trials(chain, duration, 1, 3)
+            assert run_chain_trials(chain, duration, 1, 3) == expected
 
     def test_walked_and_running_total_links_in_one_trial(self, monkeypatch):
         # link 0's sparse pairs outlive the eight-round horizon; link 1's never do
@@ -717,8 +745,8 @@ class TestChainOracle:
         for seed in range(4):
             calls.clear()
             feed_round_counts(monkeypatch, sparse_and_dense_rounds(seed, US(2_000).ps // R))
-            stats = run_chain_trial(chain, US(2_000), seed)
-            assert stats == chain_reference.run_chain_trial(chain, US(2_000), seed)
+            (stats,) = run_chain_trials(chain, US(2_000), seed, 1)
+            assert [stats] == chain_reference.run_chain_trials(chain, US(2_000), seed, 1)
             # one recurrence, over the non-empty rounds of the link whose pairs
             # expired (and its end); the other took its groups from the running total
             assert len(calls) == 1 and sum(calls[0]) == stats.raw_pairs[0]
@@ -735,8 +763,8 @@ class TestChainOracle:
             counts = [rng.binomial(6, 0.9, n_rounds).tolist(), rng.binomial(3, 0.6, n_rounds).tolist()]
             counts.insert(dead_at, [0] * n_rounds)
             feed_round_counts(monkeypatch, counts)
-            stats = run_chain_trial(chain, US(1_000), seed)
-            assert stats == chain_reference.run_chain_trial(chain, US(1_000), seed)
+            (stats,) = run_chain_trials(chain, US(1_000), seed, 1)
+            assert [stats] == chain_reference.run_chain_trials(chain, US(1_000), seed, 1)
             assert stats.raw_pairs[dead_at] == 0 and stats.end_to_end_ebits == 0
             assert min(stats.raw_pairs[:dead_at] + stats.raw_pairs[dead_at + 1:]) > 0
             assert_conserved(stats)
@@ -753,10 +781,9 @@ class TestChainOracle:
             mitm_link(n=2, p=0.9, tau_link=US(4)), 4,
             PurificationPolicy(epsilon_in=0.05, buffer_capacity=1, raw_pair_lifetime=None),
         )
-        for seed in range(6):
-            stats = run_chain_trial(chain, US(3_000), seed)
-            assert stats == chain_reference.run_chain_trial(chain, US(3_000), seed)
-            assert sum(stats.purified_discarded) > 0
+        cell = run_chain_trials(chain, US(3_000), 0, 6)
+        assert cell == chain_reference.run_chain_trials(chain, US(3_000), 0, 6)
+        assert all(sum(stats.purified_discarded) > 0 for stats in cell)
 
     def test_unbalanced_pairs_raise(self, monkeypatch, capsys):
         recurrence = engine._stash_recurrence
@@ -770,7 +797,7 @@ class TestChainOracle:
         with pytest.MonkeyPatch.context() as patch:
             feed_round_counts(patch, sparse_and_dense_rounds(0, US(2_000).ps // R))
             with pytest.raises(RuntimeError, match=r"chain link 0 does not conserve pairs: raw \d+"):
-                run_chain_trial(chain, US(2_000), 0)
+                run_chain_trials(chain, US(2_000), 0, 1)
         # through the command line, every link of a fig9 midpoint-source chain
         # runs the recurrence
         argv = ["--preset", "fig9-pessimistic", "--protocol", "mps", "--p-mid", "0.1",
@@ -787,17 +814,19 @@ class TestChainOracle:
         capacity=st.sampled_from([0, 1, 3]),
         duration=st.sampled_from([US(50), US(400), US(2_000)]),
         seed=st.integers(0, 2**32),
+        trials=st.integers(1, 3),
     )
     def test_heterogeneous_chains_match_reference(
-        self, link, link_count, lifetime, capacity, duration, seed
+        self, link, link_count, lifetime, capacity, duration, seed, trials
     ):
         policy = PurificationPolicy(
             epsilon_in=0.05, buffer_capacity=capacity, raw_pair_lifetime=lifetime
         )
         chain = ChainModel(link, link_count, policy)
-        stats = run_chain_trial(chain, duration, seed)
-        assert stats == chain_reference.run_chain_trial(chain, duration, seed)
-        assert_conserved(stats)
+        cell = run_chain_trials(chain, duration, seed, trials)
+        assert cell == chain_reference.run_chain_trials(chain, duration, seed, trials)
+        for stats in cell:
+            assert_conserved(stats)
 
 
 def stash_walks(link, counts, lifetime_ps):
@@ -865,8 +894,8 @@ class TestStashRecurrence:
             engine, "_stash_recurrence", lambda *args: calls.append(args) or recurrence(*args)
         )
         feed_round_counts(monkeypatch, [rounds])
-        stats = run_chain_trial(chain, duration, 0)
-        assert stats == chain_reference.run_chain_trial(chain, duration, 0)
+        (stats,) = run_chain_trials(chain, duration, 0, 1)
+        assert [stats] == chain_reference.run_chain_trials(chain, duration, 0, 1)
         assert len(calls) == 1
         attempts, expired, pending = expected
         assert (stats.purify_attempts, stats.raw_expired, stats.raw_pending) == (
@@ -895,8 +924,8 @@ class TestStashRecurrence:
             engine, "_stash_recurrence", lambda *args: calls.append(args) or recurrence(*args)
         )
         feed_round_counts(monkeypatch, rounds)
-        stats = run_chain_trial(chain, duration, 0)
-        assert stats == chain_reference.run_chain_trial(chain, duration, 0)
+        (stats,) = run_chain_trials(chain, duration, 0, 1)
+        assert [stats] == chain_reference.run_chain_trials(chain, duration, 0, 1)
         assert stats.raw_expired == (expired, 0)
         assert stats.raw_pending == (1 - expired, 3)
         # only the link whose stashed pair goes stale runs the recurrence
@@ -922,8 +951,8 @@ class TestStashRecurrence:
         with pytest.MonkeyPatch.context() as patch:
             feed_round_counts(patch, counts)
             patch.setattr(engine, "_stash_recurrence", recording)
-            stats = run_chain_trial(chain, duration, seed)
-            assert stats == chain_reference.run_chain_trial(chain, duration, seed)
+            (stats,) = run_chain_trials(chain, duration, seed, 1)
+            assert [stats] == chain_reference.run_chain_trials(chain, duration, seed, 1)
         assert stats.purify_attempts == tuple(sum(formed) for formed, _, _ in walks)
         assert stats.raw_expired == tuple(expired for _, expired, _ in walks)
         assert stats.raw_pending == tuple(pending for _, _, pending in walks)
@@ -1004,9 +1033,8 @@ class TestChainLaw:
         assert cap < slots if protocol_name == "sr" else cap == slots
         n_rounds = 200
         duration = n_rounds * chain.link.round_time
-        ebits = np.array([
-            run_chain_trial(chain, duration, seed).end_to_end_ebits for seed in range(1, 1501)
-        ])
+        cell = run_chain_trials(chain, duration, 1, 1500)
+        ebits = np.array([stats.end_to_end_ebits for stats in cell])
         mean, error = ebits.mean(), ebits.std(ddof=1) / np.sqrt(len(ebits))
         p_success = chain.bounds.p_success
         exact = exact_two_link_ebits(round_law, capacity, p_success, n_rounds)
