@@ -4,8 +4,8 @@ Three ways of distributing entanglement over one fiber link are modeled:
 both nodes sending photons to an analyzer at the midpoint, a sender
 streaming photons into a receiving node that latches them, and both nodes
 latching photons from an entangled-pair source at the midpoint. The
-package provides their closed-form rates, executable control state
-machines, a deterministic Monte Carlo engine for single links and
+package provides their closed-form rates, per-transmission round
+steppers, a deterministic Monte Carlo engine for single links and
 purification chains, and a sweep CLI that writes plot-ready tables.
 
 Import what you need from the submodules (``replink.params``,

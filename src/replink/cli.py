@@ -675,6 +675,10 @@ def main(argv=None) -> int:
             return 0
         # the trace's bound and both files are checked before any trial, and
         # the files are written after every trial
+        if options.output != "-" and options.trace_path and (
+            os.path.realpath(options.output) == os.path.realpath(options.trace_path)
+        ):
+            raise ConfigurationError("--output and --trace name the same file")
         trace = _trace_round(scenario) if options.trace_path else None
         if options.trace_path:
             _check_writable(options.trace_path)

@@ -1,9 +1,9 @@
 """Reference per-attempt round sampler for the three link protocols.
 
 ``sample_round`` draws one round's confirmed pairs attempt by attempt,
-with the same variates in the same order as the stepped machines in
-``replink.protocol``, so a machine and this sampler produce identical
-outcomes from identical generator seeds. The engine samples a round's
+with the same variates in the same order as the round steppers in
+``replink.protocol``, so a stepped round and this sampler produce
+identical outcomes from identical generator seeds. The engine samples a round's
 count from its closed-form law instead; the tests check both against
 this sampler.
 """
@@ -24,7 +24,7 @@ def sample_round(
     tau_link: Duration,
     tau_clock: Duration,
 ) -> RoundOutcome:
-    """Sample one round's confirmed pairs without stepping the machines.
+    """Sample one round's confirmed pairs without stepping the round.
 
     Draw-for-draw equivalent to the corresponding stepped round: the same
     seed yields the same outcome, and the outcome distributions match.

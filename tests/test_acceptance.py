@@ -253,10 +253,9 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
     pvalues = {}
 
     for p in p_values:
-        machine = protocol.MitmMachine(4, tau_clock, tau_link + 4 * tau_clock)
         rng = np.random.default_rng([BASE_SEED, 1])
         stepped = [
-            protocol.step_mitm_round(rng, 4, p, tau_link, tau_clock, machine=machine).entangled_pairs
+            protocol.step_mitm_round(rng, 4, p, tau_link, tau_clock).entangled_pairs
             for _ in range(rounds)
         ]
         rng = np.random.default_rng([BASE_SEED, 2])
@@ -269,12 +268,8 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
 
     for p in p_values:
         rng = np.random.default_rng([BASE_SEED, 3])
-        receiver = protocol.SrReceiverMachine(2, 4, p, tau_clock, tau_link, rng)
-        sender = protocol.MitmMachine(4, tau_clock, receiver.round_duration, node="alice")
         stepped = [
-            protocol.step_sr_round(
-                rng, 4, 2, p, tau_link, tau_clock, receiver=receiver, sender=sender
-            ).entangled_pairs
+            protocol.step_sr_round(rng, 4, 2, p, tau_link, tau_clock).entangled_pairs
             for _ in range(rounds)
         ]
         rng = np.random.default_rng([BASE_SEED, 4])
@@ -287,12 +282,8 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
 
     for p in p_values:
         rng = np.random.default_rng([BASE_SEED, 5])
-        left = protocol.MpsReceiverMachine(2, 4, p, tau_clock, tau_link, rng, node="left")
-        right = protocol.MpsReceiverMachine(2, 4, p, tau_clock, tau_link, rng, node="right")
         stepped = [
-            protocol.step_mps_round(
-                rng, 2, 4, 0.8, p, tau_link, tau_clock, left=left, right=right
-            ).entangled_pairs
+            protocol.step_mps_round(rng, 2, 4, 0.8, p, tau_link, tau_clock).entangled_pairs
             for _ in range(rounds)
         ]
         rng = np.random.default_rng([BASE_SEED, 6])
@@ -307,7 +298,7 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
     for key, pvalue in pvalues.items():
         assert pvalue > 0.01, f"{key}: chi-squared p-value {pvalue:.4f}"
 
-    # exhaustive check: every branch of a short bin, machine vs formula
+    # exhaustive check: every branch of a short bin, stepped round vs formula
     for k in (1, 2, 3):
         exact, branches = enumerate_mps_bin(k, 0.6, 0.4)
         machine_total = 0.0

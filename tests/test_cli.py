@@ -732,6 +732,30 @@ class TestMain:
             assert report.read_text() == "kept\n"
             assert not trace.exists() and not missing.parent.exists()
 
+    def test_output_and_trace_naming_one_file_exit_2_before_any_trial(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        trials = _spy_on_link_trials(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        argv = [
+            "--protocol", "mitm", "--preset", "optimistic", "--topology", "single-link",
+            "--n", "10", "--trials", "3", "--duration", "20", "--distances", "10,5",
+        ]
+        # the same file named once plainly, then by another path and a symlink
+        for trace_path in ["same.txt", str(tmp_path / "same.txt"), "link.txt"]:
+            assert main(argv + ["--output", "same.txt", "--trace", trace_path]) == 2
+            assert capsys.readouterr().err == (
+                "replink: configuration error: --output and --trace name the same file\n"
+            )
+            assert not trials
+            if trace_path == "same.txt":
+                # nothing is created
+                assert not any(tmp_path.iterdir())
+                (tmp_path / "same.txt").write_text("kept\n")
+                (tmp_path / "link.txt").symlink_to("same.txt")
+            # nor truncated
+            assert (tmp_path / "same.txt").read_text() == "kept\n"
+
     def test_message_less_error_names_its_type(self, capsys, monkeypatch):
         def run_out_of_memory(scenario):
             raise MemoryError()

@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,19 +9,7 @@ from protocol_reference import sample_round
 from replink import analytic
 from replink.params import Duration, LinkProbabilities, MemoryBudget, ProtocolConfig, ProtocolKind
 from replink.protocol import (
-    BsaMessage,
-    MessageArrival,
-    MitmMachine,
-    MpsReceiverMachine,
-    PhotonArrival,
-    ProtocolViolation,
-    RemoteLatchReport,
-    RoundComplete,
     RoundOutcome,
-    SendMessage,
-    SourcePulse,
-    SrReceiverMachine,
-    Tick,
     Verdict,
     format_trace_entry,
     sample_bsa,
@@ -66,57 +56,19 @@ class TestSampleBsa:
 
 class TestMitmMachine:
     def test_single_slot_success(self):
-        outcome = step_mitm_round(None, 1, 0.0, TL, TC, verdicts=[S])
+        outcome = step_mitm_round(ScriptedRng([0.1]), 1, 0.5, TL, TC)
         assert outcome == RoundOutcome(1, ((1, 1),), TL + TC)
 
     def test_hand_traced_three_slots(self):
-        outcome = step_mitm_round(None, 3, 0.0, TL, TC, verdicts=[S, F, S])
+        # verdict draws: success, failure, success
+        rng = ScriptedRng([0.1, 0.9, 0.1])
+        outcome = step_mitm_round(rng, 3, 0.5, TL, TC)
         assert outcome.slot_map == ((1, 1), (3, 3))
+        assert rng.remaining == 0
 
     def test_all_failures_confirm_nothing(self):
-        outcome = step_mitm_round(None, 3, 0.0, TL, TC, verdicts=[F, F, F])
+        outcome = step_mitm_round(ScriptedRng([0.9, 0.9, 0.9]), 3, 0.5, TL, TC)
         assert outcome.entangled_pairs == 0
-
-    def test_machine_reuse_across_rounds(self):
-        machine = MitmMachine(2, TC, TL + 2 * TC)
-        first = step_mitm_round(None, 2, 0.0, TL, TC, machine=machine, verdicts=[S, S])
-        second = step_mitm_round(None, 2, 0.0, TL, TC, machine=machine, verdicts=[F, S])
-        assert first.entangled_pairs == 2
-        assert second.slot_map == ((2, 2),)
-        assert machine.round_start == 2 * (TL + 2 * TC)
-
-    def test_early_tick_is_a_protocol_violation(self):
-        machine = MitmMachine(2, TC, TL + 2 * TC)
-        machine.step(Tick(Duration(0)))
-        with pytest.raises(ProtocolViolation, match="tick"):
-            machine.step(Tick(Duration(1)))  # before the second emission completes
-
-    def test_out_of_order_event_rejected(self):
-        machine = MitmMachine(2, TC, TL + 2 * TC)
-        machine.step(Tick(Duration(0)))
-        machine.step(Tick(TC))
-        with pytest.raises(ProtocolViolation, match="after"):
-            machine.step(Tick(Duration(0)))
-
-    def test_message_before_emission_rejected(self):
-        machine = MitmMachine(2, TC, TL + 2 * TC)
-        machine.step(Tick(Duration(0)))
-        with pytest.raises(ProtocolViolation, match="before its emission"):
-            machine.step(MessageArrival(Duration(500), BsaMessage(2, S)))
-
-    def test_duplicate_message_rejected(self):
-        machine = MitmMachine(1, TC, TL + TC)
-        machine.step(Tick(Duration(0)))
-        machine.step(MessageArrival(TL, BsaMessage(1, S)))
-        with pytest.raises(ProtocolViolation, match="duplicate"):
-            machine.step(MessageArrival(TL, BsaMessage(1, S)))
-
-    def test_round_end_with_missing_messages_rejected(self):
-        machine = MitmMachine(2, TC, TL + 2 * TC)
-        machine.step(Tick(Duration(0)))
-        machine.step(Tick(TC))
-        with pytest.raises(ProtocolViolation, match="messages"):
-            machine.step(Tick(TL + 2 * TC))
 
 
 class TestSrReceiverMachine:
@@ -130,14 +82,12 @@ class TestSrReceiverMachine:
 
     def test_messages_report_fail_success_reject(self):
         rng = ScriptedRng([0.9, 0.1])
-        machine = SrReceiverMachine(1, 3, 0.5, TC, TL, rng)
-        messages = []
-        for i in range(1, 4):
-            t = TL + (i - 1) * TC
-            actions = machine.step(PhotonArrival(t, i, True))
-            messages.extend(a.message for a in actions if isinstance(a, SendMessage))
-        assert [m.verdict for m in messages] == [F, S, F]
-        assert messages[1].receiver_slot == 1
+        trace = []
+        step_sr_round(rng, 3, 1, 0.5, TL, TC, trace=trace)
+        # one entry per arrival, then slot 1's confirmation at the round's end
+        assert [(slot, trigger) for _, _, slot, _, _, trigger in trace] == [
+            (1, "latch_failed"), (1, "latch"), (None, "reject"), (1, "confirm"), (1, "reset"),
+        ]
 
     def test_perfect_latching_fills_in_order(self):
         rng = ScriptedRng([0.0, 0.0, 0.0])
@@ -148,17 +98,6 @@ class TestSrReceiverMachine:
         rng = ScriptedRng([])  # no draws may happen at all
         outcome = step_sr_round(rng, 3, 0, 1.0, TL, TC)
         assert outcome.entangled_pairs == 0
-
-    def test_lost_photon_yields_failure_message(self):
-        machine = SrReceiverMachine(1, 1, 1.0, TC, TL, ScriptedRng([]))
-        (action,) = machine.step(PhotonArrival(TL, 1, False))
-        assert action.message.verdict is F
-
-    def test_unexpected_index_rejected(self):
-        machine = SrReceiverMachine(1, 2, 0.5, TC, TL, ScriptedRng([0.9]))
-        machine.step(PhotonArrival(TL, 1, True))
-        with pytest.raises(ProtocolViolation, match="expected transmission"):
-            machine.step(PhotonArrival(TL + 2 * TC, 1, True))
 
     @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=6),
            st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=2**32 - 1))
@@ -194,37 +133,31 @@ class TestMpsReceiverMachine:
         assert rng.remaining == 0
 
     def test_rejection_message_after_latch(self):
-        rng = ScriptedRng([0.0])
-        machine = MpsReceiverMachine(1, 3, 1.0, TC, TL, rng)
-        (first,) = machine.step(SourcePulse(Duration(0), 1, 1, True))
-        assert first.message.verdict is S and first.message.pair_id == 1
-        (second,) = machine.step(SourcePulse(TC, 1, 2, True))
-        assert second.message.verdict is F and second.message.pair_id == 2
+        # attempt 1 latches both sides; attempt 2's photons find the qubits
+        # taken and are rejected without a latch draw
+        rng = ScriptedRng([0.0, 0.0, 0.0, 0.0])
+        trace = []
+        step_mps_round(rng, 1, 2, 1.0, 1.0, TL, TC, trace=trace)
+        assert [format_trace_entry(entry) for entry in trace[:4]] == [
+            "5000000,left,1,free,latched,latch",
+            "5000000,right,1,free,latched,latch",
+            "5001000,left,1,rejecting,rejecting,reject",
+            "5001000,right,1,rejecting,rejecting,reject",
+        ]
+        assert rng.remaining == 0
 
     def test_no_photon_means_no_action_and_no_draw(self):
-        machine = MpsReceiverMachine(1, 3, 1.0, TC, TL, ScriptedRng([]))
-        assert machine.step(SourcePulse(Duration(0), 1, 1, False)) == ()
-
-    def test_pair_id_beyond_schedule_rejected(self):
-        machine = MpsReceiverMachine(1, 3, 1.0, TC, TL, ScriptedRng([0.9]))
-        with pytest.raises(ProtocolViolation, match="attempts"):
-            machine.step(SourcePulse(Duration(0), 1, 4, True))
-
-    def test_confirmation_requires_remote_report(self):
-        machine = MpsReceiverMachine(1, 1, 1.0, TC, TL, ScriptedRng([0.0]))
-        machine.step(SourcePulse(Duration(0), 1, 1, True))
-        with pytest.raises(ProtocolViolation, match="remote"):
-            machine.step(Tick(machine.round_end))
-
-    def test_out_of_order_pulse_rejected(self):
-        machine = MpsReceiverMachine(2, 2, 1.0, TC, TL, ScriptedRng([0.0]))
-        machine.step(SourcePulse(Duration(0), 1, 2, True))
-        with pytest.raises(ProtocolViolation, match="order"):
-            machine.step(SourcePulse(TC, 1, 1, True))
+        # the source emits nothing, so only its three generation draws happen
+        rng = ScriptedRng([0.9, 0.9, 0.9])
+        trace = []
+        outcome = step_mps_round(rng, 1, 3, 0.5, 1.0, TL, TC, trace=trace)
+        assert outcome.entangled_pairs == 0
+        assert trace == []
+        assert rng.remaining == 0
 
 
 class TestSamplerEquivalence:
-    """The samplers mirror the machines draw for draw."""
+    """The sampler mirrors the stepped rounds draw for draw."""
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_mitm_seed_paired(self, p):
@@ -275,35 +208,30 @@ class TestSamplerEquivalence:
         assert mean == pytest.approx(0.333252, abs=0.005)
 
     def test_seed_paired_over_ten_thousand_consecutive_rounds(self):
-        # persistent machines against a persistent sampler stream: every
-        # round's outcome must match, not just the first
+        # consecutive stepped rounds on one stream against a sampler on a
+        # twin stream: every round's outcome must match, not just the first
         rounds = 10_000
         rng_m = np.random.default_rng(31)
         rng_s = np.random.default_rng(31)
-        machine = MitmMachine(4, TC, TL + 4 * TC)
         probs = LinkProbabilities(p=0.3)
         for _ in range(rounds):
-            stepped = step_mitm_round(rng_m, 4, 0.3, TL, TC, machine=machine)
+            stepped = step_mitm_round(rng_m, 4, 0.3, TL, TC)
             sampled = sample_round(rng_s, mitm_config(4), probs, TL, TC)
             assert stepped.slot_map == sampled.slot_map
 
         rng_m = np.random.default_rng(32)
         rng_s = np.random.default_rng(32)
-        receiver = SrReceiverMachine(2, 4, 0.3, TC, TL, rng_m)
-        sender = MitmMachine(4, TC, receiver.round_duration, node="alice")
         probs = LinkProbabilities(p=0.3)
         for _ in range(rounds):
-            stepped = step_sr_round(rng_m, 4, 2, 0.3, TL, TC, receiver=receiver, sender=sender)
+            stepped = step_sr_round(rng_m, 4, 2, 0.3, TL, TC)
             sampled = sample_round(rng_s, sr_config(4, 2), probs, TL, TC)
             assert stepped.slot_map == sampled.slot_map
 
         rng_m = np.random.default_rng(33)
         rng_s = np.random.default_rng(33)
-        left = MpsReceiverMachine(2, 4, 0.4, TC, TL, rng_m, node="left")
-        right = MpsReceiverMachine(2, 4, 0.4, TC, TL, rng_m, node="right")
         probs = LinkProbabilities(p=0.4, p_mid=0.7)
         for _ in range(rounds):
-            stepped = step_mps_round(rng_m, 2, 4, 0.7, 0.4, TL, TC, left=left, right=right)
+            stepped = step_mps_round(rng_m, 2, 4, 0.7, 0.4, TL, TC)
             sampled = sample_round(rng_s, mps_config(2, 4), probs, TL, TC)
             assert stepped.slot_map == sampled.slot_map
 
@@ -325,11 +253,65 @@ class TestSamplerEquivalence:
         assert outcome.wall_time == analytic.round_time(config, TL, TC)
 
 
+class TestSteppedRoundTrace:
+    """Every stepped round's trace keeps the protocol's bookkeeping."""
+
+    NODES = {"mitm": ("alice",), "sr": ("bob",), "mps": ("left", "right")}
+    probability = st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+
+    @given(
+        kind=st.sampled_from(sorted(NODES)),
+        n=st.integers(min_value=0, max_value=6),
+        n_b=st.integers(min_value=0, max_value=8),
+        k=st.integers(min_value=1, max_value=4),
+        p=probability,
+        p_mid=probability,
+        tau_link_ps=st.sampled_from([0, 1, 7]) | st.integers(min_value=0, max_value=10**7),
+        tau_clock_ps=st.integers(min_value=1, max_value=5000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_slots_chain_from_free_to_free_and_confirm_every_pair(
+        self, kind, n, n_b, k, p, p_mid, tau_link_ps, tau_clock_ps, seed
+    ):
+        tau_link, tau_clock = Duration(tau_link_ps), Duration(tau_clock_ps)
+        rng, trace = np.random.default_rng(seed), []
+        if kind == "mitm":
+            config = mitm_config(n)
+            outcome = step_mitm_round(rng, n, p, tau_link, tau_clock, trace=trace)
+        elif kind == "sr":
+            config = sr_config(n, n_b)
+            outcome = step_sr_round(rng, n, n_b, p, tau_link, tau_clock, trace=trace)
+        else:
+            config = mps_config(n, k)
+            outcome = step_mps_round(rng, n, k, p_mid, p, tau_link, tau_clock, trace=trace)
+
+        times = [entry[0] for entry in trace]
+        assert times == sorted(times)
+        # apart from rejections, each slot's transitions chain from free to free
+        transitions = defaultdict(list)
+        for _, node, slot, old, new, trigger in trace:
+            if trigger != "reject":
+                transitions[node, slot].append((old, new))
+        for chain in transitions.values():
+            assert chain[0][0] == "free" and chain[-1][1] == "free"
+            assert all(new == old for (_, new), (old, _) in zip(chain, chain[1:]))
+        for node in self.NODES[kind]:
+            confirms = [entry for entry in trace if entry[1] == node and entry[5] == "confirm"]
+            assert len(confirms) == outcome.entangled_pairs
+        # a confirmed midpoint-source bin holds one attempt on both sides
+        latched_at = {(node, slot): t for t, node, slot, _, _, trigger in trace if trigger == "latch"}
+        for _, node, slot, _, _, trigger in trace:
+            if kind == "mps" and trigger == "confirm":
+                assert latched_at["left", slot] == latched_at["right", slot]
+        assert outcome.wall_time == analytic.round_time(config, tau_link, tau_clock)
+
+
 def enumerate_mps_bin(k, p_mid, p_side):
     """Exact single-bin confirmation probability by exhaustive branching.
 
     Also returns the list of (script, probability, entangled) branches, so
-    the state machine can be driven over every path.
+    a stepped round can be driven over every path.
     """
     branches = []
 

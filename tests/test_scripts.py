@@ -65,8 +65,11 @@ def test_workload_reports_writes_every_case_at_both_seeds(tmp_path):
     # each report's resolved scenario
     scenarios = sorted(tmp_path.rglob("*.cfg"))
     assert [path.with_suffix(".csv") for path in scenarios] == written
-    # one stepped round of each of the five chain-fig8 cases, per seed
+    # one stepped round of each of the five chain-fig8 and twelve link-fig10
+    # cases, per seed
     traces = sorted(tmp_path.rglob("*.trace"))
-    assert [path.relative_to(tmp_path).parts[0] for path in traces] == ["seed3"] * 5 + ["seed4"] * 5
-    assert all(path.name.startswith("fig8-optimistic_") for path in traces)
+    assert [path.relative_to(tmp_path).parts[0] for path in traces] == ["seed3"] * 17 + ["seed4"] * 17
+    assert sorted(path.name.split("_")[0] for path in traces) == sorted(
+        ["fig8-optimistic"] * 10 + ["fig10-ion", "fig10-nv", "fig10-qd"] * 8
+    )
     assert all(path.with_suffix(".csv").exists() and path.stat().st_size for path in traces)
