@@ -13,8 +13,9 @@ variable ``REPLINK_SEED`` overrides the base seed last. Figure presets
 ``fig10-qd``) bundle whole campaign parameter sets so each headline plot
 is reproducible from one command.
 
-Config keys, flags, defaults and ``--dump-config`` derive from the
-``Scenario`` field declarations; report columns derive from ``ReportRow``.
+Config keys, flags, defaults, value ranges (checked by one loop, shown by
+``--help``) and ``--dump-config`` derive from the ``Scenario`` field
+declarations; report columns derive from ``ReportRow``.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
         start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:  # also too few or too many parts
         raise ConfigurationError(f"sweep must look like start:stop:step, got {text!r}") from None
-    if step <= 0:
-        raise ConfigurationError("sweep step must be positive")
+    if not (math.isfinite(start) and math.isfinite(stop) and 0 < step < math.inf):
+        raise ConfigurationError(f"sweep parts must be finite and its step positive, got {text!r}")
     distances = []
     value = start
     while value <= stop + 1e-9:
@@ -174,10 +175,19 @@ def _parse_bool(text: str) -> bool:
 # -- schema ----------------------------------------------------------------
 
 
+def _span(low, high) -> str:
+    """The range [``low``, ``high``] in words; a ``high`` of None is open."""
+    if high is not None:
+        return f"in [{low}, {high}]"
+    return "non-negative" if low == 0 else f"at least {low}"
+
+
 def _field(flag: str, parse, default=dataclasses.MISSING, *, low=None, high=None, **flag_options):
     """Declare a scenario field: ``parse`` reads its text from a config file
-    or from ``flag``, which gets ``flag_options`` as argparse keywords. An
-    integer field's value must lie in [``low``, ``high``], where set."""
+    or from ``flag``, which gets ``flag_options`` as argparse keywords. Its
+    value, if not None, lies in [``low``, ``high``], as ``--help`` shows."""
+    if low is not None:
+        flag_options["help"] = "; ".join(filter(None, (flag_options.get("help"), _span(low, high))))
     return dataclasses.field(
         default=default,
         metadata={"flag": flag, "parse": parse, "flag_options": flag_options, "bounds": (low, high)},
@@ -198,13 +208,14 @@ class Scenario:
         help="hardware or figure preset: " + ", ".join(PRESET_CHOICES),
     )
     p_mid: float | None = _field(
-        "--p-mid", _or_none(float), None,
+        "--p-mid", _or_none(float), None, low=0, high=1,
         help="pair-generation probability of the midpoint source (mps only)",
     )
-    p_bsa: float = _field("--p-bsa", float)
+    # a linear-optics analyzer succeeds for at most half of attempts
+    p_bsa: float = _field("--p-bsa", float, low=0, high=0.5)
     cycle_time_ns: float = _field("--cycle-time-ns", float)
-    emission_fraction: float = _field("--emission-fraction", float)
-    collection_efficiency: float = _field("--collection-efficiency", float)
+    emission_fraction: float = _field("--emission-fraction", float, low=0, high=1)
+    collection_efficiency: float = _field("--collection-efficiency", float, low=0, high=1)
     topology: str = _field(
         "--topology", _one_of("topology", _TOPOLOGIES), "single_link",
         help="single-link or chain",
@@ -221,10 +232,10 @@ class Scenario:
         "--duration", int, low=1, help="trial duration in units of the one-way link delay"
     )
     base_seed: int = _field("--seed", int, 1, low=0)
-    refractive_index: float = _field("--refractive-index", float, 1.5)
+    refractive_index: float = _field("--refractive-index", float, 1.5, low=1)
     attenuation_km: float = _field("--attenuation-km", float, 22.0)
     reserved_slots: int = _field("--reserved-slots", int, 3, low=0)
-    epsilon_in: float = _field("--epsilon-in", float, 0.05)
+    epsilon_in: float = _field("--epsilon-in", float, 0.05, low=0, high=1)
     raw_lifetime_ms: float | None = _field(
         "--raw-lifetime-ms", _or_none(float), 10.0,
         help="raw-pair freshness horizon for chain trials; 'none' disables",
@@ -381,16 +392,20 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
             # an infinite attenuation length is lossless fiber
             lossless = name == "attenuation_km" and number == math.inf
             if isinstance(number, float) and not math.isfinite(number) and not lossless:
-                raise ConfigurationError(f"{name} must be a finite number, got {number!r}")
+                raise _field_error(name, "be a finite number", number)
         low, high = field.metadata["bounds"]
-        if low is not None and (value < low or high is not None and value > high):
-            span = (
-                f"in [{low}, {high}]" if high is not None
-                else "non-negative" if low == 0
-                else f"at least {low}"
-            )
-            sources = field.metadata["flag"] + (", REPLINK_SEED" if name == "base_seed" else "")
-            raise ConfigurationError(f"{name} must be {span}, got {value} ({sources})")
+        if value is not None and low is not None and (
+            value < low or high is not None and value > high
+        ):
+            raise _field_error(name, "be " + _span(low, high), value)
+    # the rules no closed range states
+    if not merged["attenuation_km"] > 0:
+        raise _field_error("attenuation_km", "be positive", merged["attenuation_km"])
+    # durations are held in whole picoseconds, so 0.5 ps rounds to 0
+    for name, ps_per_unit in (("cycle_time_ns", 1e3), ("raw_lifetime_ms", 1e9)):
+        value = merged[name]
+        if value is not None and not 0.5 < value * ps_per_unit < math.inf:
+            raise _field_error(name, "round to at least 1 ps without overflowing", value)
 
     if topology == "single_link":
         if explicit_links not in (None, 1):
@@ -409,10 +424,6 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
     if protocol_name != "mps" and p_mid is not None:
         raise ConfigurationError(f"--p-mid only applies to mps, not {protocol_name}")
 
-    if p_mid is not None:
-        params.validate_probability(p_mid, "p_mid")
-    params.validate_probability(merged["epsilon_in"], "epsilon_in")
-
     round_counts = merged["duration_in_tau_link"] * merged["link_count"]
     if round_counts > _MAX_ROUND_COUNTS:
         raise ConfigurationError(
@@ -428,54 +439,34 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
         raise ConfigurationError(
             "chain scenarios need memory_n > reserved_slots so some qubits attempt entanglement"
         )
+    return Scenario(**merged)
 
-    lifetime_ms = merged["raw_lifetime_ms"]  # held in whole picoseconds, so 0.5 ps rounds to 0
-    if lifetime_ms is not None and not 0.5 < lifetime_ms * 1e9 < math.inf:
-        raise ConfigurationError(
-            f"raw_lifetime_ms must round to at least 1 ps without overflowing, got {lifetime_ms!r}"
-        )
 
-    scenario = Scenario(**merged)
-    # the hardware values, by the checks that build every run's model
-    params.OpticalStack(scenario.p_bsa)
-    _profile(scenario)
-    _geometry(scenario, 0.0)
-    return scenario
+def _field_error(name: str, rule: str, value) -> ConfigurationError:
+    """The error for a field value that breaks ``rule``, naming where it is set."""
+    sources = _SCENARIO_FIELDS[name].metadata["flag"]
+    sources += ", REPLINK_SEED" if name == "base_seed" else ""
+    return ConfigurationError(f"{name} must {rule}, got {value!r} ({sources})")
 
 
 # -- model construction --------------------------------------------------
 
 
-def _geometry(scenario: Scenario, distance_km: float) -> params.LinkGeometry:
-    return params.LinkGeometry(
-        length_m=distance_km * 1000.0,
-        refractive_index=scenario.refractive_index,
-        attenuation_length_m=scenario.attenuation_km * 1000.0,
-    )
-
-
-def _profile(scenario: Scenario) -> params.HardwareProfile:
-    return params.HardwareProfile(
-        cycle_time=Duration.from_ns(scenario.cycle_time_ns, "cycle_time_ns"),
-        emission_fraction=scenario.emission_fraction,
-        collection_efficiency=scenario.collection_efficiency,
-    )
-
-
 def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel:
     """Derive one link's protocol config and probabilities at a distance."""
-    geometry = _geometry(scenario, distance_km)
-    profile = _profile(scenario)
-    stack = params.OpticalStack(scenario.p_bsa)
-    tau_link = params.link_delay(geometry)
-    tau_clock = profile.cycle_time
-    p_optical = params.optical_transmission(profile, geometry)
+    length_m = distance_km * 1000.0
+    tau_link = params.link_delay(length_m, scenario.refractive_index)
+    tau_clock = Duration.from_ns(scenario.cycle_time_ns)
+    p_optical = params.optical_transmission(
+        scenario.emission_fraction, scenario.collection_efficiency, length_m,
+        scenario.attenuation_km * 1000.0,
+    )
     n = scenario.memory_n
     if scenario.topology == "chain":
         n -= scenario.reserved_slots  # reserved qubits hold purified pairs, not attempts
 
     if scenario.protocol in ("mitm", "sr"):
-        p = params.link_success_probability(stack, p_optical)
+        p = params.link_success_probability(scenario.p_bsa, p_optical)
         if p <= 0.0:
             raise ConfigurationError(
                 "entanglement is impossible when p_bsa * p_optical^2 = 0 "
@@ -488,7 +479,7 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
         probs = params.LinkProbabilities(p=p)
     else:
         probs = params.LinkProbabilities(
-            p=params.mps_success_probability(stack, p_optical), p_mid=scenario.p_mid
+            p=params.mps_success_probability(scenario.p_bsa, p_optical), p_mid=scenario.p_mid
         )
         k = analytic.mps_attempts_per_bin(probs.p, probs.p_mid)
         config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=k)
@@ -675,6 +666,8 @@ def main(argv=None) -> int:
             return 0
         # the trace's bound and both files are checked before any trial, and
         # the files are written after every trial
+        if options.trace_path == "-":
+            raise ConfigurationError("--trace needs a file path: '-' is the report's stdout")
         if options.output != "-" and options.trace_path and (
             os.path.realpath(options.output) == os.path.realpath(options.trace_path)
         ):

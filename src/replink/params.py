@@ -1,12 +1,12 @@
 """Physical link parameters and derived quantities.
 
 Every duration in the package is an exact integer count of picoseconds so
-that round times and event ordering are deterministic; probabilities are
-plain floats validated where they enter. The composite transmission
-probabilities implemented here follow the usual decomposition for heralded
-two-photon links: an interface factor (emission into the collected mode
-times collection efficiency), fiber transmission over half the span, and
-the linear-optics analyzer success ceiling of one half.
+that round times and event ordering are deterministic. The link physics
+here takes plain floats, whose ranges ``cli.Scenario`` declares and checks.
+The composite transmission probabilities follow the usual decomposition
+for heralded two-photon links: an interface factor (emission into the
+collected mode times collection efficiency), fiber transmission over half
+the span, and the analyzer success, at most one half for linear optics.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from enum import Enum
 __all__ = [
     "ConfigurationError",
     "Duration",
-    "LinkGeometry",
-    "HardwareProfile",
-    "OpticalStack",
     "MemoryBudget",
     "ProtocolKind",
     "ProtocolConfig",
@@ -75,8 +72,8 @@ class Duration:
         object.__setattr__(self, "ps", ps)
 
     @classmethod
-    def from_ns(cls, value, name: str = "duration") -> "Duration":
-        return cls(_whole_ps(value * 1_000, name, f"{value!r} ns"))
+    def from_ns(cls, value) -> "Duration":
+        return cls(_whole_ps(value * 1_000, "duration", f"{value!r} ns"))
 
     @classmethod
     def from_us(cls, value) -> "Duration":
@@ -109,63 +106,6 @@ class Duration:
 
     def __bool__(self) -> bool:
         return self.ps != 0
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Optical channel between two neighboring repeater nodes."""
-
-    length_m: float
-    refractive_index: float
-    attenuation_length_m: float
-
-    def __post_init__(self):
-        if self.length_m < 0:
-            raise ConfigurationError("link length must be non-negative")
-        if self.refractive_index < 1:
-            raise ConfigurationError("refractive index must be at least 1")
-        if self.attenuation_length_m <= 0:
-            raise ConfigurationError("attenuation length must be positive")
-
-
-@dataclass(frozen=True)
-class HardwareProfile:
-    """Memory/photon interface: cycle time plus photon budget factors.
-
-    ``emission_fraction`` is the probability the interface emits into the
-    collected photonic mode; ``collection_efficiency`` is the probability
-    that photon is coupled onward into fiber (frequency conversion losses
-    are folded in here).
-    """
-
-    cycle_time: Duration
-    emission_fraction: float
-    collection_efficiency: float
-
-    def __post_init__(self):
-        if self.cycle_time.ps <= 0:
-            raise ConfigurationError("cycle time must be positive")
-        validate_probability(self.emission_fraction, "emission_fraction")
-        validate_probability(self.collection_efficiency, "collection_efficiency")
-
-    @property
-    def interface_efficiency(self) -> float:
-        return self.emission_fraction * self.collection_efficiency
-
-
-@dataclass(frozen=True)
-class OpticalStack:
-    """The analyzer on a link's optical path."""
-
-    p_bsa: float
-
-    def __post_init__(self):
-        validate_probability(self.p_bsa, "p_bsa")
-        if self.p_bsa > 0.5:
-            raise ConfigurationError(
-                "a linear-optics analyzer succeeds for at most half of attempts; "
-                f"p_bsa = {self.p_bsa} exceeds 0.5"
-            )
 
 
 @dataclass(frozen=True)
@@ -236,30 +176,28 @@ class LinkProbabilities:
             validate_probability(self.p_mid, "p_mid")
 
 
-def link_delay(geometry: LinkGeometry) -> Duration:
+def link_delay(length_m: float, refractive_index: float) -> Duration:
     """One-way signal delay n*L/c, rounded to the nearest picosecond."""
-    seconds = geometry.refractive_index * geometry.length_m / SPEED_OF_LIGHT_M_PER_S
-    given = (
-        f"n*L/c = {seconds!r} s (n = {geometry.refractive_index!r}, L = {geometry.length_m!r} m)"
-    )
+    seconds = refractive_index * length_m / SPEED_OF_LIGHT_M_PER_S
+    given = f"n*L/c = {seconds!r} s (n = {refractive_index!r}, L = {length_m!r} m)"
     return Duration(_whole_ps(seconds * 1e12, "the link delay", given))
 
 
-def optical_transmission(profile: HardwareProfile, geometry: LinkGeometry) -> float:
-    """Probability a photon survives the interface plus half the fiber span."""
-    fiber = math.exp(-geometry.length_m / (2.0 * geometry.attenuation_length_m))
-    return profile.interface_efficiency * fiber
+def optical_transmission(emission_fraction: float, collection_efficiency: float,
+                         length_m: float, attenuation_length_m: float) -> float:
+    """Probability a photon survives the interface and half the fiber span:
+    emitted into the collected mode, coupled into fiber (frequency
+    conversion losses folded in), then transmitted with exp(-L / 2 L_att)."""
+    fiber = math.exp(-length_m / (2.0 * attenuation_length_m))
+    return emission_fraction * collection_efficiency * fiber
 
 
-def link_success_probability(stack: OpticalStack, p_optical: float) -> float:
+def link_success_probability(p_bsa: float, p_optical: float) -> float:
     """Per-attempt success for the two-sender arrangements: p_bsa * p_optical^2."""
-    validate_probability(p_optical, "p_optical")
-    return stack.p_bsa * p_optical * p_optical
+    return p_bsa * p_optical * p_optical
 
 
-def mps_success_probability(stack: OpticalStack, p_optical: float) -> float:
+def mps_success_probability(p_bsa: float, p_optical: float) -> float:
     """Midpoint-source side probability: one emitted photon is latched by
     its receiver with probability p_bsa * p_optical."""
-    validate_probability(p_optical, "p_optical")
-    return stack.p_bsa * p_optical
-
+    return p_bsa * p_optical

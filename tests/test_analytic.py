@@ -482,33 +482,28 @@ class TestMonotonicity:
     @pytest.mark.parametrize("protocol", ["mitm", "sr", "mps1", "mps01"])
     def test_rates_non_increasing_with_distance(self, protocol):
         from replink.params import (
-            HardwareProfile,
-            LinkGeometry,
-            OpticalStack,
             link_delay,
             link_success_probability,
             mps_success_probability,
             optical_transmission,
         )
 
-        profile = HardwareProfile(Duration.from_ns(1), 1.00, 0.50)  # the optimistic preset
-        stack = OpticalStack(0.5)
+        cycle_time = Duration.from_ns(1)  # the optimistic preset: p_bsa 0.5, interface 1.00 x 0.50
         p_mid = 1.0 if protocol == "mps1" else 0.1
         previous = math.inf
         for km in range(1, 101, 1):
-            geometry = LinkGeometry(km * 1000.0, refractive_index=1.5, attenuation_length_m=22_000.0)
-            tau_link = link_delay(geometry)
-            p_opt = optical_transmission(profile, geometry)
+            tau_link = link_delay(km * 1000.0, 1.5)
+            p_opt = optical_transmission(1.00, 0.50, km * 1000.0, 22_000.0)
             if protocol == "mitm":
-                rate = analytic.mitm_rate(100, link_success_probability(stack, p_opt), tau_link, profile.cycle_time).rate_per_s
+                rate = analytic.mitm_rate(100, link_success_probability(0.5, p_opt), tau_link, cycle_time).rate_per_s
             elif protocol == "sr":
-                p = link_success_probability(stack, p_opt)
+                p = link_success_probability(0.5, p_opt)
                 budget = analytic.sr_receiver_allocation(100, p)
-                rate = analytic.sr_rate(budget.n_sender, budget.n_receiver, p, tau_link, profile.cycle_time).rate_per_s
+                rate = analytic.sr_rate(budget.n_sender, budget.n_receiver, p, tau_link, cycle_time).rate_per_s
             else:
-                p_side = mps_success_probability(stack, p_opt)
+                p_side = mps_success_probability(0.5, p_opt)
                 k = analytic.mps_attempts_per_bin(p_side, p_mid)
                 ent = analytic.mps_entanglement(p_side, p_mid, k)
-                rate = analytic.mps_rate(100, ent, tau_link, profile.cycle_time).rate_per_s
+                rate = analytic.mps_rate(100, ent, tau_link, cycle_time).rate_per_s
             assert rate <= previous + 1e-9
             previous = rate

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -64,7 +65,7 @@ LONG_OPTIONS = {
     "--analytic", "--dump-config", "--trace", "--format", "--output",
 }
 
-# every scenario field with declared integer bounds: (name, flag, low, high)
+# every scenario field with a declared range: (name, flag, low, high)
 BOUNDED = [
     (name, field.metadata["flag"], *field.metadata["bounds"])
     for name, field in cli._SCENARIO_FIELDS.items()
@@ -156,6 +157,17 @@ class TestParsing:
             sweep("5:50")
         with pytest.raises(ConfigurationError):
             sweep("5:50:0")
+
+    @pytest.mark.parametrize("sweep", ["5:50:nan", "5:inf:inf"])
+    def test_non_finite_sweep_exits_2(self, capsys, sweep):
+        # unchecked, a NaN step would run the start alone and an infinite stop hit the bound
+        argv = ["--protocol", "mitm", "--preset", "qd", "--sweep", sweep]
+        for extra in ([], ["--dump-config"]):
+            assert main(argv + extra) == 2
+            captured = capsys.readouterr()
+            message = f"sweep parts must be finite and its step positive, got {sweep!r}"
+            assert message in captured.err
+            assert captured.out == ""
 
     # a step too small to advance the float, a sweep too fine, and one past the bound
     @pytest.mark.parametrize("sweep", ["1e17:2e17:1", "1:1e9:0.001", "1:10001:1"])
@@ -306,16 +318,35 @@ class TestParsing:
 class TestFieldBounds:
     def test_bounded_fields(self):
         assert [name for name, *_ in BOUNDED] == [
-            "link_count", "memory_n", "trials", "duration_in_tau_link", "base_seed",
-            "reserved_slots",
+            "p_mid", "p_bsa", "emission_fraction", "collection_efficiency", "link_count",
+            "memory_n", "trials", "duration_in_tau_link", "base_seed", "refractive_index",
+            "reserved_slots", "epsilon_in",
         ]
+
+    def test_help_shows_every_declared_range(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for name, flag, low, high in BOUNDED:
+            span = (
+                f"in [{low}, {high}]" if high is not None
+                else "non-negative" if low == 0
+                else f"at least {low}"
+            )
+            # the flag, its metavar, any help text, then the range
+            assert re.search(rf"{flag} {name.upper()} ([^;]*; )?{re.escape(span)}", text), name
 
     @pytest.mark.parametrize("name,flag,low,high", BOUNDED, ids=[name for name, *_ in BOUNDED])
     def test_values_past_a_bound_exit_2_and_the_bound_passes(
         self, tmp_path, capsys, name, flag, low, high
     ):
         # only a chain leaves the link count free; a single link has exactly one
-        base = CHAIN if name == "link_count" else TINY
+        base = (
+            CHAIN if name == "link_count"
+            else TINY + ["--protocol", "mps", "--p-mid", "0.5"] if name == "p_mid"
+            else TINY
+        )
+        parse_value = cli._SCENARIO_FIELDS[name].metadata["parse"]
         config = tmp_path / "bounds.cfg"
         outside = (low - 1,) if high is None else (low - 1, high + 1)
         inside = (low,) if high is None else (low, high)
@@ -330,7 +361,8 @@ class TestFieldBounds:
                 if code:
                     assert f"{name} must be" in captured.err
                 else:
-                    assert f"\n{name} = {value}\n" in captured.out
+                    dumped = cli._format_value(parse_value(str(value)))
+                    assert f"\n{name} = {dumped}\n" in captured.out
 
 
 class TestConfigFile:
@@ -569,7 +601,7 @@ class TestMain:
         # checked with the scenario, so even --dump-config refuses it
         base = base + ["--protocol", "mps", "--p-mid", "0.5"]
         flag = "--" + field.replace("_", "-")
-        message = f"{field} must lie in [0, 1], got {float(value)!r}"
+        message = f"{field} must be in [0, 1], got {float(value)!r} ({flag})"
         for extra in ([], ["--dump-config"]):
             assert main(base + [flag, value] + extra) == 2
             assert message in capsys.readouterr().err
@@ -581,14 +613,19 @@ class TestMain:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            ("p_bsa", "0.7", "a linear-optics analyzer succeeds for at most half of attempts; "
-             "p_bsa = 0.7 exceeds 0.5"),
-            ("collection_efficiency", "2", "collection_efficiency must lie in [0, 1], got 2.0"),
-            ("emission_fraction", "-0.1", "emission_fraction must lie in [0, 1], got -0.1"),
-            ("refractive_index", "0.5", "refractive index must be at least 1"),
-            ("attenuation_km", "-1", "attenuation length must be positive"),
-            ("cycle_time_ns", "0.0001", "cycle time must be positive"),
-            ("cycle_time_ns", "-5", "durations cannot be negative, got -5000 ps"),
+            ("p_bsa", "0.7", "p_bsa must be in [0, 0.5], got 0.7 (--p-bsa)"),
+            ("collection_efficiency", "2",
+             "collection_efficiency must be in [0, 1], got 2.0 (--collection-efficiency)"),
+            ("emission_fraction", "-0.1",
+             "emission_fraction must be in [0, 1], got -0.1 (--emission-fraction)"),
+            ("refractive_index", "0.5",
+             "refractive_index must be at least 1, got 0.5 (--refractive-index)"),
+            ("attenuation_km", "-1",
+             "attenuation_km must be positive, got -1.0 (--attenuation-km)"),
+            ("cycle_time_ns", "0.0001", "cycle_time_ns must round to at least 1 ps without "
+             "overflowing, got 0.0001 (--cycle-time-ns)"),
+            ("cycle_time_ns", "-5", "cycle_time_ns must round to at least 1 ps without "
+             "overflowing, got -5.0 (--cycle-time-ns)"),
         ],
         ids=["p-bsa", "collection", "emission", "refractive-index", "attenuation",
              "cycle-rounds-to-zero", "cycle-negative"],
@@ -617,9 +654,11 @@ class TestMain:
         "extra,message",
         [
             (["--cycle-time-ns", "1e308"],
-             "cycle_time_ns must round to a finite number of picoseconds, got 1e+308 ns"),
+             "cycle_time_ns must round to at least 1 ps without overflowing, got 1e+308 "
+             "(--cycle-time-ns)"),
             (["--cycle-time-ns", "1e308", "--dump-config"],
-             "cycle_time_ns must round to a finite number of picoseconds, got 1e+308 ns"),
+             "cycle_time_ns must round to at least 1 ps without overflowing, got 1e+308 "
+             "(--cycle-time-ns)"),
             (["--refractive-index", "1e308"],
              "the link delay must round to a finite number of picoseconds, got n*L/c = inf s "
              "(n = 1e+308, L = 10000.0 m)"),
@@ -755,6 +794,21 @@ class TestMain:
                 (tmp_path / "link.txt").symlink_to("same.txt")
             # nor truncated
             assert (tmp_path / "same.txt").read_text() == "kept\n"
+
+    def test_trace_to_stdout_exits_2_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        # stdout carries the report, so '-' may not name a trace file in the working directory
+        trials = _spy_on_link_trials(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        argv = ["--protocol", "mitm", "--preset", "optimistic", "--topology", "single-link",
+                "--n", "2", "--trials", "1", "--duration", "20", "--distances", "10"]
+        assert main(argv + ["--trace", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "replink: configuration error: --trace needs a file path: '-' is the report's stdout\n"
+        )
+        assert captured.out == ""
+        assert not trials
+        assert not any(tmp_path.iterdir())
 
     def test_message_less_error_names_its_type(self, capsys, monkeypatch):
         def run_out_of_memory(scenario):

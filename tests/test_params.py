@@ -9,10 +9,7 @@ from replink import analytic, cli
 from replink.params import (
     ConfigurationError,
     Duration,
-    HardwareProfile,
-    LinkGeometry,
     MemoryBudget,
-    OpticalStack,
     ProtocolConfig,
     ProtocolKind,
     link_delay,
@@ -22,16 +19,22 @@ from replink.params import (
     validate_probability,
 )
 
-# the interfaces of four of the command line's hardware presets
-ION = HardwareProfile(Duration.from_us(1), 1.00, 0.05)
-NV = HardwareProfile(Duration.from_ns(100), 0.05, 0.50)
-QD = HardwareProfile(Duration.from_ns(10), 1.00, 0.50)
-OPTIMISTIC = HardwareProfile(Duration.from_ns(1), 1.00, 0.50)
+# the interfaces (emission fraction, collection efficiency) of four of the
+# command line's hardware presets
+ION = (1.00, 0.05)
+NV = (0.05, 0.50)
+QD = (1.00, 0.50)
+OPTIMISTIC = (1.00, 0.50)
 
 
-def fiber(length_m):
-    """A link of the scenario's default fiber: index 1.5, attenuation length 22 km."""
-    return LinkGeometry(length_m, refractive_index=1.5, attenuation_length_m=22_000.0)
+def fiber_delay(length_m):
+    """The one-way delay of the scenario's default fiber: index 1.5."""
+    return link_delay(length_m, 1.5)
+
+
+def fiber_transmission(interface, length_m):
+    """An interface's transmission over the default fiber: attenuation length 22 km."""
+    return optical_transmission(*interface, length_m, 22_000.0)
 
 
 class TestDuration:
@@ -76,87 +79,80 @@ class TestDuration:
 
 class TestLinkDelay:
     def test_5_km_is_about_25_us(self):
-        delay = link_delay(fiber(5_000))
+        delay = fiber_delay(5_000)
         assert delay.seconds * 1e6 == pytest.approx(25.0, rel=1e-2)
 
     def test_zero_length(self):
-        assert link_delay(fiber(0)).ps == 0
+        assert fiber_delay(0).ps == 0
 
     def test_20_km_matches_exact_rational_evaluation(self):
         # 1.5 * 20000 m / c, in ps, rounded to nearest
         exact = Fraction(3 * 10**16, 299_792_458)
         expected = int(exact) + (1 if exact - int(exact) >= Fraction(1, 2) else 0)
-        delay = link_delay(fiber(20_000))
+        delay = fiber_delay(20_000)
         assert abs(delay.ps - expected) <= 1
 
     @pytest.mark.parametrize("length,index", [(math.inf, 1.5), (1e305, 1.5), (10_000.0, 1e308)])
     def test_delay_past_a_finite_picosecond_count_is_a_configuration_error(self, length, index):
-        geometry = LinkGeometry(length, refractive_index=index, attenuation_length_m=22_000.0)
         message = "^the link delay must round to a finite number of picoseconds"
         with pytest.raises(ConfigurationError, match=message) as error:
-            link_delay(geometry)
+            link_delay(length, index)
         assert f"(n = {index!r}, L = {length!r} m)" in str(error.value)
 
     @given(st.floats(min_value=1.0, max_value=200_000.0))
     def test_linear_in_length(self, length):
-        one = link_delay(fiber(length))
-        two = link_delay(fiber(2 * length))
+        one = fiber_delay(length)
+        two = fiber_delay(2 * length)
         assert abs(two.ps - 2 * one.ps) <= 1
 
 
 class TestOpticalTransmission:
     def test_optimistic_prefactor_at_zero_distance(self):
-        assert optical_transmission(OPTIMISTIC, fiber(0)) == pytest.approx(0.5)
+        assert fiber_transmission(OPTIMISTIC, 0) == pytest.approx(0.5)
 
     def test_qd_at_44_km_is_half_over_e(self):
-        value = optical_transmission(QD, fiber(44_000))
+        value = fiber_transmission(QD, 44_000)
         assert value == pytest.approx(0.5 * math.exp(-1.0), abs=1e-12)
         assert value == pytest.approx(0.18394, abs=1e-5)
 
     def test_ion_prefactor(self):
-        assert optical_transmission(ION, fiber(0)) == pytest.approx(0.05)
+        assert fiber_transmission(ION, 0) == pytest.approx(0.05)
 
     def test_nv_prefactor(self):
-        assert optical_transmission(NV, fiber(0)) == pytest.approx(0.025)
+        assert fiber_transmission(NV, 0) == pytest.approx(0.025)
 
     @given(st.floats(min_value=0.0, max_value=100_000.0), st.floats(min_value=100.0, max_value=100_000.0))
     def test_strictly_decreasing_in_length(self, length, extra):
-        near = optical_transmission(QD, fiber(length))
-        far = optical_transmission(QD, fiber(length + extra))
+        near = fiber_transmission(QD, length)
+        far = fiber_transmission(QD, length + extra)
         assert far < near
         assert 0.0 <= far <= 1.0
 
 
-def mps_joint(stack, p_mid, p_optical):
+def mps_joint(p_bsa, p_mid, p_optical):
     """p_mid * p_side^2: the midpoint source's one-attempt bin law."""
-    return analytic.mps_entanglement(mps_success_probability(stack, p_optical), p_mid, 1).p_ent_sum
+    return analytic.mps_entanglement(mps_success_probability(p_bsa, p_optical), p_mid, 1).p_ent_sum
 
 
 class TestSuccessProbabilities:
     def test_link_success_example(self):
-        stack = OpticalStack(p_bsa=0.5)
-        assert link_success_probability(stack, 0.5) == pytest.approx(0.125)
+        assert link_success_probability(0.5, 0.5) == pytest.approx(0.125)
 
     def test_total_loss(self):
-        stack = OpticalStack(p_bsa=0.5)
-        assert link_success_probability(stack, 0.0) == 0.0
+        assert link_success_probability(0.5, 0.0) == 0.0
 
     def test_snspd_detector_model(self):
-        stack = OpticalStack(p_bsa=0.24)
-        assert link_success_probability(stack, 0.05) == pytest.approx(6.0e-4)
+        assert link_success_probability(0.24, 0.05) == pytest.approx(6.0e-4)
 
     def test_mps_success_example(self):
-        stack = OpticalStack(p_bsa=0.5)
-        assert mps_joint(stack, 1.0, 0.5) == pytest.approx(0.0625)
-        assert mps_success_probability(stack, 0.5) == pytest.approx(0.25)
+        assert mps_joint(0.5, 1.0, 0.5) == pytest.approx(0.0625)
+        assert mps_success_probability(0.5, 0.5) == pytest.approx(0.25)
 
     def test_mps_source_never_fires(self):
-        stack = OpticalStack(p_bsa=0.5)
-        assert mps_joint(stack, 0.0, 0.5) == 0.0
+        assert mps_joint(0.5, 0.0, 0.5) == 0.0
 
     def test_beamsplitter_source_halves_joint_probability(self):
-        stack = OpticalStack(p_bsa=0.5)
-        assert mps_joint(stack, 0.5, 0.3) == pytest.approx(0.5 * mps_joint(stack, 1.0, 0.3))
+        assert mps_joint(0.5, 0.5, 0.3) == pytest.approx(0.5 * mps_joint(0.5, 1.0, 0.3))
 
     def test_mps_requires_p_mid(self):
         with pytest.raises(ConfigurationError, match="requires --p-mid"):
@@ -168,9 +164,8 @@ class TestSuccessProbabilities:
         st.floats(min_value=0.0, max_value=1.0),
     )
     def test_mps_joint_equals_p_mid_times_p_bsa_times_link_success(self, p_bsa, p_mid, p_opt):
-        stack = OpticalStack(p_bsa=p_bsa)
-        joint = mps_joint(stack, p_mid, p_opt)
-        p = link_success_probability(stack, p_opt)
+        joint = mps_joint(p_bsa, p_mid, p_opt)
+        p = link_success_probability(p_bsa, p_opt)
         assert joint <= p_mid * p_bsa * p + 1e-15
         assert joint == pytest.approx(p_mid * p_bsa * p, abs=1e-15)
         assert 0.0 <= joint <= 1.0
@@ -197,10 +192,9 @@ class TestPresets:
     def test_table(self, name, cycle_ps, emission, collection):
         scenario = self.resolve(name)
         assert scenario.cycle_time_ns == cycle_ps / 1000.0
-        profile = cli._profile(scenario)
-        assert profile.cycle_time.ps == cycle_ps
-        assert profile.emission_fraction == emission
-        assert profile.collection_efficiency == collection
+        assert cli.build_link_model(scenario, 10.0).tau_clock.ps == cycle_ps
+        assert scenario.emission_fraction == emission
+        assert scenario.collection_efficiency == collection
 
     def test_unknown_preset_lists_valid_names(self):
         with pytest.raises(ConfigurationError, match="valid presets: ion, nv, optimistic"):
@@ -221,22 +215,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             validate_probability(float("nan"))
         assert validate_probability(0.3) == 0.3
-
-    def test_bsa_ceiling(self):
-        with pytest.raises(ConfigurationError, match="0.5"):
-            OpticalStack(p_bsa=0.51)
-
-    def test_geometry_invariants(self):
-        with pytest.raises(ConfigurationError):
-            fiber(-1.0)
-        with pytest.raises(ConfigurationError):
-            LinkGeometry(10.0, refractive_index=0.5, attenuation_length_m=22_000.0)
-        with pytest.raises(ConfigurationError):
-            LinkGeometry(10.0, refractive_index=1.5, attenuation_length_m=0.0)
-
-    def test_profile_needs_positive_cycle(self):
-        with pytest.raises(ConfigurationError):
-            HardwareProfile(Duration(0), 1.0, 1.0)
 
     def test_memory_budget_counts(self):
         with pytest.raises(ConfigurationError):
