@@ -48,6 +48,7 @@ __all__ = [
     "sr_rate",
     "sr_expected_pairs_per_round",
     "sr_receiver_allocation",
+    "round_pmf",
     "mps_attempts_per_bin",
     "mps_entanglement",
     "mps_bin_utilization",
@@ -170,6 +171,54 @@ def sr_expected_pairs_per_round(n_a: int, n_b: int, p: float) -> float:
     k = np.arange(n_b) if below else np.arange(n_b, n_a)
     survival = math.fsum(special.betainc(k + 1, n_a - k, p).tolist())
     return min(max(survival if below else n_a * p - survival, 0.0), float(n_b))
+
+
+# e^-746 is under half the smallest subnormal double, so it rounds to zero
+_UNDERFLOW_EXPONENT = 746.0
+
+
+def round_pmf(slots: int, p: float, cap: int) -> tuple[int, np.ndarray]:
+    """(lo, pmf): the law of min(Binomial(slots, p), cap), with pmf[i] the
+    probability of lo + i, over the counts whose probability does not round
+    to zero.
+
+    By Bernstein's inequality each tail beyond t from the mean,
+    P(X - slots*p >= t) or P(slots*p - X >= t), is at most
+    exp(-t^2 / (2 (var + t/3))), which is e^-746 at t = L/3 + sqrt(L^2/9 + 2 L var)
+    with L = 746. So only counts nearer the mean than t can be kept, and
+    the work and the array grow with the law's spread, sqrt(slots p (1 - p)),
+    and not with slots. Inside that window each probability is the product
+    of the pmf ratios (slots - k) p / ((k + 1) (1 - p)) outward from the
+    mode, normalised by their sum: the relative error grows by a few ulps
+    per count away from the mode, and no gamma function is needed.
+    """
+    top = min(slots, cap)
+    if p == 0.0 or top == 0:
+        return 0, np.ones(1)
+    if p == 1.0:
+        return top, np.ones(1)
+    variance = slots * p * (1.0 - p)
+    reach = _UNDERFLOW_EXPONENT / 3.0
+    reach += math.sqrt(reach * reach + 2.0 * _UNDERFLOW_EXPONENT * variance)
+    lo = max(0, math.ceil(slots * p - reach))
+    hi = min(slots, math.floor(slots * p + reach))
+    if top < lo:  # the cap binds in every round that can happen
+        return top, np.ones(1)
+    mode = min(math.floor((slots + 1) * p), hi)
+    odds = p / (1.0 - p)
+    up = np.arange(mode, hi)
+    down = np.arange(mode - 1, lo - 1, -1)
+    weights = np.concatenate((
+        np.cumprod((down + 1) / (slots - down) / odds)[::-1],
+        [1.0],
+        np.cumprod((slots - up) / (up + 1) * odds),
+    ))
+    pmf = weights / weights.sum()
+    if top < hi:  # every count above the cap confirms cap pairs
+        pmf[top - lo] = pmf[top - lo:].sum()
+        pmf = pmf[: top - lo + 1]
+    kept = np.flatnonzero(pmf)
+    return lo + int(kept[0]), pmf[kept[0]: kept[-1] + 1]
 
 
 def sr_rate(n_a: int, n_b: int, p: float, tau_link: Duration, tau_clock: Duration) -> RateBundle:

@@ -59,6 +59,10 @@ _TOPOLOGIES = ("single_link", "chain")
 _MAX_ROUND_COUNTS = 10**8
 _MAX_SWEEP_DISTANCES = 10**4
 _MAX_MEMORY_N = 10**6  # the sender-receiver law holds arrays over N_A < 2 * memory_n outcomes
+# A round law's inverse-CDF table (engine.LinkModel.round_table) holds at most
+# 80 * (sigma + 1) counts, sigma = sqrt(slots * p * (1 - p)) <= sqrt(slots) / 2,
+# and a guide of 8 to 16 buckets per count: below 2 * _MAX_MEMORY_N slots, at
+# most 32,631 counts and 2**18 buckets (2.4 MB), at p = 1/2.
 # A sweep cell holds one rate per trial, and summarizing them peaks at about
 # 80 bytes per trial (by tracemalloc, on either topology): 800 MB.
 _MAX_TRIALS = 10**7
@@ -248,6 +252,10 @@ class Scenario:
 
 
 _SCENARIO_FIELDS = {field.name: field for field in dataclasses.fields(Scenario)}
+_VALUE_FLAGS = frozenset(
+    field.metadata["flag"] for field in _SCENARIO_FIELDS.values()
+    if "action" not in field.metadata["flag_options"]
+)
 
 
 @dataclass(frozen=True)
@@ -279,12 +287,15 @@ CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(ReportRow))
 
 def _parse_field(name: str, text: str, where: str = ""):
     """Read one scenario field from its text in a config file or a flag."""
+    field = _SCENARIO_FIELDS[name]
     try:
-        return _SCENARIO_FIELDS[name].metadata["parse"](text)
+        return field.metadata["parse"](text)
     except ConfigurationError:
         raise
     except ValueError:
-        raise ConfigurationError(f"{where}bad value for {name}: {text!r}") from None
+        low, high = field.metadata["bounds"]
+        rule = "" if low is None else f"; {name} must be {_span(low, high)}"
+        raise ConfigurationError(f"{where}bad value for {name}: {text!r}{rule}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -338,9 +349,27 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list) -> list:
+    """``argv`` with each scenario flag that takes a value joined to a next
+    token that starts with '-' and reads as a float (``--p-bsa -1e-3`` becomes
+    ``--p-bsa=-1e-3``): argparse would take that token for an option, and exit
+    with a message that names neither the field nor its range."""
+    args = list(argv)
+    for i in reversed(range(len(args) - 1)):
+        flag, value = args[i : i + 2]
+        if flag in _VALUE_FLAGS and value.startswith("-"):
+            try:
+                float(value)
+            except ValueError:
+                continue
+            args[i : i + 2] = [f"{flag}={value}"]
+    return args
+
+
 def parse_scenario(argv=None, env=None) -> tuple[Scenario, RunOptions]:
     """Resolve flags, optional config file, and environment into a scenario."""
     env = os.environ if env is None else env
+    argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
     given = vars(_build_arg_parser().parse_args(argv))
     options = RunOptions(
         **{f.name: given.pop(f.name) for f in dataclasses.fields(RunOptions) if f.name in given}
@@ -388,16 +417,17 @@ def _validate_scenario(merged: dict, explicit_links: int | None) -> Scenario:
                 f"missing required scenario field {name!r}; set it via flag, config file, or preset"
             )
         value = merged[name]
-        for number in value if isinstance(value, tuple) else (value,):
-            # an infinite attenuation length is lossless fiber
-            lossless = name == "attenuation_km" and number == math.inf
-            if isinstance(number, float) and not math.isfinite(number) and not lossless:
-                raise _field_error(name, "be a finite number", number)
         low, high = field.metadata["bounds"]
         if value is not None and low is not None and (
             value < low or high is not None and value > high
         ):
             raise _field_error(name, "be " + _span(low, high), value)
+        for number in value if isinstance(value, tuple) else (value,):
+            # an infinite attenuation length is lossless fiber; -inf fails the
+            # positive rule below
+            lossless = name == "attenuation_km" and math.isinf(number)
+            if isinstance(number, float) and not math.isfinite(number) and not lossless:
+                raise _field_error(name, "be a finite number", number)
     # the rules no closed range states
     if not merged["attenuation_km"] > 0:
         raise _field_error("attenuation_km", "be positive", merged["attenuation_km"])

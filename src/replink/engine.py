@@ -8,23 +8,33 @@ trials are its k-trial cell. A sweep reuses its base seed at every
 distance, so one reused generator is set to that seed's cached state:
 about 2 us, against 20 us to build a generator.
 
-Every protocol's round confirms min(Binomial(slots, p), cap) pairs,
-drawn for all rounds at once. The two-sender protocols try each sending
-qubit once with the per-attempt success probability (sender-receiver
-caps the count at the receiver memory). Each midpoint-source bin is one
-Bernoulli trial with ``analytic.mps_entanglement``'s closed-form per-bin
-probability, the same per-attempt process that the tests' reference
-sampler (``tests/protocol_reference.py``) iterates explicitly; the tests
-check the two agree.
+Every protocol's round confirms min(Binomial(slots, p), cap) pairs. The
+two-sender protocols try each sending qubit once with the per-attempt
+success probability (sender-receiver caps the count at the receiver
+memory). Each midpoint-source bin is one Bernoulli trial with
+``analytic.mps_entanglement``'s closed-form per-bin probability, the same
+per-attempt process that the tests' reference sampler
+(``tests/protocol_reference.py``) iterates explicitly; the tests check the
+two agree.
+
+A round count is drawn by inversion: one uniform u from ``rng.random``,
+and the smallest count whose cdf exceeds u. A model builds its law's table
+once, at its first draw (``LinkModel.round_table``), from the exact pmf of
+``analytic.round_pmf``, over the counts a uniform in [0, 1) can reach. A
+guide of about eight buckets per count starts each u on the first count
+its bucket can hold; one vectorised comparison finds the few uniforms
+that lie past that count, and a binary search places them. So n counts
+take exactly n uniforms, and drawing link by link or all links in one
+call gives equal values.
 
 A single-link trial needs only its total. Where the cap cannot bind
 (mitm, mps, and sender-receiver with N_B >= N_A), the sum of the rounds'
-binomials is itself Binomial(rounds * slots, p); a capped sender-receiver
-link still sums one count per round. A sweep cell's trials share the
-rounds, law and elapsed time, so where the cap cannot bind the whole
-cell is one vector draw. A chain trial needs every round's count: it
-draws all its links' rounds in one call, link 0's first, and then one
-uniform per purification group.
+counts is itself Binomial(rounds * slots, p), one ``rng.binomial`` draw; a
+capped sender-receiver trial sums one table draw per round. A sweep cell's
+trials share the rounds, law and elapsed time, so where the cap cannot bind
+the whole cell is one vector draw. A chain trial of L links and R rounds
+takes L * R uniforms for its round counts, link 0's rounds first, and then
+one uniform per purification group.
 
 A chain model derives its purification bounds and its freshness horizon
 in whole rounds once, so a trial pays only for its own rounds. A chain
@@ -102,6 +112,21 @@ class LinkModel:
         if self.config.kind is ProtocolKind.MITM:
             return memory.n_per_side, probs.p, memory.n_per_side
         return memory.n_per_side, self.mps_entanglement.p_ent_sum, memory.n_per_side
+
+    @cached_property
+    def round_table(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(offset, cdf, guide): the round law's inverse-CDF table, built at
+        the first draw. ``cdf[i]`` is P(count <= offset + i), up to the first
+        count where it rounds to 1 (no uniform in [0, 1) reaches a later one),
+        and ``guide[j]`` the smallest i with ``cdf[i] > j / len(guide)``."""
+        offset, pmf = analytic.round_pmf(*self.round_law)
+        cdf = np.cumsum(pmf)
+        cdf /= cdf[-1]
+        cdf = cdf[: np.argmax(cdf >= 1.0) + 1]
+        # about eight buckets per count, so most draws start on their count
+        buckets = 1 << (8 * len(cdf) - 1).bit_length()
+        guide = np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
+        return offset, cdf, guide
 
 
 @dataclass(frozen=True)
@@ -197,11 +222,15 @@ class SummaryStats:
 
 
 def sample_round_counts(rng, link: LinkModel, n_rounds: int) -> np.ndarray:
-    """Confirmed pair counts for ``n_rounds`` consecutive rounds."""
-    slots, p, cap = link.round_law
-    counts = rng.binomial(slots, p, size=n_rounds)
-    if cap < slots:  # only sender-receiver rounds can confirm more pairs than fit
-        np.minimum(counts, cap, out=counts)
+    """Confirmed pair counts for ``n_rounds`` consecutive rounds, one uniform
+    u each: the smallest count whose cdf exceeds u."""
+    offset, cdf, guide = link.round_table
+    u = rng.random(n_rounds)
+    counts = guide[(u * len(guide)).astype(np.intp)]
+    late = np.flatnonzero(u >= cdf[counts])  # u lies past its bucket's first count
+    counts[late] = np.searchsorted(cdf, u[late], side="right")
+    if offset:
+        counts += offset
     return counts
 
 

@@ -4,12 +4,13 @@
 this module keeps the straightforward event loop it replaced, so the
 tests can require the two to return equal ``ChainTrialStats`` for every
 trial of a (chain, duration, seed, trials) cell. A cell's trials draw one
-after another from its one stream ``default_rng([seed, 0])``: a trial
-draws each link's round counts through ``engine.sample_round_counts``,
-link by link, and then one purification uniform per group of seven in
-event order. This module builds that generator itself, so the tests also
-check the engine's cached seeding, and its link-by-link draws check the
-engine's one draw for all links.
+after another from its one stream ``default_rng([seed, 0])``: a trial of
+L links and R rounds draws each link's round counts through
+``engine.sample_round_counts``, link by link, one uniform per count (L * R
+uniforms), and then one purification uniform per group of seven in event
+order. This module builds that generator itself, so the tests also check
+the engine's cached seeding, and its link-by-link draws check that the
+engine's one draw for all links takes the same uniforms in the same order.
 
 Every round of every link is an event, popped from a min-heap in
 (time, insertion sequence) order. At each event the link first drops raw

@@ -227,6 +227,46 @@ class TestSrRate:
         assert sr.rate_per_s < mitm.rate_per_s
 
 
+class TestRoundPmf:
+    """The round law min(Binomial(slots, p), cap) that the engine's table reads."""
+
+    @given(
+        st.integers(min_value=1, max_value=2 * 10**6),
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 1e-300, 0.5, 1 - 1e-12]),
+            st.floats(min_value=1e-300, max_value=1.0),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scipy_on_every_representable_count(self, slots, p, data):
+        cap = data.draw(st.integers(min_value=0, max_value=slots + 2))
+        lo, pmf = analytic.round_pmf(slots, p, cap)
+        top = min(slots, cap)
+        x = np.arange(lo, lo + len(pmf))
+        assert 0 <= lo and x[-1] <= top and pmf.min() > 0.0
+        exact = stats.binom.pmf(x, slots, p)
+        if x[-1] == top:
+            exact[-1] = stats.binom.sf(top - 1, slots, p)
+        # scipy's own pmf loses digits where it nears the smallest doubles
+        sure = exact > 1e-280
+        np.testing.assert_allclose(pmf[sure], exact[sure], rtol=1e-9, atol=0.0)
+        assert math.fsum(pmf.tolist()) == pytest.approx(1.0, abs=1e-12)
+        # the counts left out have probabilities that round to zero
+        for outside in (lo - 1, lo + len(pmf)):
+            if 0 <= outside <= top:
+                tail = stats.binom.pmf(outside, slots, p)
+                if outside == top:
+                    tail = stats.binom.sf(top - 1, slots, p)
+                assert tail < 1e-300
+
+    def test_spread_not_slots_sets_the_length(self):
+        # a million slots at p = 1e-5 have the spread of a Poisson law of mean 10
+        lo, pmf = analytic.round_pmf(10**6, 1e-5, 10**6)
+        assert lo == 0 and len(pmf) < 400
+        assert analytic.round_pmf(10**6, 0.5, 10**6)[1].size < 80 * 500
+
+
 class TestSrAllocation:
     def test_worked_example(self):
         budget = analytic.sr_receiver_allocation(100, 0.0504)

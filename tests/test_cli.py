@@ -72,6 +72,34 @@ BOUNDED = [
     if field.metadata["bounds"] != (None, None)
 ]
 
+# The message a negative value gets from each numeric field without a declared
+# range: its own rule.
+UNBOUNDED_NEGATIVE = {
+    ("cycle_time_ns", "-inf"): "cycle_time_ns must be a finite number, got -inf",
+    ("cycle_time_ns", "-1e-3"):
+        "cycle_time_ns must round to at least 1 ps without overflowing, got -0.001",
+    ("attenuation_km", "-inf"): "attenuation_km must be positive, got -inf",
+    ("attenuation_km", "-1e-3"): "attenuation_km must be positive, got -0.001",
+    ("raw_lifetime_ms", "-inf"): "raw_lifetime_ms must be a finite number, got -inf",
+    ("raw_lifetime_ms", "-1e-3"):
+        "raw_lifetime_ms must round to at least 1 ps without overflowing, got -0.001",
+    ("distances_km", "-inf"): "distances_km must be a finite number, got -inf",
+    ("distances_km", "-1e-3"): "distances_km must be a non-empty list of positive distances",
+}
+NUMERIC_FIELDS = [name for name, *_ in BOUNDED] + sorted({name for name, _ in UNBOUNDED_NEGATIVE})
+
+
+def negative_value_message(name, value):
+    """What a run says of the negative ``value`` given to field ``name``."""
+    if (name, value) in UNBOUNDED_NEGATIVE:
+        return UNBOUNDED_NEGATIVE[name, value]
+    field = cli._SCENARIO_FIELDS[name]
+    span = cli._span(*field.metadata["bounds"])
+    if field.metadata["parse"] is int:
+        return f"bad value for {name}: {value!r}; {name} must be {span}"
+    return f"{name} must be {span}, got {float(value)!r} ({field.metadata['flag']})"
+
+
 PROBABILITY = st.floats(min_value=0.0, max_value=1.0)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 
@@ -313,6 +341,24 @@ class TestParsing:
         config.write_text(dump_config(parse(TINY)) + f"{field} = {value}\n")
         assert main(["--config", str(config), "--dump-config"]) == 2
         assert f"unknown {field} {value!r}; choose one of" in capsys.readouterr().err
+
+
+    def test_every_numeric_field_is_checked_with_negative_values(self):
+        words = {"protocol", "preset", "topology", "include_analytic"}
+        assert sorted(NUMERIC_FIELDS) == sorted(set(cli._SCENARIO_FIELDS) - words)
+
+    @pytest.mark.parametrize("value", ["-inf", "-1e-3"])
+    @pytest.mark.parametrize("name", NUMERIC_FIELDS)
+    def test_negative_values_reach_the_field_rules(self, capsys, name, value):
+        # argparse takes a token that starts with '-' and is not a plain number
+        # for an option, and its message names neither the field nor its range
+        base = CHAIN if name in ("link_count", "raw_lifetime_ms") else TINY
+        flag = cli._SCENARIO_FIELDS[name].metadata["flag"]
+        message = negative_value_message(name, value)
+        assert main(base + [flag, value, "--dump-config"]) == 2
+        assert message in capsys.readouterr().err
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            parse(base + [flag, value])
 
 
 class TestFieldBounds:

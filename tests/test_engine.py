@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,44 @@ class TestEventQueue:
         assert [o[0] for o in out] == sorted(times)
 
 
+def _law_link(slots, p, cap):
+    """A model whose rounds confirm min(Binomial(slots, p), cap) pairs."""
+    budget = MemoryBudget.sender_receiver(slots, cap)
+    return LinkModel(ProtocolConfig(ProtocolKind.SR, budget), LinkProbabilities(p=p), US(10), NS(1))
+
+
+def round_law_pvalue(counts, slots, p, cap):
+    """Chi-squared goodness of fit of round counts to min(Binomial(slots, p), cap)
+    as scipy evaluates it; cells expecting fewer than 5 counts join a neighbour.
+    A law on one count is 1 if every count is that count, else 0."""
+    top = min(slots, cap)
+    expected = scipy_stats.binom.pmf(np.arange(top + 1), slots, p)
+    expected[top] = scipy_stats.binom.sf(top - 1, slots, p)
+    observed = np.bincount(counts, minlength=top + 1)
+    assert len(observed) == top + 1, "a count above the cap"
+    # the far tails join the first and last count that is drawn or expected
+    kept = np.flatnonzero((observed > 0) | (expected * len(counts) > 1e-9))
+    lo, hi = kept[0], kept[-1] + 1
+    observed, expected = (
+        np.concatenate(([a[:lo].sum()], a[lo:hi], [a[hi:].sum()])) for a in (observed, expected)
+    )
+    cells, pending = [], np.zeros(2)
+    for cell in zip(observed, expected * len(counts)):
+        pending += cell
+        if pending[1] >= 5:
+            cells.append(pending)
+            pending = np.zeros(2)
+    if cells:
+        cells[-1] = cells[-1] + pending
+    else:
+        cells = [pending]
+    observed, expected = np.array(cells).T
+    if len(cells) == 1:
+        return float(observed[0] == len(counts))
+    # the merged expectations sum to len(counts) up to rounding, which scipy checks
+    return float(scipy_stats.chisquare(observed, expected / expected.sum() * len(counts)).pvalue)
+
+
 class TestBatchSampler:
     """The vectorized per-round counts match the explicit sampler."""
 
@@ -126,13 +165,60 @@ class TestBatchSampler:
         counts = sample_round_counts(np.random.default_rng(3), MITM_LINK, 50_000)
         assert counts.mean() == pytest.approx(100 * 0.05, rel=0.02)
 
+    @pytest.mark.parametrize("link", [MITM_LINK, SR_LINK, MPS_LINK], ids=["mitm", "sr", "mps"])
+    def test_draw_takes_one_uniform_per_count(self, link):
+        rng = np.random.default_rng(9)
+        counts = sample_round_counts(rng, link, 1000)
+        reference = np.random.default_rng(9)
+        uniforms = reference.random(1000)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        # each count is the smallest whose cdf, as scipy evaluates it, exceeds its uniform
+        slots, p, cap = link.round_law
+        cdf = scipy_stats.binom.cdf(np.arange(min(slots, cap) + 1), slots, p)
+        cdf[-1] = 1.0  # every count above the cap confirms cap pairs
+        assert counts.tolist() == np.searchsorted(cdf, uniforms, side="right").tolist()
+
     @pytest.mark.parametrize(
-        "link,slots,cap", [(MITM_LINK, 100, 100), (SR_LINK, 6, 2)], ids=["mitm", "sr"]
+        "slots,p,cap",
+        [
+            (100, 0.05, 100),  # MITM_LINK
+            (3, MPS_LINK.round_law[1], 3),  # MPS_LINK
+            (6, 0.4, 2),  # SR_LINK, capped
+            (1000, 0.3, 1000),  # slots * p past 30
+            (40, 0.8, 40),  # p past one half
+            (200, 0.3, 55),  # a cap inside the bulk
+            (97, 0.0, 97),
+            (97, 1.0, 97),
+            (6, 1.0, 2),
+        ],
+        ids=["mitm", "mps", "sr-capped", "wide", "p-past-half", "cap-in-bulk",
+             "p-zero", "p-one", "p-one-capped"],
     )
-    def test_two_sender_streams_are_one_binomial_draw(self, link, slots, cap):
-        counts = sample_round_counts(np.random.default_rng(9), link, 1000)
-        raw = np.random.default_rng(9).binomial(slots, link.probs.p, size=1000)
-        np.testing.assert_array_equal(counts, np.minimum(raw, cap))
+    def test_counts_follow_the_exact_round_law(self, slots, p, cap):
+        link = _law_link(slots, p, cap)
+        counts = sample_round_counts(np.random.default_rng(17), link, 200_000)
+        assert round_law_pvalue(counts, slots, p, cap) > 1e-3
+
+    @pytest.mark.parametrize("protocol_name", ["mitm", "sr", "mps", "widest"])
+    def test_largest_memory_table_grows_with_the_spread(self, protocol_name):
+        # a fig8 chain link at the CLI's largest --n, and the widest law past it:
+        # the most sender slots that budget can give, at p = 1/2
+        widest = 2 * cli._MAX_MEMORY_N - 1
+        if protocol_name == "widest":
+            link = _law_link(widest, 0.5, widest)
+        else:
+            argv = ["--preset", "fig8-optimistic", "--protocol", protocol_name,
+                    "--n", str(cli._MAX_MEMORY_N), "--distances", "10"]
+            argv += ["--p-mid", "1"] if protocol_name == "mps" else []
+            link = cli.build_chain_model(cli.parse_scenario(argv, env={})[0], 10.0).link
+        slots, p, cap = link.round_law
+        assert slots > cli._MAX_MEMORY_N // 2
+        offset, cdf, guide = link.round_table
+        sigma = math.sqrt(slots * p * (1 - p))
+        assert len(cdf) <= 80 * (sigma + 1)
+        assert 8 * len(cdf) <= len(guide) <= min(16 * len(cdf), 2**18)
+        counts = sample_round_counts(np.random.default_rng(3), link, 100_000)
+        assert round_law_pvalue(counts, slots, p, cap) > 1e-3
 
     def test_mps_bin_law_is_derived_once_at_the_first_draw(self, monkeypatch):
         calls = []
@@ -294,7 +380,7 @@ class TestLinkTrial:
 def _reference_link_trials(link, duration, seed, trials):
     """A cell's pairs, trial after trial from its one ``default_rng([seed, 0])``:
     one binomial for all of a trial's rounds where the cap cannot bind, else
-    the trial's capped rounds summed."""
+    the trial's capped rounds summed, one uniform each."""
     n_rounds = duration.ps // link.round_time.ps
     slots, p, cap = link.round_law
     rng = np.random.default_rng([seed, 0])
@@ -303,7 +389,7 @@ def _reference_link_trials(link, duration, seed, trials):
         if cap >= slots:
             totals.append(int(rng.binomial(n_rounds * slots, p)))
         else:
-            totals.append(int(np.minimum(rng.binomial(slots, p, size=n_rounds), cap).sum()))
+            totals.append(int(sample_round_counts(rng, link, n_rounds).sum()))
     return totals, n_rounds * link.round_time
 
 

@@ -1,6 +1,8 @@
 """Smoke tests of the figure campaign script at one trial per cell, and of the
-workload report script."""
+workload report script; and a check that the benchmark's variant table is
+the figure script's."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from replink import cli
 from replink.cli import CSV_COLUMNS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,3 +76,29 @@ def test_workload_reports_writes_every_case_at_both_seeds(tmp_path):
         ["fig8-optimistic"] * 10 + ["fig10-ion", "fig10-nv", "fig10-qd"] * 8
     )
     assert all(path.with_suffix(".csv").exists() and path.stat().st_size for path in traces)
+
+
+def _load(monkeypatch, path):
+    """The module at ``path``, imported without running it as a script and
+    without writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"_loaded_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_variants_are_the_figure_variants(monkeypatch):
+    # perfbench/workloads.py keeps its own copy of the figure table
+    workloads = _load(monkeypatch, ROOT / "perfbench" / "workloads.py")
+    figures = _load(monkeypatch, ROOT / "scripts" / "figures.py").FIGURES
+    assert figures["fig8"][1] == figures["fig9"][1] == workloads.CHAIN_VARIANTS
+    assert figures["fig10"][1] == workloads.LINK_VARIANTS
+    for workload, figure in (("chain-fig8", "fig8"), ("chain-fig9", "fig9"),
+                             ("link-fig10", "fig10")):
+        presets = workloads.WORKLOADS[workload].presets
+        assert presets == tuple(preset for preset, _ in figures[figure][0])
+        assert workloads.WORKLOADS[workload].variants == figures[figure][1]
+        for preset in presets:
+            assert cli._preset_bundle(preset)["distances_km"] == workloads.DISTANCES_KM
