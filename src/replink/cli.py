@@ -50,7 +50,7 @@ __all__ = [
     "main",
 ]
 
-_PROTOCOLS = ("mitm", "sr", "mps")
+_PROTOCOLS = tuple(kind.value for kind in ProtocolKind)
 _TOPOLOGIES = ("single_link", "chain")
 
 # A round lasts at least one link delay, so a chain trial, or a single link
@@ -252,10 +252,22 @@ class Scenario:
 
 
 _SCENARIO_FIELDS = {field.name: field for field in dataclasses.fields(Scenario)}
-_VALUE_FLAGS = frozenset(
-    field.metadata["flag"] for field in _SCENARIO_FIELDS.values()
-    if "action" not in field.metadata["flag_options"]
-)
+
+# Every command-line option with its argparse keywords, in --help order.
+_OPTIONS = {
+    "--config": {"help": "config file of 'key = value' scenario fields"},
+    **{
+        field.metadata["flag"]: {"dest": name, **field.metadata["flag_options"]}
+        for name, field in _SCENARIO_FIELDS.items()
+    },
+    "--sweep": {"help": "distances as start:stop:step in km, inclusive"},
+    "--dump-config": {"action": "store_true", "help": "print the fully resolved scenario and exit"},
+    "--trace": {
+        "dest": "trace_path", "help": "write one stepped round's state transitions to this file"
+    },
+    "--format": {"choices": ("csv", "json"), "dest": "report_format"},
+    "--output": {"help": "report destination path, '-' for stdout"},
+}
 
 
 @dataclass(frozen=True)
@@ -335,33 +347,34 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         description="Simulate and tabulate entanglement-distribution rates for repeater link protocols.",
         argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--config", help="config file of 'key = value' scenario fields")
-    for field in _SCENARIO_FIELDS.values():
-        flag, options = field.metadata["flag"], field.metadata["flag_options"]
-        parser.add_argument(flag, dest=field.name, **options)
-    parser.add_argument("--sweep", help="distances as start:stop:step in km, inclusive")
-    parser.add_argument("--dump-config", action="store_true",
-                        help="print the fully resolved scenario and exit")
-    parser.add_argument("--trace", dest="trace_path",
-                        help="write one stepped round's state transitions to this file")
-    parser.add_argument("--format", choices=("csv", "json"), dest="report_format")
-    parser.add_argument("--output", help="report destination path, '-' for stdout")
+    for flag, options in _OPTIONS.items():
+        parser.add_argument(flag, **options)
     return parser
 
 
+def _takes_value(token: str) -> bool:
+    """Whether ``token`` names an option that takes a value, in full or by
+    an abbreviation that argparse accepts (a prefix of no other option)."""
+    if token not in _OPTIONS:
+        named = [flag for flag in _OPTIONS if token.startswith("--") and flag.startswith(token)]
+        if len(named) != 1:
+            return False
+        token = named[0]
+    return "action" not in _OPTIONS[token]
+
+
 def _join_negative_values(argv: list) -> list:
-    """``argv`` with each scenario flag that takes a value joined to a next
-    token that starts with '-' and reads as a float (``--p-bsa -1e-3`` becomes
-    ``--p-bsa=-1e-3``): argparse would take that token for an option, and exit
-    with a message that names neither the field nor its range."""
+    """``argv`` with each option that takes a value joined to a next token
+    that starts with a single '-' (``--p-bsa -1e-3`` becomes
+    ``--p-bsa=-1e-3``, ``--sweep -5:50:5`` becomes ``--sweep=-5:50:5``):
+    argparse would take that token for an option, and exit with a message
+    that names neither the field nor its range. A next token that starts
+    with '--', or is -h, is left to argparse as an option."""
     args = list(argv)
     for i in reversed(range(len(args) - 1)):
         flag, value = args[i : i + 2]
-        if flag in _VALUE_FLAGS and value.startswith("-"):
-            try:
-                float(value)
-            except ValueError:
-                continue
+        option = value.startswith("--") or value == "-h"
+        if _takes_value(flag) and value.startswith("-") and not option:
             args[i : i + 2] = [f"{flag}={value}"]
     return args
 
@@ -495,7 +508,11 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
     if scenario.topology == "chain":
         n -= scenario.reserved_slots  # reserved qubits hold purified pairs, not attempts
 
-    if scenario.protocol in ("mitm", "sr"):
+    if scenario.protocol == "mps":
+        p = params.mps_success_probability(scenario.p_bsa, p_optical)
+        k = analytic.mps_attempts_per_bin(p, scenario.p_mid)
+        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=k)
+    else:
         p = params.link_success_probability(scenario.p_bsa, p_optical)
         if p <= 0.0:
             raise ConfigurationError(
@@ -506,14 +523,7 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
             config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(n))
         else:
             config = ProtocolConfig(ProtocolKind.SR, analytic.sr_receiver_allocation(n, p))
-        probs = params.LinkProbabilities(p=p)
-    else:
-        probs = params.LinkProbabilities(
-            p=params.mps_success_probability(scenario.p_bsa, p_optical), p_mid=scenario.p_mid
-        )
-        k = analytic.mps_attempts_per_bin(probs.p, probs.p_mid)
-        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=k)
-    return engine.LinkModel(config=config, probs=probs, tau_link=tau_link, tau_clock=tau_clock)
+    return engine.LinkModel(config, p, tau_link, tau_clock, p_mid=scenario.p_mid)
 
 
 def build_chain_model(scenario: Scenario, distance_km: float) -> engine.ChainModel:
@@ -535,10 +545,10 @@ def analytic_rate(link: engine.LinkModel) -> analytic.RateBundle:
     per-link formula (the chain pipeline has no closed form)."""
     memory = link.config.memory
     if link.config.kind is ProtocolKind.MITM:
-        return analytic.mitm_rate(memory.n_per_side, link.probs.p, link.tau_link, link.tau_clock)
+        return analytic.mitm_rate(memory.n_per_side, link.p, link.tau_link, link.tau_clock)
     if link.config.kind is ProtocolKind.SR:
         return analytic.sr_rate(
-            memory.n_sender, memory.n_receiver, link.probs.p, link.tau_link, link.tau_clock
+            memory.n_sender, memory.n_receiver, link.p, link.tau_link, link.tau_clock
         )
     return analytic.mps_rate(
         memory.n_per_side, link.mps_entanglement, link.tau_link, link.tau_clock
@@ -659,18 +669,18 @@ def _trace_round(scenario: Scenario) -> list:
     rng = np.random.default_rng(scenario.base_seed)
     trace: list = []
     memory = link.config.memory
-    if scenario.protocol == "mitm":
+    if link.config.kind is ProtocolKind.MITM:
         protocol.step_mitm_round(
-            rng, memory.n_per_side, link.probs.p, link.tau_link, link.tau_clock, trace=trace
+            rng, memory.n_per_side, link.p, link.tau_link, link.tau_clock, trace=trace
         )
-    elif scenario.protocol == "sr":
+    elif link.config.kind is ProtocolKind.SR:
         protocol.step_sr_round(
-            rng, memory.n_sender, memory.n_receiver, link.probs.p,
-            link.tau_link, link.tau_clock, trace=trace,
+            rng, memory.n_sender, memory.n_receiver, link.p, link.tau_link, link.tau_clock,
+            trace=trace,
         )
     else:
         protocol.step_mps_round(
-            rng, memory.n_per_side, link.config.k_attempts, link.probs.p_mid, link.probs.p,
+            rng, memory.n_per_side, link.config.k_attempts, link.p_mid, link.p,
             link.tau_link, link.tau_clock, trace=trace,
         )
     return trace

@@ -59,7 +59,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import analytic
-from .params import ConfigurationError, Duration, LinkProbabilities, ProtocolConfig, ProtocolKind
+from .params import ConfigurationError, Duration, ProtocolConfig, ProtocolKind, validate_probability
 
 __all__ = [
     "LinkModel",
@@ -85,13 +85,28 @@ PAIRS_PER_PURIFICATION = 7
 class LinkModel:
     """Everything needed to simulate one link: protocol, probabilities, delays.
 
-    A sweep distance's Monte Carlo rows and analytic row read one model.
+    ``p`` is the success probability of a two-photon herald (mitm, sr) or
+    of one side's latch (mps), the same for both sides; ``p_mid`` is the
+    midpoint source's pair-generation probability, given for mps links
+    and only for them. A sweep distance's Monte Carlo rows and analytic
+    row read one model.
     """
 
     config: ProtocolConfig
-    probs: LinkProbabilities
+    p: float
     tau_link: Duration
     tau_clock: Duration
+    p_mid: float | None = None
+
+    def __post_init__(self):
+        validate_probability(self.p, "p")
+        kind = self.config.kind
+        if (kind is ProtocolKind.MPS) != (self.p_mid is not None):
+            raise ConfigurationError(
+                f"p_mid goes with mps links and only with them, got {self.p_mid!r} for {kind.value}"
+            )
+        if self.p_mid is not None:
+            validate_probability(self.p_mid, "p_mid")
 
     @cached_property
     def round_time(self) -> Duration:
@@ -101,16 +116,16 @@ class LinkModel:
     def mps_entanglement(self) -> analytic.MpsEntanglement:
         """The midpoint source's per-bin law (mps links only), derived at its
         first use: many models are built and never sampled."""
-        return analytic.mps_entanglement(self.probs.p, self.probs.p_mid, k=self.config.k_attempts)
+        return analytic.mps_entanglement(self.p, self.p_mid, k=self.config.k_attempts)
 
     @cached_property
     def round_law(self) -> tuple[int, float, int]:
         """(slots, p, cap): each round confirms min(Binomial(slots, p), cap) pairs."""
-        memory, probs = self.config.memory, self.probs
+        memory = self.config.memory
         if self.config.kind is ProtocolKind.SR:
-            return memory.n_sender, probs.p, memory.n_receiver
+            return memory.n_sender, self.p, memory.n_receiver
         if self.config.kind is ProtocolKind.MITM:
-            return memory.n_per_side, probs.p, memory.n_per_side
+            return memory.n_per_side, self.p, memory.n_per_side
         return memory.n_per_side, self.mps_entanglement.p_ent_sum, memory.n_per_side
 
     @cached_property

@@ -22,7 +22,6 @@ __all__ = [
     "MemoryBudget",
     "ProtocolKind",
     "ProtocolConfig",
-    "LinkProbabilities",
     "validate_probability",
     "link_delay",
     "optical_transmission",
@@ -156,24 +155,6 @@ class ProtocolConfig:
                 )
         elif self.k_attempts is not None:
             raise ConfigurationError(f"k_attempts is only meaningful for mps, not {self.kind.value}")
-
-
-@dataclass(frozen=True)
-class LinkProbabilities:
-    """Per-attempt success probabilities feeding the samplers.
-
-    ``p`` is the success probability of a two-photon herald (mitm, sr) or
-    of one side's latch (mps), the same for both sides; ``p_mid`` is the
-    midpoint source's pair-generation probability (mps only).
-    """
-
-    p: float
-    p_mid: float | None = None
-
-    def __post_init__(self):
-        validate_probability(self.p, "p")
-        if self.p_mid is not None:
-            validate_probability(self.p_mid, "p_mid")
 
 
 def link_delay(length_m: float, refractive_index: float) -> Duration:

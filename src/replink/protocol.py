@@ -11,54 +11,29 @@ The tests keep a round-level reference sampler
 (``tests/protocol_reference.py``) that draws the same random variates in
 the same order, so a stepped round and that sampler produce identical
 outcomes from identical generator seeds.
-
-Loss heralding is baked into ``sample_bsa``: a missing photon can never
-produce a success verdict, so no path confirms entanglement for a lost
-transmission.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .params import ConfigurationError, Duration, validate_probability
 
 __all__ = [
-    "Verdict", "RoundOutcome", "sample_bsa", "step_mitm_round", "step_sr_round",
-    "step_mps_round", "format_trace_entry",
+    "RoundOutcome", "step_mitm_round", "step_sr_round", "step_mps_round", "format_trace_entry",
 ]
-
-
-class Verdict(Enum):
-    SUCCESS = "success"
-    FAILURE = "failure"
 
 
 @dataclass(frozen=True)
 class RoundOutcome:
     """Confirmed pairs from one protocol round."""
 
-    entangled_pairs: int
     slot_map: tuple[tuple[int, int], ...]
     wall_time: Duration
 
-    def __post_init__(self):
-        if self.entangled_pairs != len(self.slot_map):
-            raise ValueError("entangled_pairs must match the slot map length")
-
-
-def sample_bsa(rng, left_arrived: bool, right_arrived: bool, p_bsa: float) -> Verdict:
-    """Analyzer verdict for one interference attempt.
-
-    Success requires both photons present and happens with probability
-    p_bsa; absence of either photon is a deterministic failure and
-    consumes no randomness.
-    """
-    validate_probability(p_bsa, "p_bsa")
-    if not (left_arrived and right_arrived):
-        return Verdict.FAILURE
-    return Verdict.SUCCESS if rng.random() < p_bsa else Verdict.FAILURE
+    @property
+    def entangled_pairs(self) -> int:
+        return len(self.slot_map)
 
 
 def format_trace_entry(entry) -> str:
@@ -86,10 +61,11 @@ def step_mitm_round(
     delay after its emission. When the round ends, the sender confirms
     every slot whose verdict was a success and frees the rest.
     """
+    p = validate_probability(p, "p")
     if n < 0:
         raise ConfigurationError("slot count must be non-negative")
     wall = tau_link + n * tau_clock
-    won = [sample_bsa(rng, True, True, p) is Verdict.SUCCESS for _ in range(n)]
+    won = [rng.random() < p for _ in range(n)]
     if trace is not None:
         clock = tau_clock.ps
         trace.extend(
@@ -102,7 +78,7 @@ def step_mitm_round(
             _confirm(trace, wall.ps, "alice", i, "photon_emitted")
         else:
             _log(trace, wall.ps, "alice", i, "photon_emitted", "free", "reset")
-    return RoundOutcome(len(pairs), tuple(pairs), wall)
+    return RoundOutcome(tuple(pairs), wall)
 
 
 def step_sr_round(
@@ -119,9 +95,9 @@ def step_sr_round(
     every latched qubit. The sender's memory mirrors the receiver's, so
     only the receiver is stepped.
     """
+    p = validate_probability(p, "p")
     if n_a < 0 or n_b < 0:
         raise ConfigurationError("counts must be non-negative")
-    p = validate_probability(p, "latch_probability")
     wall = 2 * tau_link + n_a * tau_clock
     start, clock = tau_link.ps, tau_clock.ps
     latches = []  # (receiver slot, transmission index)
@@ -129,14 +105,14 @@ def step_sr_round(
         t, slot = start + (i - 1) * clock, len(latches) + 1
         if slot > n_b:
             _log(trace, t, "bob", None, "rejecting", "rejecting", "reject")
-        elif sample_bsa(rng, True, True, p) is Verdict.SUCCESS:
+        elif rng.random() < p:
             latches.append((slot, i))
             _log(trace, t, "bob", slot, "free", "latched", "latch")
         else:
             _log(trace, t, "bob", slot, "free", "free", "latch_failed")
     for slot, _ in latches:
         _confirm(trace, wall.ps, "bob", slot, "latched")
-    return RoundOutcome(len(latches), tuple(latches), wall)
+    return RoundOutcome(tuple(latches), wall)
 
 
 def step_mps_round(
@@ -155,9 +131,9 @@ def step_mps_round(
     latched the same attempt, and discards its other latches.
     """
     p_mid = validate_probability(p_mid, "p_mid")
+    p_side = validate_probability(p_side, "p_side")
     if n_bins < 0 or k < 1:
         raise ConfigurationError("need n_bins >= 0 and k_attempts >= 1")
-    p_side = validate_probability(p_side, "latch_probability")
     wall = tau_link + n_bins * k * tau_clock
     start, clock = tau_link.ps // 2, tau_clock.ps
     sides = (("left", {}), ("right", {}))  # each maps a latched bin to its attempt
@@ -169,7 +145,7 @@ def step_mps_round(
             for node, latched in sides:
                 if b in latched:
                     _log(trace, t, node, b, "rejecting", "rejecting", "reject")
-                elif sample_bsa(rng, True, True, p_side) is Verdict.SUCCESS:
+                elif rng.random() < p_side:
                     latched[b] = a
                     _log(trace, t, node, b, "free", "latched", "latch")
                 else:
@@ -182,5 +158,4 @@ def step_mps_round(
                 _confirm(trace, wall.ps, node, b, "latched")
             else:
                 _log(trace, wall.ps, node, b, "latched", "free", "discard")
-    pairs = tuple((b, b) for b in sorted(matched))
-    return RoundOutcome(len(pairs), pairs, wall)
+    return RoundOutcome(tuple((b, b) for b in sorted(matched)), wall)

@@ -10,34 +10,24 @@ this sampler.
 
 from __future__ import annotations
 
-from replink import analytic
-from replink.params import (
-    Duration, LinkProbabilities, ProtocolConfig, ProtocolKind, validate_probability,
-)
+from replink.engine import LinkModel
+from replink.params import ProtocolKind
 from replink.protocol import RoundOutcome
 
 
-def sample_round(
-    rng,
-    config: ProtocolConfig,
-    probs: LinkProbabilities,
-    tau_link: Duration,
-    tau_clock: Duration,
-) -> RoundOutcome:
-    """Sample one round's confirmed pairs without stepping the round.
+def sample_round(rng, link: LinkModel) -> RoundOutcome:
+    """Sample one round of ``link``'s confirmed pairs without stepping the round.
 
     Draw-for-draw equivalent to the corresponding stepped round: the same
     seed yields the same outcome, and the outcome distributions match.
     """
-    wall = analytic.round_time(config, tau_link, tau_clock)
+    config, p = link.config, link.p
     if config.kind is ProtocolKind.MITM:
-        p = validate_probability(probs.p, "p")
         pairs = tuple(
             (i, i) for i in range(1, config.memory.n_per_side + 1) if rng.random() < p
         )
-        return RoundOutcome(len(pairs), pairs, wall)
+        return RoundOutcome(pairs, link.round_time)
     if config.kind is ProtocolKind.SR:
-        p = validate_probability(probs.p, "p")
         n_a, n_b = config.memory.n_sender, config.memory.n_receiver
         pairs = []
         slot = 1
@@ -47,21 +37,19 @@ def sample_round(
             if rng.random() < p:
                 pairs.append((slot, i))
                 slot += 1
-        return RoundOutcome(len(pairs), tuple(pairs), wall)
+        return RoundOutcome(tuple(pairs), link.round_time)
     # midpoint source: iterate every attempt of every bin, drawing pair
     # generation then each free side's latch, and match pair ids
-    p_mid = validate_probability(probs.p_mid, "p_mid")
-    p_side = validate_probability(probs.p, "p")
     k = config.k_attempts
     pairs = []
     for bin_index in range(1, config.memory.n_per_side + 1):
         left_k = right_k = None
         for attempt in range(1, k + 1):
-            if rng.random() < p_mid:
-                if left_k is None and rng.random() < p_side:
+            if rng.random() < link.p_mid:
+                if left_k is None and rng.random() < p:
                     left_k = attempt
-                if right_k is None and rng.random() < p_side:
+                if right_k is None and rng.random() < p:
                     right_k = attempt
         if left_k is not None and left_k == right_k:
             pairs.append((bin_index, bin_index))
-    return RoundOutcome(len(pairs), tuple(pairs), wall)
+    return RoundOutcome(tuple(pairs), link.round_time)

@@ -16,7 +16,7 @@ from protocol_reference import sample_round
 from test_protocol import enumerate_mps_bin
 
 from replink import analytic, cli, engine, protocol
-from replink.params import Duration, LinkProbabilities, MemoryBudget, ProtocolConfig, ProtocolKind
+from replink.params import Duration, MemoryBudget, ProtocolConfig, ProtocolKind
 
 BASE_SEED = 20260809
 
@@ -260,10 +260,8 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         ]
         rng = np.random.default_rng([BASE_SEED, 2])
         config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(4))
-        sampled = [
-            sample_round(rng, config, LinkProbabilities(p=p), tau_link, tau_clock).entangled_pairs
-            for _ in range(rounds)
-        ]
+        link = engine.LinkModel(config, p, tau_link, tau_clock)
+        sampled = [sample_round(rng, link).entangled_pairs for _ in range(rounds)]
         pvalues[("mitm", p)] = chi2_homogeneity_pvalue(stepped, sampled)
 
     for p in p_values:
@@ -274,10 +272,8 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         ]
         rng = np.random.default_rng([BASE_SEED, 4])
         config = ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(4, 2))
-        sampled = [
-            sample_round(rng, config, LinkProbabilities(p=p), tau_link, tau_clock).entangled_pairs
-            for _ in range(rounds)
-        ]
+        link = engine.LinkModel(config, p, tau_link, tau_clock)
+        sampled = [sample_round(rng, link).entangled_pairs for _ in range(rounds)]
         pvalues[("sr", p)] = chi2_homogeneity_pvalue(stepped, sampled)
 
     for p in p_values:
@@ -288,11 +284,8 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         ]
         rng = np.random.default_rng([BASE_SEED, 6])
         config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(2), k_attempts=4)
-        probs = LinkProbabilities(p=p, p_mid=0.8)
-        sampled = [
-            sample_round(rng, config, probs, tau_link, tau_clock).entangled_pairs
-            for _ in range(rounds)
-        ]
+        link = engine.LinkModel(config, p, tau_link, tau_clock, p_mid=0.8)
+        sampled = [sample_round(rng, link).entangled_pairs for _ in range(rounds)]
         pvalues[("mps", p)] = chi2_homogeneity_pvalue(stepped, sampled)
 
     for key, pvalue in pvalues.items():

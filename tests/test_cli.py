@@ -89,6 +89,16 @@ UNBOUNDED_NEGATIVE = {
 NUMERIC_FIELDS = [name for name, *_ in BOUNDED] + sorted({name for name, _ in UNBOUNDED_NEGATIVE})
 
 
+def abbreviation(flag):
+    """The shortest prefix of ``flag`` that argparse reads as ``flag``: one
+    that starts no other option."""
+    others = (LONG_OPTIONS | {"--help"}) - {flag}
+    return next(
+        flag[:n] for n in range(3, len(flag) + 1)
+        if not any(other.startswith(flag[:n]) for other in others)
+    )
+
+
 def negative_value_message(name, value):
     """What a run says of the negative ``value`` given to field ``name``."""
     if (name, value) in UNBOUNDED_NEGATIVE:
@@ -355,10 +365,37 @@ class TestParsing:
         base = CHAIN if name in ("link_count", "raw_lifetime_ms") else TINY
         flag = cli._SCENARIO_FIELDS[name].metadata["flag"]
         message = negative_value_message(name, value)
-        assert main(base + [flag, value, "--dump-config"]) == 2
-        assert message in capsys.readouterr().err
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
-            parse(base + [flag, value])
+        # the flag in full, and abbreviated as argparse allows (--p-b for --p-bsa)
+        for given in (flag, abbreviation(flag)):
+            assert main(base + [given, value, "--dump-config"]) == 2
+            assert message in capsys.readouterr().err
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                parse(base + [given, value])
+        # so do the distances of a sweep, given in full or abbreviated
+        if name == "distances_km":
+            sweep = [option for option in TINY if option not in ("--distances", "10,5")]
+            message = {"-inf": "sweep parts must be finite", "-1e-3": message}[value]
+            for given in ("--sweep", "--sw"):
+                assert main(sweep + [given, value + ":50:5", "--dump-config"]) == 2
+                assert message in capsys.readouterr().err
+
+    def test_values_that_start_with_a_dash_reach_every_option(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(TINY + ["--config", "-c.cfg"]) == 2
+        assert "cannot read config file -c.cfg" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(TINY + ["--format", "-json"])
+        assert exited.value.code == 2
+        assert "argument --format: invalid choice: '-json'" in capsys.readouterr().err
+        assert main(TINY + ["--output", "-report.csv", "--trace", "-round.trace"]) == 0
+        assert (tmp_path / "-report.csv").read_text().startswith(",".join(CSV_COLUMNS))
+        assert (tmp_path / "-round.trace").read_text().startswith("0,alice,1,")
+        # an option after a value option is still an option, so the value is missing
+        for argv in (["--p-bsa", "--trials", "3"], ["--output", "-h"]):
+            with pytest.raises(SystemExit) as exited:
+                main(TINY + argv)
+            assert exited.value.code == 2
+            assert f"argument {argv[0]}: expected one argument" in capsys.readouterr().err
 
 
 class TestFieldBounds:

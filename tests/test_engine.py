@@ -26,7 +26,6 @@ from replink.engine import (
 from replink.params import (
     ConfigurationError,
     Duration,
-    LinkProbabilities,
     MemoryBudget,
     ProtocolConfig,
     ProtocolKind,
@@ -37,27 +36,28 @@ NS = Duration.from_ns
 
 MITM_LINK = LinkModel(
     ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(100)),
-    LinkProbabilities(p=0.05),
+    0.05,
     tau_link=US(100),
     tau_clock=NS(1),
 )
 SR_LINK = LinkModel(
     ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(6, 2)),
-    LinkProbabilities(p=0.4),
+    0.4,
     tau_link=US(10),
     tau_clock=NS(1),
 )
 SR_UNCAPPED_LINK = LinkModel(
     ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(4, 6)),
-    LinkProbabilities(p=0.4),
+    0.4,
     tau_link=US(10),
     tau_clock=NS(1),
 )
 MPS_LINK = LinkModel(
     ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(3), k_attempts=6),
-    LinkProbabilities(p=0.5, p_mid=1.0),
+    0.5,
     tau_link=US(10),
     tau_clock=NS(10),
+    p_mid=1.0,
 )
 
 
@@ -98,7 +98,7 @@ class TestEventQueue:
 def _law_link(slots, p, cap):
     """A model whose rounds confirm min(Binomial(slots, p), cap) pairs."""
     budget = MemoryBudget.sender_receiver(slots, cap)
-    return LinkModel(ProtocolConfig(ProtocolKind.SR, budget), LinkProbabilities(p=p), US(10), NS(1))
+    return LinkModel(ProtocolConfig(ProtocolKind.SR, budget), p, US(10), NS(1))
 
 
 def round_law_pvalue(counts, slots, p, cap):
@@ -133,6 +133,25 @@ def round_law_pvalue(counts, slots, p, cap):
     return float(scipy_stats.chisquare(observed, expected / expected.sum() * len(counts)).pvalue)
 
 
+class TestLinkModel:
+    CONFIGS = {"mitm": MITM_LINK.config, "sr": SR_LINK.config, "mps": MPS_LINK.config}
+
+    @pytest.mark.parametrize("kind", sorted(CONFIGS))
+    def test_p_mid_goes_with_mps_links_and_only_with_them(self, kind):
+        config = self.CONFIGS[kind]
+        wrong = None if kind == "mps" else 0.5
+        with pytest.raises(ConfigurationError, match=f"^p_mid goes with mps links .* for {kind}$"):
+            LinkModel(config, 0.5, US(10), NS(1), p_mid=wrong)
+        LinkModel(config, 0.5, US(10), NS(1), p_mid=0.5 if wrong is None else None)
+
+    @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
+    def test_probabilities_are_checked_at_construction(self, value):
+        with pytest.raises(ConfigurationError, match="^p must lie in"):
+            LinkModel(MITM_LINK.config, value, US(10), NS(1))
+        with pytest.raises(ConfigurationError, match="^p_mid must lie in"):
+            LinkModel(MPS_LINK.config, 0.5, US(10), NS(1), p_mid=value)
+
+
 class TestBatchSampler:
     """The vectorized per-round counts match the explicit sampler."""
 
@@ -146,17 +165,17 @@ class TestBatchSampler:
         batch = sample_round_counts(np.random.default_rng(seed), link, rounds)
         rng = np.random.default_rng(seed + 1000)
         explicit = [
-            sample_round(rng, link.config, link.probs, link.tau_link, link.tau_clock).entangled_pairs
-            for _ in range(rounds)
+            sample_round(rng, link).entangled_pairs for _ in range(rounds)
         ]
         assert chi2_homogeneity_pvalue(batch, explicit) > 0.01
 
     def test_mps_zero_rate_cases(self):
         dead = LinkModel(
             ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(3), k_attempts=6),
-            LinkProbabilities(p=0.5, p_mid=0.0),
+            0.5,
             tau_link=US(10),
             tau_clock=NS(10),
+            p_mid=0.0,
         )
         counts = sample_round_counts(np.random.default_rng(0), dead, 100)
         assert counts.sum() == 0
@@ -276,15 +295,12 @@ class TestLinkTrial:
         if kind == "mitm":
             link = LinkModel(
                 ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(100)),
-                LinkProbabilities(p=p), tau_link, tau_clock,
+                p, tau_link, tau_clock,
             )
             oracle = analytic.mitm_rate(100, p, tau_link, tau_clock).rate_per_s
         elif kind == "sr":
             budget = analytic.sr_receiver_allocation(100, p)
-            link = LinkModel(
-                ProtocolConfig(ProtocolKind.SR, budget),
-                LinkProbabilities(p=p), tau_link, tau_clock,
-            )
+            link = LinkModel(ProtocolConfig(ProtocolKind.SR, budget), p, tau_link, tau_clock)
             oracle = analytic.sr_rate(
                 budget.n_sender, budget.n_receiver, p, tau_link, tau_clock
             ).rate_per_s
@@ -292,7 +308,7 @@ class TestLinkTrial:
             k = analytic.mps_attempts_per_bin(p, 1.0)
             link = LinkModel(
                 ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(100), k_attempts=k),
-                LinkProbabilities(p=p, p_mid=1.0), tau_link, tau_clock,
+                p, tau_link, tau_clock, p_mid=1.0,
             )
             ent = analytic.mps_entanglement(p, 1.0, k)
             oracle = analytic.mps_rate(100, ent, tau_link, tau_clock).rate_per_s
@@ -724,7 +740,7 @@ class TestChainTrial:
         # never assemble, so nothing is ever purified
         sparse = LinkModel(
             ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(10)),
-            LinkProbabilities(p=0.01),
+            0.01,
             tau_link=US(100),
             tau_clock=NS(1),
         )
@@ -748,25 +764,23 @@ def chain_links(draw):
     n = draw(st.integers(1, 6))
     if kind == "mitm":
         config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(n))
-        probs = LinkProbabilities(p=draw(st.floats(0.05, 0.9)))
     elif kind == "sr":
         config = ProtocolConfig(
             ProtocolKind.SR, MemoryBudget.sender_receiver(n, draw(st.integers(1, n)))
         )
-        probs = LinkProbabilities(p=draw(st.floats(0.05, 0.9)))
     else:
         config = ProtocolConfig(
             ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=draw(st.integers(1, 4))
         )
-        side = draw(st.floats(0.05, 0.9))
-        probs = LinkProbabilities(p=side, p_mid=draw(st.floats(0.1, 1.0)))
-    return LinkModel(config, probs, tau_link=tau_link, tau_clock=US(1))
+    p = draw(st.floats(0.05, 0.9))
+    p_mid = draw(st.floats(0.1, 1.0)) if kind == "mps" else None
+    return LinkModel(config, p, tau_link=tau_link, tau_clock=US(1), p_mid=p_mid)
 
 
 def mitm_link(n, p, tau_link):
     return LinkModel(
         ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(n)),
-        LinkProbabilities(p=p),
+        p,
         tau_link=tau_link,
         tau_clock=US(1),
     )

@@ -7,12 +7,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import ScriptedRng
 from protocol_reference import sample_round
 from replink import analytic
-from replink.params import Duration, LinkProbabilities, MemoryBudget, ProtocolConfig, ProtocolKind
+from replink.engine import LinkModel
+from replink.params import ConfigurationError, Duration, MemoryBudget, ProtocolConfig, ProtocolKind
 from replink.protocol import (
     RoundOutcome,
-    Verdict,
     format_trace_entry,
-    sample_bsa,
     step_mitm_round,
     step_mps_round,
     step_sr_round,
@@ -20,9 +19,6 @@ from replink.protocol import (
 
 TL = Duration.from_us(10)
 TC = Duration.from_ns(1)
-
-S = Verdict.SUCCESS
-F = Verdict.FAILURE
 
 
 def mitm_config(n):
@@ -37,27 +33,22 @@ def mps_config(n, k):
     return ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=k)
 
 
-class TestSampleBsa:
-    def test_certain_measurement(self):
-        assert sample_bsa(ScriptedRng([0.999]), True, True, 1.0) is S
-
-    def test_loss_heralding_never_succeeds(self):
-        # no draw may happen: a missing photon is a deterministic failure
-        empty = ScriptedRng([])
-        assert sample_bsa(empty, False, True, 1.0) is F
-        assert sample_bsa(empty, True, False, 1.0) is F
-        assert sample_bsa(empty, False, False, 1.0) is F
-
-    def test_empirical_frequency(self):
-        rng = np.random.default_rng(123)
-        hits = sum(sample_bsa(rng, True, True, 0.5) is S for _ in range(100_000))
-        assert hits / 100_000 == pytest.approx(0.5, abs=0.01)
+def link(config, p, p_mid=None):
+    return LinkModel(config, p, TL, TC, p_mid=p_mid)
 
 
 class TestMitmMachine:
     def test_single_slot_success(self):
         outcome = step_mitm_round(ScriptedRng([0.1]), 1, 0.5, TL, TC)
-        assert outcome == RoundOutcome(1, ((1, 1),), TL + TC)
+        assert outcome == RoundOutcome(((1, 1),), TL + TC)
+        assert outcome.entangled_pairs == 1
+
+    def test_certain_herald_succeeds(self):
+        assert step_mitm_round(ScriptedRng([0.999]), 1, 1.0, TL, TC).slot_map == ((1, 1),)
+
+    def test_herald_frequency(self):
+        outcome = step_mitm_round(np.random.default_rng(123), 100_000, 0.5, TL, TC)
+        assert outcome.entangled_pairs / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_hand_traced_three_slots(self):
         # verdict draws: success, failure, success
@@ -156,6 +147,25 @@ class TestMpsReceiverMachine:
         assert rng.remaining == 0
 
 
+class TestProbabilityChecks:
+    """A stepper checks its probabilities on entry, so even a round that
+    would draw nothing refuses one outside [0, 1]."""
+
+    STEPPERS = {
+        "mitm": ("p", lambda p: step_mitm_round(ScriptedRng([]), 0, p, TL, TC)),
+        "sr": ("p", lambda p: step_sr_round(ScriptedRng([]), 3, 0, p, TL, TC)),
+        "mps-side": ("p_side", lambda p: step_mps_round(ScriptedRng([]), 0, 1, 0.5, p, TL, TC)),
+        "mps-source": ("p_mid", lambda p: step_mps_round(ScriptedRng([]), 0, 1, p, 0.5, TL, TC)),
+    }
+
+    @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("stepper", sorted(STEPPERS))
+    def test_out_of_range_probability_fails_before_any_draw(self, stepper, p):
+        name, step = self.STEPPERS[stepper]
+        with pytest.raises(ConfigurationError, match=rf"^{name} must lie in \[0, 1\]"):
+            step(p)
+
+
 class TestSamplerEquivalence:
     """The sampler mirrors the stepped rounds draw for draw."""
 
@@ -163,26 +173,22 @@ class TestSamplerEquivalence:
     def test_mitm_seed_paired(self, p):
         for seed in range(30):
             stepped = step_mitm_round(np.random.default_rng(seed), 4, p, TL, TC)
-            sampled = sample_round(
-                np.random.default_rng(seed), mitm_config(4), LinkProbabilities(p=p), TL, TC
-            )
+            sampled = sample_round(np.random.default_rng(seed), link(mitm_config(4), p))
             assert stepped == sampled
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_sr_seed_paired(self, p):
         for seed in range(30):
             stepped = step_sr_round(np.random.default_rng(seed), 4, 2, p, TL, TC)
-            sampled = sample_round(
-                np.random.default_rng(seed), sr_config(4, 2), LinkProbabilities(p=p), TL, TC
-            )
+            sampled = sample_round(np.random.default_rng(seed), link(sr_config(4, 2), p))
             assert stepped == sampled
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_mps_seed_paired(self, p):
-        probs = LinkProbabilities(p=p, p_mid=0.7)
+        mps = link(mps_config(3, 4), p, p_mid=0.7)
         for seed in range(30):
             stepped = step_mps_round(np.random.default_rng(seed), 3, 4, 0.7, p, TL, TC)
-            sampled = sample_round(np.random.default_rng(seed), mps_config(3, 4), probs, TL, TC)
+            sampled = sample_round(np.random.default_rng(seed), mps)
             assert stepped == sampled
 
     def test_sampler_statistics_match_formulas(self):
@@ -190,7 +196,7 @@ class TestSamplerEquivalence:
         rounds = 100_000
         sr_mean = np.mean(
             [
-                sample_round(rng, sr_config(2, 1), LinkProbabilities(p=0.5), TL, TC).entangled_pairs
+                sample_round(rng, link(sr_config(2, 1), 0.5)).entangled_pairs
                 for _ in range(rounds)
             ]
         )
@@ -198,10 +204,10 @@ class TestSamplerEquivalence:
 
     def test_mps_sampler_matches_entanglement_probability(self):
         rng = np.random.default_rng(1234)
-        probs = LinkProbabilities(p=0.5, p_mid=1.0)
+        mps = link(mps_config(1, 6), 0.5, p_mid=1.0)
         mean = np.mean(
             [
-                sample_round(rng, mps_config(1, 6), probs, TL, TC).entangled_pairs
+                sample_round(rng, mps).entangled_pairs
                 for _ in range(100_000)
             ]
         )
@@ -213,43 +219,35 @@ class TestSamplerEquivalence:
         rounds = 10_000
         rng_m = np.random.default_rng(31)
         rng_s = np.random.default_rng(31)
-        probs = LinkProbabilities(p=0.3)
+        mitm = link(mitm_config(4), 0.3)
         for _ in range(rounds):
             stepped = step_mitm_round(rng_m, 4, 0.3, TL, TC)
-            sampled = sample_round(rng_s, mitm_config(4), probs, TL, TC)
+            sampled = sample_round(rng_s, mitm)
             assert stepped.slot_map == sampled.slot_map
 
         rng_m = np.random.default_rng(32)
         rng_s = np.random.default_rng(32)
-        probs = LinkProbabilities(p=0.3)
+        sr = link(sr_config(4, 2), 0.3)
         for _ in range(rounds):
             stepped = step_sr_round(rng_m, 4, 2, 0.3, TL, TC)
-            sampled = sample_round(rng_s, sr_config(4, 2), probs, TL, TC)
+            sampled = sample_round(rng_s, sr)
             assert stepped.slot_map == sampled.slot_map
 
         rng_m = np.random.default_rng(33)
         rng_s = np.random.default_rng(33)
-        probs = LinkProbabilities(p=0.4, p_mid=0.7)
+        mps = link(mps_config(2, 4), 0.4, p_mid=0.7)
         for _ in range(rounds):
             stepped = step_mps_round(rng_m, 2, 4, 0.7, 0.4, TL, TC)
-            sampled = sample_round(rng_s, mps_config(2, 4), probs, TL, TC)
+            sampled = sample_round(rng_s, mps)
             assert stepped.slot_map == sampled.slot_map
 
     def test_mitm_certain_success_fills_every_slot(self):
-        outcome = sample_round(
-            np.random.default_rng(0), mitm_config(5), LinkProbabilities(p=1.0), TL, TC
-        )
+        outcome = sample_round(np.random.default_rng(0), link(mitm_config(5), 1.0))
         assert outcome.entangled_pairs == 5
 
     def test_wall_time_matches_round_time(self):
         config = mps_config(3, 4)
-        outcome = sample_round(
-            np.random.default_rng(0),
-            config,
-            LinkProbabilities(p=0.5, p_mid=0.5),
-            TL,
-            TC,
-        )
+        outcome = sample_round(np.random.default_rng(0), link(config, 0.5, p_mid=0.5))
         assert outcome.wall_time == analytic.round_time(config, TL, TC)
 
 
@@ -367,10 +365,10 @@ class TestExhaustiveEnumeration:
     def test_sampler_matches_exhaustive_branching(self, k):
         p_mid, p_side = 0.6, 0.4
         exact, branches = enumerate_mps_bin(k, p_mid, p_side)
-        probs = LinkProbabilities(p=p_side, p_mid=p_mid)
+        mps = link(mps_config(1, k), p_side, p_mid=p_mid)
         sampler_total = 0.0
         for script, prob, _ in branches:
-            outcome = sample_round(ScriptedRng(list(script)), mps_config(1, k), probs, TL, TC)
+            outcome = sample_round(ScriptedRng(list(script)), mps)
             if outcome.entangled_pairs:
                 sampler_total += prob
         assert sampler_total == pytest.approx(exact, abs=1e-12)
@@ -401,7 +399,7 @@ class TestDeterminism:
     PINNED_ROUNDS = {
         "mitm": (
             lambda trace: step_mitm_round(np.random.default_rng(11), 3, 0.5, TL, TC, trace=trace),
-            RoundOutcome(2, ((1, 1), (2, 2)), Duration(10_003_000)),
+            RoundOutcome(((1, 1), (2, 2)), Duration(10_003_000)),
             [
                 "0,alice,1,free,photon_emitted,emit",
                 "1000,alice,2,free,photon_emitted,emit",
@@ -415,7 +413,7 @@ class TestDeterminism:
         ),
         "sr": (
             lambda trace: step_sr_round(np.random.default_rng(12), 4, 2, 0.5, TL, TC, trace=trace),
-            RoundOutcome(2, ((1, 1), (2, 3)), Duration(20_004_000)),
+            RoundOutcome(((1, 1), (2, 3)), Duration(20_004_000)),
             [
                 "10000000,bob,1,free,latched,latch",
                 "10001000,bob,2,free,free,latch_failed",
@@ -431,7 +429,7 @@ class TestDeterminism:
             lambda trace: step_mps_round(
                 np.random.default_rng(0), 3, 3, 0.8, 0.5, TL, TC, trace=trace
             ),
-            RoundOutcome(1, ((1, 1),), Duration(10_009_000)),
+            RoundOutcome(((1, 1),), Duration(10_009_000)),
             [
                 "5000000,left,1,free,latched,latch",
                 "5000000,right,1,free,latched,latch",
@@ -455,7 +453,7 @@ class TestDeterminism:
             lambda trace: step_mitm_round(
                 np.random.default_rng(11), 3, 0.5, Duration(0), TC, trace=trace
             ),
-            RoundOutcome(2, ((1, 1), (2, 2)), Duration(3000)),
+            RoundOutcome(((1, 1), (2, 2)), Duration(3000)),
             [
                 "0,alice,1,free,photon_emitted,emit",
                 "1000,alice,2,free,photon_emitted,emit",
@@ -471,7 +469,7 @@ class TestDeterminism:
             lambda trace: step_sr_round(
                 np.random.default_rng(12), 4, 2, 0.5, Duration(0), TC, trace=trace
             ),
-            RoundOutcome(2, ((1, 1), (2, 3)), Duration(4000)),
+            RoundOutcome(((1, 1), (2, 3)), Duration(4000)),
             [
                 "0,bob,1,free,latched,latch",
                 "1000,bob,2,free,free,latch_failed",

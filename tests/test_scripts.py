@@ -1,8 +1,9 @@
 """Smoke tests of the figure campaign script at one trial per cell, and of the
-workload report script; and a check that the benchmark's variant table is
-the figure script's."""
+workload report script; a check that the benchmark's variant table is the
+figure script's; and a traced benchmark campaign per workload."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -102,3 +103,22 @@ def test_benchmark_variants_are_the_figure_variants(monkeypatch):
         assert workloads.WORKLOADS[workload].variants == figures[figure][1]
         for preset in presets:
             assert cli._preset_bundle(preset)["distances_km"] == workloads.DISTANCES_KM
+
+
+@pytest.mark.parametrize("workload", ["chain-fig8", "chain-fig9", "link-fig10"])
+def test_traced_benchmark_campaign_runs_without_errors(tmp_path, workload):
+    # perfbench/tracer.py wraps replink functions by name and reads model
+    # fields such as link.config.memory and chain.links; a change that drops
+    # one fails every cell it touches, which the campaign records as an error
+    done = subprocess.run(
+        [sys.executable, "-B", "perfbench/campaign.py", "--workload", workload, "--seed", "5",
+         "--outdir", str(tmp_path), "--traced", "1", "--trials", "1"],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["errors"] == {}
+    layers = result["layers"]
+    if workload.startswith("chain"):
+        checked = layers["engine.chain.conservation_checked"]
+        assert checked == layers["engine.run_chain_trial.calls"] > 0
