@@ -6,7 +6,7 @@
 fig8, optimistic hardware: a ten-link chain with purification, N = 100
 memory qubits per interface, analyzer success 0.5, interface transmission
 0.5, 1 ns clock. Full scale (1000 trials x 10 distances per variant) takes
-about 1.2 minutes on a 2-vCPU x86-64 machine; pass --trials 100 for a
+about a minute on a 2-vCPU x86-64 machine; pass --trials 100 for a
 quick look.
 
 fig9, pessimistic hardware: the same ten-link layout, but with analyzer
@@ -14,7 +14,7 @@ success and interface transmission both at 0.10. The two-sender protocols
 starve beyond roughly 25 km here (raw pairs arrive too slowly to assemble
 purification groups within the memory-hold horizon), while the
 midpoint-source variants keep delivering; expect zero-heavy columns. Full
-scale takes about 14 s.
+scale takes about 13 s.
 
 fig10, hardware-specific single links on trapped ion, diamond NV and
 quantum dot: two nodes, one link, N = 3 memory qubits, analyzer success

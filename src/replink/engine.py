@@ -38,16 +38,22 @@ one uniform per purification group.
 
 A chain model derives its purification bounds and its freshness horizon
 in whole rounds once, so a trial pays only for its own rounds. A chain
-trial runs without an event loop, in one pass over the non-empty rounds
-of all its links at once. Each link's purification groups come from its
-running pair total, unless a stashed pair could outlive the freshness
-horizon; only such a link steps its stash, the newest 0-6 of its pairs,
-through its rounds as an integer recurrence. All links share one round
-time, so the rounds that form groups are merged in the order of a (time,
-insertion) event queue: round by round, and within a round in link order.
-One vector of uniforms decides every purification in that order, a Python
-pass over the rounds with a success applies the buffer cap and the swaps,
-and a check that every link's pairs balance ends the trial.
+trial runs without an event loop. All links share one round time, so the
+rounds that form groups are merged in the order of a (time, insertion)
+event queue: round by round, and within a round in link order. A trial's
+groups take one of two paths. Where no stashed raw pair can outwait the
+horizon, each link's groups follow from its running pair total in one
+dense pass over the links x rounds array. That holds without a horizon,
+with a horizon of at least the trial's rounds, or where every window of
+``lag`` rounds brings each link at least six pairs, enough to complete the
+group of any pair stashed before it. Every other trial takes the stash
+path, one pass over the non-empty rounds of all its links at once: groups
+still come from the running totals, except on a link where a stashed pair
+could expire; only such a link steps its stash, the newest 0-6 of its
+pairs, through its rounds as an integer recurrence. One vector of uniforms
+decides every purification in event order, a Python pass over the rounds
+with a success applies the buffer cap and the swaps, and a check that
+every link's pairs balance ends the trial.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ __all__ = [
 ]
 
 PAIRS_PER_PURIFICATION = 7
+_STASH_MAX = PAIRS_PER_PURIFICATION - 1  # raw pairs a link can hold short of a group
 
 
 @dataclass(frozen=True)
@@ -348,8 +355,47 @@ def _check_conservation(stats: ChainTrialStats) -> None:
 def _queued_groups(counts, raw, lag):
     """Link and group count of each round that forms groups of seven, in event
     queue order, and each link's raw pairs expired and left pending. Row i of
-    ``counts`` holds link i's round counts; a pair from round r is fresh at
-    the end of round q iff r >= q - ``lag`` (always, if ``lag`` is None).
+    ``counts`` holds link i's round counts, ``raw`` their sums; a pair from
+    round r is fresh at the end of round q iff r >= q - ``lag`` (always, if
+    ``lag`` is None).
+
+    A trial takes one of two paths. Where no stashed pair can expire, its
+    groups follow from each link's running pair total in one dense pass over
+    the links x rounds array. That holds when ``lag`` is None, when
+    ``lag >= n_rounds`` (no pair grows that old), or when ``lag > 0`` and
+    every window of ``lag`` rounds after any round brings each link at least
+    six pairs: with ``total = cumsum(counts, axis=1)``,
+    ``(total[:, lag:] - total[:, :-lag]).min() >= 6``. Proof of the last: a
+    link groups its pairs in arrival order, so a pair still stashed after
+    round r completes its group within the link's next six pairs, which
+    rounds r+1..r+lag bring; the group forms by round r+lag, while the pair
+    is fresh. A pair from after round n_rounds-1-lag is fresh at the trial's
+    end whatever follows it, so the windows that end inside the trial are
+    all that count. Every other trial takes the stash path,
+    ``_stash_groups``, and so does ``lag == 0``: an empty window holds no
+    pairs.
+    """
+    n_links, n_rounds = counts.shape
+    windowed = lag is not None and lag < n_rounds
+    # six pairs in every window needs six in each of (n_rounds - 1) // lag
+    # disjoint ones: a cheap bound that spares most stash-path trials the sums
+    if windowed and (lag == 0 or raw.min() < _STASH_MAX * ((n_rounds - 1) // lag)):
+        return _stash_groups(counts, raw, lag)
+    # each link's pairs so far, a row per round: rows in the order of a (time,
+    # insertion) event queue, round by round and within a round link by link
+    total = np.cumsum(counts.T.copy(), axis=0)
+    if windowed and (total[lag:] - total[:-lag]).min() < _STASH_MAX:
+        return _stash_groups(counts, raw, lag)
+    whole = total // PAIRS_PER_PURIFICATION  # groups each link has formed so far
+    formed = whole.copy()
+    formed[1:] -= whole[:-1]
+    made = np.flatnonzero(formed)
+    pending = (raw % PAIRS_PER_PURIFICATION).tolist()
+    return made % n_links, formed.ravel()[made], [0] * n_links, pending
+
+
+def _stash_groups(counts, raw, lag):
+    """``_queued_groups`` for any trial, over the non-empty rounds of all links.
     Groups follow from each link's running pair total unless a stashed pair
     outlives the horizon before its group completes; only such links run the
     stash recurrence."""

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 import chain_reference
@@ -887,8 +887,10 @@ class TestChainOracle:
 
     def test_unbalanced_pairs_raise(self, monkeypatch, capsys):
         recurrence = engine._stash_recurrence
+        calls = []
 
         def lose_a_pair(fresh, arrivals):
+            calls.append(arrivals)
             formed, expired, pending = recurrence(fresh, arrivals)
             return formed, expired, pending - 1
 
@@ -898,12 +900,15 @@ class TestChainOracle:
             feed_round_counts(patch, sparse_and_dense_rounds(0, US(2_000).ps // R))
             with pytest.raises(RuntimeError, match=r"chain link 0 does not conserve pairs: raw \d+"):
                 run_chain_trials(chain, US(2_000), 0, 1)
+        assert len(calls) == 1  # the raise came from the lost pair
         # through the command line, every link of a fig9 midpoint-source chain
         # runs the recurrence
+        calls.clear()
         argv = ["--preset", "fig9-pessimistic", "--protocol", "mps", "--p-mid", "0.1",
                 "--distances", "30", "--trials", "1"]
         assert cli.main(argv) == 1
         assert "does not conserve pairs" in capsys.readouterr().err
+        assert len(calls) == 10
 
     # Chains of every protocol, length, lifetime and buffer capacity.
     @settings(max_examples=150, deadline=None)
@@ -1059,6 +1064,112 @@ class TestStashRecurrence:
         # exactly the links whose pairs expire run the recurrence, and each
         # round forms the walk's groups; the trial's end forms none
         assert calls == [(made + [0], expired, left) for made, expired, left in walks if expired]
+
+
+def no_pair_can_expire(counts, lag):
+    """The dense grouping path's condition, window by window: no horizon, one
+    longer than the trial, or at least six pairs on every link in the ``lag``
+    rounds after each round whose pairs could still go stale."""
+    n_rounds = counts.shape[1]
+    if lag is None or lag >= n_rounds:
+        return True
+    return lag > 0 and all(
+        sum(row[r + 1:r + 1 + lag]) >= 6 for row in counts.tolist() for r in range(n_rounds - lag)
+    )
+
+
+@st.composite
+def grouped_rounds(draw):
+    """Round counts of one to three links and a lag of None or 0 to one past
+    the trial. Each link's counts stay within one of a drawn level, often the
+    one that brings about six pairs in ``lag`` rounds, so windows often hold
+    exactly five or exactly six pairs."""
+    n_rounds = draw(st.integers(1, 24))
+    lag = draw(st.integers(-1, n_rounds + 1))
+    lag = None if lag < 0 else lag
+    counts = []
+    for _ in range(draw(st.integers(1, 3))):
+        level = draw(st.integers(0, 7) | st.just(-(-6 // (lag or 1))))  # ceil(6 / lag)
+        counts.append(draw(st.lists(
+            st.integers(max(level - 1, 0), level + 1), min_size=n_rounds, max_size=n_rounds
+        )))
+    return np.array(counts, dtype=np.intp), lag
+
+
+class TestGroupingPaths:
+    """The dense grouping pass against the stash path it skips."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=grouped_rounds())
+    @example(case=(np.array([[1, 0, 6, 6, 0]]), 2))  # every window holds six or more
+    @example(case=(np.array([[1, 0, 5, 6, 0]]), 2))  # one holds five: round 0's pair expires
+    @example(case=(np.array([[7, 7, 7]]), 0))
+    @example(case=(np.array([[1, 0, 0]]), 3))
+    @example(case=(np.array([[1, 0, 0], [9, 9, 9]]), 2))
+    def test_dense_path_equals_the_stash_path(self, case):
+        counts, lag = case
+        raw = counts.sum(axis=1)
+        stash_groups = engine._stash_groups
+        stashed = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                engine, "_stash_groups", lambda *args: stashed.append(args) or stash_groups(*args)
+            )
+            link_of, groups, expired, pending = engine._queued_groups(counts, raw, lag)
+        # the stash path runs exactly where the condition fails
+        assert bool(stashed) != no_pair_can_expire(counts, lag)
+        want_links, want_groups, want_expired, want_pending = stash_groups(counts, raw, lag)
+        assert link_of.tolist() == want_links.tolist()
+        assert groups.tolist() == want_groups.tolist()
+        assert (expired, pending) == (want_expired, want_pending)
+
+    def test_a_window_of_five_pairs_expires_a_pair_and_six_do_not(self):
+        # round 0's pair needs six more within two rounds to join a group
+        six = engine._queued_groups(np.array([[1, 0, 6, 6, 0]]), np.array([13]), 2)
+        five = engine._queued_groups(np.array([[1, 0, 5, 6, 0]]), np.array([12]), 2)
+        assert (six[1].tolist(), six[2:]) == ([1], ([0], [6]))
+        assert (five[1].tolist(), five[2:]) == ([1], ([1], [4]))
+
+    @staticmethod
+    def stash_path_trials(protocol_name, p_mid, preset, distances, seeds, trials):
+        """Per distance, the trials of its cells at ``seeds`` that took the
+        stash path; every trial takes one of the two."""
+        argv = ["--preset", preset, "--protocol", protocol_name]
+        if p_mid is not None:
+            argv += ["--p-mid", str(p_mid)]
+        scenario, _ = cli.parse_scenario(argv, env={})
+        grouped, stashed = [], []
+        queued_groups, stash_groups = engine._queued_groups, engine._stash_groups
+        taken = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                engine, "_queued_groups", lambda *args: grouped.append(1) or queued_groups(*args)
+            )
+            patch.setattr(
+                engine, "_stash_groups", lambda *args: stashed.append(1) or stash_groups(*args)
+            )
+            for distance in distances or scenario.distances_km:
+                chain = cli.build_chain_model(scenario, distance)
+                duration = scenario.duration_in_tau_link * chain.link.tau_link
+                before = len(stashed)
+                for seed in seeds:
+                    run_chain_trials(chain, duration, seed, trials)
+                taken[distance] = len(stashed) - before
+        assert len(grouped) == len(taken) * len(seeds) * trials
+        return taken
+
+    # The benchmark keeps a workload on each side of the choice: chain-fig8
+    # (fig8-optimistic, two trials per cell) groups every trial densely, and
+    # fig9-pessimistic mitm chains from 30 km on expire pairs in every trial.
+    @pytest.mark.parametrize("protocol_name,p_mid", CHAIN_VARIANTS)
+    def test_every_fig8_workload_trial_takes_the_dense_path(self, protocol_name, p_mid):
+        taken = self.stash_path_trials(protocol_name, p_mid, "fig8-optimistic", None, (1, 2, 3), 2)
+        assert len(taken) == 10 and not any(taken.values())
+
+    def test_fig9_mitm_from_30_km_takes_the_stash_path(self):
+        distances = (30.0, 35.0, 40.0, 45.0, 50.0)
+        taken = self.stash_path_trials("mitm", None, "fig9-pessimistic", distances, (1, 2, 3), 4)
+        assert taken == {distance: 12 for distance in distances}
 
 
 def exact_two_link_ebits(round_law, capacity, p_success, n_rounds):
