@@ -40,20 +40,16 @@ A chain model derives its purification bounds and its freshness horizon
 in whole rounds once, so a trial pays only for its own rounds. A chain
 trial runs without an event loop. All links share one round time, so the
 rounds that form groups are merged in the order of a (time, insertion)
-event queue: round by round, and within a round in link order. A trial's
-groups take one of two paths. Where no stashed raw pair can outwait the
-horizon, each link's groups follow from its running pair total in one
-dense pass over the links x rounds array. That holds without a horizon,
-with a horizon of at least the trial's rounds, or where every window of
-``lag`` rounds brings each link at least six pairs, enough to complete the
-group of any pair stashed before it. Every other trial takes the stash
-path, one pass over the non-empty rounds of all its links at once: groups
-still come from the running totals, except on a link where a stashed pair
-could expire; only such a link steps its stash, the newest 0-6 of its
-pairs, through its rounds as an integer recurrence. One vector of uniforms
-decides every purification in event order, a Python pass over the rounds
-with a success applies the buffer cap and the swaps, and a check that
-every link's pairs balance ends the trial.
+event queue: round by round, and within a round in link order. One dense
+pass over the rounds x links array gives each link's groups from its
+running pair total. A link on which a stashed raw pair could outwait the
+horizon, where some window of ``lag`` rounds brings it fewer than six
+pairs, also steps its stash, the newest 0-6 of its pairs, through its
+non-empty rounds as an integer recurrence, and its groups replace the
+running total's. One vector of uniforms decides every purification in
+event order, a Python pass over the rounds with a success applies the
+buffer cap and the swaps, and a check that every link's pairs balance
+ends the trial.
 """
 
 from __future__ import annotations
@@ -359,91 +355,48 @@ def _queued_groups(counts, raw, lag):
     round r is fresh at the end of round q iff r >= q - ``lag`` (always, if
     ``lag`` is None).
 
-    A trial takes one of two paths. Where no stashed pair can expire, its
-    groups follow from each link's running pair total in one dense pass over
-    the links x rounds array. That holds when ``lag`` is None, when
-    ``lag >= n_rounds`` (no pair grows that old), or when ``lag > 0`` and
-    every window of ``lag`` rounds after any round brings each link at least
-    six pairs: with ``total = cumsum(counts, axis=1)``,
-    ``(total[:, lag:] - total[:, :-lag]).min() >= 6``. Proof of the last: a
-    link groups its pairs in arrival order, so a pair still stashed after
-    round r completes its group within the link's next six pairs, which
-    rounds r+1..r+lag bring; the group forms by round r+lag, while the pair
-    is fresh. A pair from after round n_rounds-1-lag is fresh at the trial's
-    end whatever follows it, so the windows that end inside the trial are
-    all that count. Every other trial takes the stash path,
-    ``_stash_groups``, and so does ``lag == 0``: an empty window holds no
-    pairs.
+    Each link's groups follow from its running pair total unless a stashed
+    pair expires. None can where ``lag`` is None, where
+    ``lag >= n_rounds - 1``, or where every window of ``lag`` rounds after a
+    round r <= n_rounds - 2 - lag brings the link at least six pairs. Proof
+    of the last: a link groups its pairs in arrival order, so a pair that
+    round r leaves stashed completes its group within the link's next six
+    pairs, which rounds r+1..r+lag bring; the group forms by round r+lag,
+    while the pair is fresh. A pair from round n_rounds-1-lag or later is
+    fresh at the trial's end whatever follows it, so the windows after
+    earlier rounds are all that count; with ``lag == 0`` each is empty.
+    Only a link with a short window walks its non-empty rounds through
+    ``_stash_recurrence``, whose groups replace its running total's in the
+    same array. The recurrence is exact, so a walked link that expires
+    nothing changes none.
     """
     n_links, n_rounds = counts.shape
-    windowed = lag is not None and lag < n_rounds
-    # six pairs in every window needs six in each of (n_rounds - 1) // lag
-    # disjoint ones: a cheap bound that spares most stash-path trials the sums
-    if windowed and (lag == 0 or raw.min() < _STASH_MAX * ((n_rounds - 1) // lag)):
-        return _stash_groups(counts, raw, lag)
     # each link's pairs so far, a row per round: rows in the order of a (time,
     # insertion) event queue, round by round and within a round link by link
     total = np.cumsum(counts.T.copy(), axis=0)
-    if windowed and (total[lag:] - total[:-lag]).min() < _STASH_MAX:
-        return _stash_groups(counts, raw, lag)
+    walking = []
+    if lag is not None and lag < n_rounds - 1:
+        last = n_rounds - 1 - lag  # pairs from this round on are fresh at the end
+        walking = np.flatnonzero((total[lag:-1] - total[:last]).min(axis=0) < _STASH_MAX).tolist()
     whole = total // PAIRS_PER_PURIFICATION  # groups each link has formed so far
     formed = whole.copy()
     formed[1:] -= whole[:-1]
-    made = np.flatnonzero(formed)
-    pending = (raw % PAIRS_PER_PURIFICATION).tolist()
-    return made % n_links, formed.ravel()[made], [0] * n_links, pending
-
-
-def _stash_groups(counts, raw, lag):
-    """``_queued_groups`` for any trial, over the non-empty rounds of all links.
-    Groups follow from each link's running pair total unless a stashed pair
-    outlives the horizon before its group completes; only such links run the
-    stash recurrence."""
-    n_links, n_rounds = counts.shape
-    nonzero = np.flatnonzero(counts)  # the non-empty rounds, link by link
-    arrivals = counts.ravel()[nonzero]
-    link_of, rounds = np.divmod(nonzero, n_rounds)
-    stashed = np.cumsum(arrivals) - (np.cumsum(raw) - raw)[link_of]  # the link's pairs so far
-    formed = stashed // PAIRS_PER_PURIFICATION - (stashed - arrivals) // PAIRS_PER_PURIFICATION
     expired = [0] * n_links
     pending = (raw % PAIRS_PER_PURIFICATION).tolist()
-    if lag is not None:
-        size = len(nonzero)
-        starts = n_rounds * np.arange(n_links + 1)
-        edges = np.searchsorted(nonzero, starts)  # where each link's non-empty rounds begin
-        # expiry is monotone in time: stale pairs go at the next non-empty round or
-        # at the end of the last round
-        checked = np.empty_like(rounds)
-        checked[:-1] = rounds[1:]
-        checked[edges[1:][raw > 0] - 1] = n_rounds - 1  # each link's last row, and so the last
-        left = stashed % PAIRS_PER_PURIFICATION
-        # a round that leaves more pairs stashed than it brought formed no
-        # group, so its oldest stashed pair arrived with the previous round's
-        arrived = np.maximum.accumulate(np.where(left <= arrivals, np.arange(size), 0))
-        late = (left > 0) & (checked - rounds[arrived] > lag)
-        if late.any():
-            expiring = np.flatnonzero(np.bincount(link_of[late], minlength=n_links)).tolist()
-            # Count the fresh pairs before each row and each link's end (one more
-            # round, bringing no pairs); a horizon before the link's first round also
-            # counts earlier links' pairs, but the stash holds none of them.
-            horizon = np.concatenate((nonzero, starts[1:] - 1)) - lag
-            prior = np.concatenate(([0], np.cumsum(arrivals)))  # all pairs before each row
-            fresh = np.concatenate((prior[:-1], prior[edges[1:]]))
-            fresh -= prior[np.searchsorted(nonzero, horizon)]
-            fresh, counted, edges = fresh.tolist(), arrivals.tolist(), edges.tolist()
-            for i in expiring:
-                lo, hi = edges[i], edges[i + 1]
-                made, expired[i], pending[i] = _stash_recurrence(
-                    fresh[lo:hi] + [fresh[size + i]], counted[lo:hi] + [0]
-                )
-                formed[lo:hi] = made[:-1]
-
-    # Rounds that formed groups, in the order a (time, insertion) event queue
-    # pops them: every link's round r ends at once, and the links queued theirs
-    # in link order, so by round, then link (a stable sort of the link-major rows).
-    made = np.flatnonzero(formed)
-    made = made[np.argsort(rounds[made], kind="stable")]
-    return link_of[made], formed[made], expired, pending
+    if walking:
+        # a link's pairs before each round, less those more than lag rounds older
+        fresh = total - counts.T
+        fresh[lag + 1:] -= total[:last]
+        ends = (raw - total[last - 1]).tolist()  # fresh pairs at the trial's end
+        nonempty = counts > 0
+        for i in walking:
+            rounds = nonempty[i].nonzero()[0]
+            made, expired[i], pending[i] = _stash_recurrence(
+                fresh[:, i][rounds].tolist() + [ends[i]], counts[i][rounds].tolist() + [0]
+            )
+            formed[:, i][rounds] = made[:-1]
+    made = np.flatnonzero(formed != 0)
+    return made % n_links, formed.ravel()[made], expired, pending
 
 
 def run_chain_trials(chain: ChainModel, duration: Duration, seed: int, trials: int) -> list:

@@ -1061,21 +1061,21 @@ class TestStashRecurrence:
         assert stats.purify_attempts == tuple(sum(formed) for formed, _, _ in walks)
         assert stats.raw_expired == tuple(expired for _, expired, _ in walks)
         assert stats.raw_pending == tuple(pending for _, _, pending in walks)
-        # exactly the links whose pairs expire run the recurrence, and each
-        # round forms the walk's groups; the trial's end forms none
-        assert calls == [(made + [0], expired, left) for made, expired, left in walks if expired]
+        # exactly the links with a short window walk, each returns the list
+        # walk (its end forms no group), and no other link expires a pair
+        short = [not no_pair_can_expire(rounds, chain.lag) for rounds in counts]
+        assert calls == [(made + [0], e, left) for (made, e, left), s in zip(walks, short) if s]
+        assert not any(e for (_, e, _), s in zip(walks, short) if not s)
 
 
-def no_pair_can_expire(counts, lag):
-    """The dense grouping path's condition, window by window: no horizon, one
-    longer than the trial, or at least six pairs on every link in the ``lag``
-    rounds after each round whose pairs could still go stale."""
-    n_rounds = counts.shape[1]
-    if lag is None or lag >= n_rounds:
+def no_pair_can_expire(rounds, lag):
+    """Whether a link's round counts keep it off the stash walk, window by
+    window: no horizon, none that a pair outlives inside the trial, or at
+    least six pairs in the ``lag`` rounds after each round r <= n_rounds - 2 - lag."""
+    n_rounds = len(rounds)
+    if lag is None or lag >= n_rounds - 1:
         return True
-    return lag > 0 and all(
-        sum(row[r + 1:r + 1 + lag]) >= 6 for row in counts.tolist() for r in range(n_rounds - lag)
-    )
+    return all(sum(rounds[r + 1:r + 1 + lag]) >= 6 for r in range(n_rounds - 1 - lag))
 
 
 @st.composite
@@ -1096,8 +1096,8 @@ def grouped_rounds(draw):
     return np.array(counts, dtype=np.intp), lag
 
 
-class TestGroupingPaths:
-    """The dense grouping pass against the stash path it skips."""
+class TestQueuedGroups:
+    """The one grouping pass against the list walk of every link."""
 
     @settings(max_examples=500, deadline=None)
     @given(case=grouped_rounds())
@@ -1106,22 +1106,35 @@ class TestGroupingPaths:
     @example(case=(np.array([[7, 7, 7]]), 0))
     @example(case=(np.array([[1, 0, 0]]), 3))
     @example(case=(np.array([[1, 0, 0], [9, 9, 9]]), 2))
-    def test_dense_path_equals_the_stash_path(self, case):
+    # only the window ending at the last round is short: round 1's pair is
+    # fresh at the end, so no link walks
+    @example(case=(np.array([[0, 8, 0, 2]]), 2))
+    def test_groups_equal_the_list_walk(self, case):
         counts, lag = case
-        raw = counts.sum(axis=1)
-        stash_groups = engine._stash_groups
-        stashed = []
+        n_rounds = counts.shape[1]
+        calls = []
+        recurrence = engine._stash_recurrence
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
-                engine, "_stash_groups", lambda *args: stashed.append(args) or stash_groups(*args)
+                engine, "_stash_recurrence", lambda *args: calls.append(args[1]) or recurrence(*args)
             )
-            link_of, groups, expired, pending = engine._queued_groups(counts, raw, lag)
-        # the stash path runs exactly where the condition fails
-        assert bool(stashed) != no_pair_can_expire(counts, lag)
-        want_links, want_groups, want_expired, want_pending = stash_groups(counts, raw, lag)
-        assert link_of.tolist() == want_links.tolist()
-        assert groups.tolist() == want_groups.tolist()
-        assert (expired, pending) == (want_expired, want_pending)
+            link_of, groups, expired, pending = engine._queued_groups(counts, counts.sum(axis=1), lag)
+        # rounds of R ps; a lifetime of the whole trial outlasts every pair
+        link = mitm_link(n=1, p=0.5, tau_link=US(9))
+        walks = stash_walks(link, counts.tolist(), (n_rounds if lag is None else lag) * R)
+        assert (expired, pending) == ([e for _, e, _ in walks], [left for *_, left in walks])
+        # the walks' groups in event order: round by round, then link by link
+        events = sorted(
+            (r, i, formed)
+            for i, (rounds, (walk, _, _)) in enumerate(zip(counts, walks))
+            for r, formed in zip(np.flatnonzero(rounds).tolist(), walk) if formed
+        )
+        assert list(zip(link_of.tolist(), groups.tolist())) == [(i, g) for _, i, g in events]
+        # exactly the links with a short window walk their non-empty rounds,
+        # and a link that does not walk expires no pair
+        short = [not no_pair_can_expire(rounds, lag) for rounds in counts.tolist()]
+        assert calls == [rounds[rounds > 0].tolist() + [0] for rounds, s in zip(counts, short) if s]
+        assert not any(e for (_, e, _), s in zip(walks, short) if not s)
 
     def test_a_window_of_five_pairs_expires_a_pair_and_six_do_not(self):
         # round 0's pair needs six more within two rounds to join a group
@@ -1131,45 +1144,41 @@ class TestGroupingPaths:
         assert (five[1].tolist(), five[2:]) == ([1], ([1], [4]))
 
     @staticmethod
-    def stash_path_trials(protocol_name, p_mid, preset, distances, seeds, trials):
-        """Per distance, the trials of its cells at ``seeds`` that took the
-        stash path; every trial takes one of the two."""
+    def walked_links(protocol_name, p_mid, preset, distances, seeds, trials):
+        """Per distance, the links that walk their stash over the trials of
+        its cells at ``seeds``."""
         argv = ["--preset", preset, "--protocol", protocol_name]
         if p_mid is not None:
             argv += ["--p-mid", str(p_mid)]
         scenario, _ = cli.parse_scenario(argv, env={})
-        grouped, stashed = [], []
-        queued_groups, stash_groups = engine._queued_groups, engine._stash_groups
-        taken = {}
+        calls = []
+        recurrence = engine._stash_recurrence
+        walked = {}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
-                engine, "_queued_groups", lambda *args: grouped.append(1) or queued_groups(*args)
-            )
-            patch.setattr(
-                engine, "_stash_groups", lambda *args: stashed.append(1) or stash_groups(*args)
+                engine, "_stash_recurrence", lambda *args: calls.append(1) or recurrence(*args)
             )
             for distance in distances or scenario.distances_km:
                 chain = cli.build_chain_model(scenario, distance)
                 duration = scenario.duration_in_tau_link * chain.link.tau_link
-                before = len(stashed)
+                before = len(calls)
                 for seed in seeds:
                     run_chain_trials(chain, duration, seed, trials)
-                taken[distance] = len(stashed) - before
-        assert len(grouped) == len(taken) * len(seeds) * trials
-        return taken
+                walked[distance] = len(calls) - before
+        return walked
 
-    # The benchmark keeps a workload on each side of the choice: chain-fig8
-    # (fig8-optimistic, two trials per cell) groups every trial densely, and
-    # fig9-pessimistic mitm chains from 30 km on expire pairs in every trial.
+    # The benchmark keeps a workload on each side of the choice: no link of
+    # chain-fig8 (fig8-optimistic, two trials per cell) walks, and every link
+    # of fig9-pessimistic mitm chains from 30 km on does.
     @pytest.mark.parametrize("protocol_name,p_mid", CHAIN_VARIANTS)
-    def test_every_fig8_workload_trial_takes_the_dense_path(self, protocol_name, p_mid):
-        taken = self.stash_path_trials(protocol_name, p_mid, "fig8-optimistic", None, (1, 2, 3), 2)
-        assert len(taken) == 10 and not any(taken.values())
+    def test_no_fig8_workload_link_walks(self, protocol_name, p_mid):
+        walked = self.walked_links(protocol_name, p_mid, "fig8-optimistic", None, (1, 2, 3), 2)
+        assert len(walked) == 10 and not any(walked.values())
 
-    def test_fig9_mitm_from_30_km_takes_the_stash_path(self):
+    def test_every_fig9_mitm_link_from_30_km_walks(self):
         distances = (30.0, 35.0, 40.0, 45.0, 50.0)
-        taken = self.stash_path_trials("mitm", None, "fig9-pessimistic", distances, (1, 2, 3), 4)
-        assert taken == {distance: 12 for distance in distances}
+        walked = self.walked_links("mitm", None, "fig9-pessimistic", distances, (1, 2, 3), 4)
+        assert walked == {distance: 3 * 4 * 10 for distance in distances}
 
 
 def exact_two_link_ebits(round_law, capacity, p_success, n_rounds):
