@@ -373,14 +373,11 @@ def _queued_groups(counts, raw, lag):
     n_links, n_rounds = counts.shape
     # each link's pairs so far, a row per round: rows in the order of a (time,
     # insertion) event queue, round by round and within a round link by link
-    total = np.cumsum(counts.T.copy(), axis=0)
+    total = np.cumsum(counts.T, axis=0, out=np.empty((n_rounds, n_links), np.int64))
     walking = []
     if lag is not None and lag < n_rounds - 1:
         last = n_rounds - 1 - lag  # pairs from this round on are fresh at the end
         walking = np.flatnonzero((total[lag:-1] - total[:last]).min(axis=0) < _STASH_MAX).tolist()
-    whole = total // PAIRS_PER_PURIFICATION  # groups each link has formed so far
-    formed = whole.copy()
-    formed[1:] -= whole[:-1]
     expired = [0] * n_links
     pending = (raw % PAIRS_PER_PURIFICATION).tolist()
     if walking:
@@ -388,6 +385,13 @@ def _queued_groups(counts, raw, lag):
         fresh = total - counts.T
         fresh[lag + 1:] -= total[:last]
         ends = (raw - total[last - 1]).tolist()  # fresh pairs at the trial's end
+    total //= PAIRS_PER_PURIFICATION  # groups each link has formed so far
+    # a round forms at most (6 + slots) / 7 groups, which int32 holds
+    formed = np.empty(total.shape, np.int32)
+    formed[0] = total[0]
+    np.subtract(total[1:], total[:-1], out=formed[1:])
+    del total
+    if walking:
         nonempty = counts > 0
         for i in walking:
             rounds = nonempty[i].nonzero()[0]
@@ -396,7 +400,14 @@ def _queued_groups(counts, raw, lag):
             )
             formed[:, i][rounds] = made[:-1]
     made = np.flatnonzero(formed != 0)
-    return made % n_links, formed.ravel()[made], expired, pending
+    groups = formed.ravel()[made]
+    del formed
+    # each one's link, made % n_links, by a floor division: numpy divides by
+    # one integer through a multiplication, several times faster than its %
+    link_of = made // n_links
+    link_of *= -n_links
+    link_of += made
+    return link_of, groups, expired, pending
 
 
 def run_chain_trials(chain: ChainModel, duration: Duration, seed: int, trials: int) -> list:
@@ -423,13 +434,19 @@ def run_chain_trial(chain: ChainModel, duration: Duration, rng) -> ChainTrialSta
     # link i's round counts in row i
     counts = sample_round_counts(rng, link, n_links * n_rounds).reshape(n_links, n_rounds)
     raw = counts.sum(axis=1)
-    # the round arrays die with the call: a lower heap peak, fewer pages refaulted per trial
     link_of, groups, expired, pending = _queued_groups(counts, raw, chain.lag)
+    # freed before the purification draw: with the grouping stage's narrow,
+    # in-place arrays, this lowers the trial's heap peak, so fewer pages go back
+    # to the OS at glibc's default trim threshold and fault in again next trial
+    del counts
     bounds = chain.bounds
-    succeeded = np.cumsum(rng.random(int(groups.sum())) < bounds.p_success)
-    succeeded = np.concatenate(([0], succeeded))  # successes before each group
+    n_groups = int(groups.sum())
+    succeeded = np.zeros(n_groups + 1, np.int64)  # successes before each group
+    np.cumsum(rng.random(n_groups) < bounds.p_success, out=succeeded[1:])
     ends = np.cumsum(groups)
-    wins = succeeded[ends] - succeeded[ends - groups]
+    wins = succeeded[ends]
+    ends -= groups
+    wins -= succeeded[ends]
     won = wins > 0
 
     capacity = policy.buffer_capacity

@@ -9,9 +9,9 @@ import mps_reference
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import stats
+from scipy import special, stats
 
-from replink import analytic
+from replink import analytic, cli
 from replink.params import (
     ConfigurationError,
     Duration,
@@ -92,6 +92,17 @@ def decimal_sr_pairs(n_a, n_b, p):
             total += (n_b - x) * pmf
             pmf *= (n_a - x) * p / ((x + 1) * (1 - p))
         return n_b - total
+
+
+def betainc_sr_pairs(n_a, n_b, p):
+    """The sender-receiver sum as replink once took it: survival terms
+    I_p(k + 1, N_A - k) from ``scipy.special.betainc``, added by ``math.fsum``."""
+    if n_b >= n_a:
+        return n_a * p
+    below = n_b < n_a * p
+    k = np.arange(n_b) if below else np.arange(n_b, n_a)
+    survival = math.fsum(special.betainc(k + 1, n_a - k, p).tolist())
+    return min(max(survival if below else n_a * p - survival, 0.0), float(n_b))
 
 
 class TestRoundTime:
@@ -195,6 +206,19 @@ class TestSrRate:
         got = analytic.sr_expected_pairs_per_round(n_a, n_b, p)
         assert got == pytest.approx(direct, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("preset", ["fig8-optimistic", "fig9-pessimistic"])
+    def test_preset_cells_equal_the_betainc_sum_bit_for_bit(self, preset):
+        scenario, _ = cli.parse_scenario(["--preset", preset, "--protocol", "sr"])
+        assert len(scenario.distances_km) == 10
+        for distance in scenario.distances_km:
+            link = cli.build_link_model(scenario, distance)
+            cell = (link.config.memory.n_sender, link.config.memory.n_receiver, link.p)
+            assert analytic.sr_expected_pairs_per_round(*cell) == betainc_sr_pairs(*cell), cell
+
+    def test_certain_outcomes(self):
+        assert analytic.sr_expected_pairs_per_round(40, 7, 0.0) == 0.0
+        assert analytic.sr_expected_pairs_per_round(40, 7, 1.0) == 7.0
+
     def test_uncapped_receiver_gives_exact_binomial_mean(self):
         assert analytic.sr_expected_pairs_per_round(40, 40, 0.37) == 40 * 0.37
 
@@ -265,6 +289,86 @@ class TestRoundPmf:
         lo, pmf = analytic.round_pmf(10**6, 1e-5, 10**6)
         assert lo == 0 and len(pmf) < 400
         assert analytic.round_pmf(10**6, 0.5, 10**6)[1].size < 80 * 500
+
+
+probabilities = st.one_of(
+    st.sampled_from([1e-300, 0.5, 1 - 1e-12]),
+    st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+)
+
+
+class TestBinomialPmf:
+    """Loader's saddle-point pmf, which the sender-receiver sum reads."""
+
+    @given(st.integers(min_value=1, max_value=2 * 10**6), probabilities)
+    @example(37, 0.2115717911088636)  # scipy's pmf at x = 0 is 2168 ulps off here
+    @example(10, 0.05)  # x = 0 through bd0
+    @example(10, 0.95)  # x = n through bd0
+    @example(40, 0.5)  # x = 0 and x = n through logarithms
+    @example(1_708_078, 0.999999999999)  # x = n - 1, where log1p(-x / n) lost 4.7e-11
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scipy_on_every_count_of_the_window_and_both_ends(self, n, p):
+        lo, hi = analytic._window(n, p)
+        x = np.unique(np.concatenate(([0, n], np.arange(lo, hi + 1))))
+        got = analytic._binomial_pmf(x, n, p)
+        exact = stats.binom.pmf(x, n, p)
+        sure = exact > 1e-280
+        got, exact = got[sure], exact[sure]
+        # The log of either pmf is off by a few ulps of |ln pmf| + |x - n p|: the
+        # second term is the rounding of n p itself (80-digit checks put both at
+        # 1e-12 to 1e-11 relative in the far tails of n = 2e6). scipy's pmf also
+        # errs by up to 5e-13 at x = 0 and at p below 1e-200.
+        conditioning = np.abs(np.log(exact)) + np.abs(x[sure] - n * p)
+        assert np.all(np.abs(got - exact) <= exact * (1e-12 + 4e-15 * conditioning))
+
+    @given(st.integers(min_value=1, max_value=80), probabilities)
+    @settings(max_examples=100, deadline=None)
+    def test_within_a_few_ulps_per_unit_of_conditioning_of_the_exact_pmf(self, n, p):
+        got = analytic._binomial_pmf(np.arange(n + 1), n, p)
+        p_exact = Fraction(p)
+        for x in range(n + 1):
+            exact = math.comb(n, x) * p_exact**x * (1 - p_exact) ** (n - x)
+            if exact > 1e-280:
+                error = abs(Fraction(float(got[x])) - exact) / exact
+                conditioning = 1 + abs(math.log(exact)) + abs(x - n * p)
+                assert error <= 8 * 2.0**-52 * conditioning, (x, float(error))
+
+    def test_stirling_table_and_series_agree_with_lgamma(self):
+        # ln(n!) - ln(sqrt(2 pi n) (n/e)^n), whose doubles cancel to about 1e-14 here
+        direct = [
+            math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - math.log(2 * math.pi) / 2
+            for n in range(1, 60)
+        ]
+        got = analytic._stirlerr(np.arange(1, 60))
+        np.testing.assert_allclose(got, direct, rtol=0.0, atol=1e-13)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=10**7),
+                st.floats(min_value=-0.0999, max_value=0.0999),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bd0_series_equals_the_series_run_until_no_term_moves_it(self, cases):
+        # the series' own range: mean = x (1 - v) / (1 + v), so |(x - mean) / (x + mean)| < 0.1
+        x = np.array([count for count, _ in cases])
+        mean = np.array([count * (1 - v) / (1 + v) for count, v in cases])
+        expected = []
+        for count, m in zip(x.tolist(), mean.tolist()):
+            v = (count - m) / (count + m)
+            total, term, j = (count - m) * v, 2.0 * count * v, 1
+            while True:
+                term *= v * v
+                step = total + term / (2 * j + 1)
+                if step == total:
+                    break
+                total, j = step, j + 1
+            expected.append(total)
+        assert analytic._bd0(x, mean).tolist() == expected
 
 
 class TestSrAllocation:

@@ -640,16 +640,19 @@ class TestMain:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats alone would add about a second and 45 MB to every process
+        # scipy.stats alone would add about a second and 45 MB to every process,
+        # and scipy.special about 0.3 s, most of it numpy.f2py and numpy.testing
         src = str(Path(__file__).resolve().parents[1] / "src")
+        heavy = ("scipy.stats", "scipy.special", "numpy.f2py", "numpy.testing")
+        script = f"import sys, replink.cli; print([m for m in {heavy} if m in sys.modules])"
         done = subprocess.run(
-            [sys.executable, "-c", "import sys, replink.cli; print('scipy.stats' in sys.modules)"],
+            [sys.executable, "-c", script],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             text=True,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
     def test_configuration_error_exits_2(self, capsys):
         assert main(["--protocol", "mps", "--preset", "qd", "--distances", "10"]) == 2
