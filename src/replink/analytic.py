@@ -11,8 +11,8 @@ hardware cycle time:
 * meet-in-the-middle: round tau_l + N*tau_c, rate N*p / round.
 * sender-receiver:    round 2*tau_l + N_A*tau_c, expected pairs per round
   E[min(X, N_B)] with X ~ Binomial(N_A, p) because the receiver rejects
-  photons once its memory is full (one binomial tail, from Loader's
-  saddle-point pmf in numpy).
+  photons once its memory is full (one binomial tail, over the same
+  ``round_pmf`` law the sampler draws from).
 * midpoint-source:    round tau_l + N*K*tau_c where K latch attempts fill
   one time bin; the per-bin entanglement probability accounts for each
   receiver locking onto its first latched photon and pairs matching only
@@ -167,23 +167,20 @@ def sr_expected_pairs_per_round(n_a: int, n_b: int, p: float) -> float:
 
     Below the mean it is N_B less sum_{x < N_B} (N_B - x) P(X = x), else
     N_A*p less sum_{x > N_B} (x - N_B) P(X = x): the larger part less one
-    tail, whose terms ``math.fsum`` adds with P(X = x) from
-    ``_binomial_pmf`` over the counts of ``_window``.
+    tail, whose terms ``math.fsum`` adds with P(X = x) from the uncapped
+    ``round_pmf(N_A, p, N_A)``, the law the sampler's table is built from.
     """
     validate_probability(p, "p")
     if n_b >= n_a:
         return n_a * p
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return float(n_b)
-    lo, hi = _window(n_a, p)
+    lo, pmf = round_pmf(n_a, p, n_a)
+    x = lo + np.arange(len(pmf))
     if n_b < n_a * p:
-        x = np.arange(lo, min(n_b, hi + 1))
-        terms = [float(n_b)] + ((x - n_b) * _binomial_pmf(x, n_a, p)).tolist()
+        tail = x < n_b
+        terms = [float(n_b)] + ((x[tail] - n_b) * pmf[tail]).tolist()
     else:
-        x = np.arange(max(n_b + 1, lo), hi + 1)
-        terms = [n_a * p] + ((n_b - x) * _binomial_pmf(x, n_a, p)).tolist()
+        tail = x > n_b
+        terms = [n_a * p] + ((n_b - x[tail]) * pmf[tail]).tolist()
     return min(max(math.fsum(terms), 0.0), float(n_b))
 
 
@@ -191,127 +188,30 @@ def sr_expected_pairs_per_round(n_a: int, n_b: int, p: float) -> float:
 _UNDERFLOW_EXPONENT = 746.0
 
 
-def _window(slots: int, p: float) -> tuple[int, int]:
-    """(lo, hi): the counts of Binomial(slots, p) whose probability need not
-    round to zero.
-
-    By Bernstein's inequality each tail beyond t from the mean,
-    P(X - slots*p >= t) or P(slots*p - X >= t), is at most
-    exp(-t^2 / (2 (var + t/3))), which is e^-746 at t = L/3 + sqrt(L^2/9 + 2 L var)
-    with L = 746. So only counts nearer the mean than t are kept, and the
-    window grows with the law's spread, sqrt(slots p (1 - p)), and not with
-    slots.
-    """
-    variance = slots * p * (1.0 - p)
-    reach = _UNDERFLOW_EXPONENT / 3.0
-    reach += math.sqrt(reach * reach + 2.0 * _UNDERFLOW_EXPONENT * variance)
-    return max(0, math.ceil(slots * p - reach)), min(slots, math.floor(slots * p + reach))
-
-
-# ln(n!) - ln(sqrt(2 pi n) (n/e)^n) at n = 1..15, each the nearest double (n = 0
-# is never read)
-_STIRLERR = np.array([
-    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
-    0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
-    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-])
-
-
-def _stirlerr(n: np.ndarray) -> np.ndarray:
-    """ln(n!) less Stirling's ln(sqrt(2 pi n) (n/e)^n) at integers n >= 1: the
-    table up to 15, and above it the series' first five terms,
-    1/(12n) - 1/(360n^3) + 1/(1260n^5) - 1/(1680n^7) + 1/(1188n^9)."""
-    small = n <= 15
-    m = np.where(small, 16, n).astype(float)
-    mm = m * m
-    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / mm) / mm) / mm) / mm) / m
-    return np.where(small, _STIRLERR[np.minimum(n, 15)], series)
-
-
-# at |v| < 0.1 the ninth term of bd0's series is under 1e-18 of the sum, too
-# small to move its double, and each later one is smaller still
-_BD0_TERMS = 9
-
-
-def _bd0(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """x ln(x / mean) + mean - x at x > 0, elementwise. Where |v| < 0.1, with
-    v = (x - mean) / (x + mean), that form cancels, and the series
-    (x - mean) v + 2x sum_{j >= 1} v^(2j+1) / (2j + 1) replaces it, cut after
-    ``_BD0_TERMS`` terms."""
-    x = x.astype(float)
-    # x / mean overflows only at a mean under 1e-300, where bd0 = inf gives the
-    # pmf 0 in place of one below 1e-300
-    with np.errstate(over="ignore"):
-        out = x * np.log(x / mean) + mean - x
-    near = np.flatnonzero(np.abs(x - mean) < 0.1 * (x + mean))
-    if near.size:
-        y, m = x[near], mean[near]
-        v = (y - m) / (y + m)
-        # row j holds 2y v^(2j+1) as a running product, then the jth term;
-        # row 0 then holds (y - m) v, and the rows are added in order
-        series = np.empty((_BD0_TERMS + 1, near.size))
-        series[0] = 2.0 * y * v
-        series[1:] = v * v
-        np.cumprod(series, axis=0, out=series)
-        series[1:] /= np.arange(3.0, 2 * _BD0_TERMS + 2, 2)[:, None]
-        series[0] = (y - m) * v
-        out[near] = np.cumsum(series, axis=0, out=series)[-1]
-    return out
-
-
-def _binomial_pmf(x: np.ndarray, n: int, p: float) -> np.ndarray:
-    """P(X = x) for X ~ Binomial(n, p), 0 < p < 1, at integers x in [0, n].
-
-    Loader's saddle-point form (C. Loader, "Fast and Accurate Computation of
-    Binomial Probabilities", 2000; R's ``dbinom``): exp(lc - lf / 2) with
-    lc = stirlerr(n) - stirlerr(x) - stirlerr(n - x) - bd0(x, n p) - bd0(n - x, n q)
-    and lf = ln(2 pi x (n - x) / n), taken as one logarithm: R's
-    ln(2 pi) + ln(x) + log1p(-x / n) loses digits at x near n. No term
-    cancels and no gamma function is needed. At x = 0 it is
-    exp(-bd0(n, n q) - n p), or q^n where p >= 0.1, and at x = n the same
-    with p and q swapped.
-    """
-    q = 1.0 - p
-    lc = np.empty(len(x))
-    inner = (x > 0) & (x < n)
-    k = x[inner]
-    m = len(k)
-    # both halves of every inner count in one array, so each helper runs once
-    counts = np.concatenate((k, n - k))
-    stirlerr = _stirlerr(np.append(counts, n))
-    bd0 = _bd0(counts, np.repeat([n * p, n * q], m))
-    lc[inner] = (
-        stirlerr[-1] - stirlerr[:m] - stirlerr[m:-1] - bd0[:m] - bd0[m:]
-        - 0.5 * np.log(2.0 * math.pi * (k * (n - k)) / n)
-    )
-    for edge, (a, b) in ((x == 0, (p, q)), (x == n, (q, p))):
-        if edge.any():
-            if a < 0.1:
-                lc[edge] = -_bd0(np.array([n]), np.array([n * b]))[0] - n * a
-            else:
-                lc[edge] = n * math.log(b)
-    return np.exp(lc)
-
-
 def round_pmf(slots: int, p: float, cap: int) -> tuple[int, np.ndarray]:
     """(lo, pmf): the law of min(Binomial(slots, p), cap), with pmf[i] the
     probability of lo + i, over the counts whose probability does not round
     to zero.
 
-    Only the counts of ``_window`` are kept, so the work and the array grow
-    with the law's spread and not with slots. Inside that window each
-    probability is the product of the pmf ratios (slots - k) p / ((k + 1) (1 - p))
-    outward from the mode, normalised by their sum: the relative error grows
-    by a few ulps per count away from the mode, and no gamma function is
-    needed.
+    By Bernstein's inequality each tail beyond t from the mean,
+    P(X - slots*p >= t) or P(slots*p - X >= t), is at most
+    exp(-t^2 / (2 (var + t/3))), which is e^-746 at t = L/3 + sqrt(L^2/9 + 2 L var)
+    with L = 746. So only counts nearer the mean than t are kept, and the
+    work and the array grow with the law's spread, sqrt(slots p (1 - p)),
+    and not with slots. Inside that window each probability is the product
+    of the pmf ratios (slots - k) p / ((k + 1) (1 - p)) outward from the
+    mode, normalised by their sum: the relative error grows by a few ulps
+    per count away from the mode, and no gamma function is needed.
     """
     top = min(slots, cap)
     if p == 0.0 or top == 0:
         return 0, np.ones(1)
     if p == 1.0:
         return top, np.ones(1)
-    lo, hi = _window(slots, p)
+    variance = slots * p * (1.0 - p)
+    reach = _UNDERFLOW_EXPONENT / 3.0
+    reach += math.sqrt(reach * reach + 2.0 * _UNDERFLOW_EXPONENT * variance)
+    lo, hi = max(0, math.ceil(slots * p - reach)), min(slots, math.floor(slots * p + reach))
     if top < lo:  # the cap binds in every round that can happen
         return top, np.ones(1)
     mode = min(math.floor((slots + 1) * p), hi)
@@ -357,17 +257,20 @@ def sr_receiver_allocation(n: int, p: float) -> MemoryBudget:
 
     The receiver gets 6 + ceil(2*N*p/(p+1)) qubits so that, with
     purification consuming seven pairs at a time, it can hold roughly the
-    number of latches the sender's transmissions produce per round.
+    number of latches the sender's transmissions produce per round. A
+    budget that leaves the sender fewer qubits than the receiver is refused,
+    as ``sr_rate`` refuses such a split.
     """
     if n < 0:
         raise ConfigurationError("memory count must be non-negative")
     validate_probability(p, "p")
     n_receiver = 6 + math.ceil(2 * n * p / (p + 1))
     n_sender = 2 * n - n_receiver
-    if n_sender < 0:
+    if n_sender < n_receiver:
         raise ConfigurationError(
-            f"memory budget too small for the allocation rule: 2N = {2 * n} "
-            f"cannot cover the {n_receiver} receiver qubits it implies"
+            f"memory budget too small for the allocation rule: of 2N = {2 * n} qubits it "
+            f"gives the receiver {n_receiver} and leaves the sender {n_sender}, and the "
+            "sender needs at least as many as the receiver"
         )
     return MemoryBudget.sender_receiver(n_sender, n_receiver)
 

@@ -105,6 +105,44 @@ def betainc_sr_pairs(n_a, n_b, p):
     return min(max(survival if below else n_a * p - survival, 0.0), float(n_b))
 
 
+def sr_laws(max_sender):
+    """(N_A, N_B, p) with N_B < N_A <= max_sender and p anywhere in [0, 1]."""
+    return st.integers(min_value=1, max_value=max_sender).flatmap(
+        lambda n_a: st.tuples(
+            st.just(n_a),
+            st.integers(min_value=0, max_value=n_a - 1),
+            st.floats(min_value=0.0, max_value=1.0),
+        )
+    )
+
+
+def sr_preset_cells():
+    """(N_A, N_B, p) of every fig8/fig9 sender-receiver sweep distance."""
+    cells = []
+    for preset in ("fig8-optimistic", "fig9-pessimistic"):
+        scenario, _ = cli.parse_scenario(["--preset", preset, "--protocol", "sr"])
+        for distance in scenario.distances_km:
+            link = cli.build_link_model(scenario, distance)
+            cells.append((link.config.memory.n_sender, link.config.memory.n_receiver, link.p))
+    return cells
+
+
+def assert_sr_within_1e_15_of_the_exact_sum(n_a, n_b, p):
+    exact = exact_sr_pairs(n_a, n_b, p)
+    got = analytic.sr_expected_pairs_per_round(n_a, n_b, p)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact
+
+
+def assert_sr_equals_round_law_mean(n_a, n_b, p):
+    """The sr sum is within 1e-15 of the mean of round_pmf(N_A, p, N_B), the
+    capped law LinkModel.round_table draws from; the sum reads the uncapped
+    law, so the two are computed apart."""
+    lo, pmf = analytic.round_pmf(n_a, p, n_b)
+    mean = math.fsum(((lo + np.arange(len(pmf))) * pmf).tolist())
+    got = analytic.sr_expected_pairs_per_round(n_a, n_b, p)
+    assert abs(got - mean) <= 1e-15 * mean, (n_a, n_b, p, got, mean)
+
+
 class TestRoundTime:
     def test_mitm_example(self):
         config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(100))
@@ -170,9 +208,12 @@ class TestSrRate:
         (25, 12, 0.48), (25, 12, 0.5), (25, 12, 0.52),
     ])
     def test_within_1e_15_of_the_exact_sum(self, n_a, n_b, p):
-        exact = exact_sr_pairs(n_a, n_b, p)
-        got = analytic.sr_expected_pairs_per_round(n_a, n_b, p)
-        assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact
+        assert_sr_within_1e_15_of_the_exact_sum(n_a, n_b, p)
+
+    @given(sr_laws(max_sender=80))
+    @settings(deadline=None)
+    def test_within_1e_15_of_the_exact_sum_at_random_laws(self, law):
+        assert_sr_within_1e_15_of_the_exact_sum(*law)
 
     def test_last_bits_stay_inside_the_range(self):
         # the earlier mean-less-excess form returned 1.0000000000000142 and 2.2e-15
@@ -214,6 +255,15 @@ class TestSrRate:
             link = cli.build_link_model(scenario, distance)
             cell = (link.config.memory.n_sender, link.config.memory.n_receiver, link.p)
             assert analytic.sr_expected_pairs_per_round(*cell) == betainc_sr_pairs(*cell), cell
+
+    def test_preset_cells_equal_the_mean_of_the_sampled_round_law(self):
+        for cell in sr_preset_cells():
+            assert_sr_equals_round_law_mean(*cell)
+
+    @given(sr_laws(max_sender=2 * 10**5))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_mean_of_the_sampled_round_law(self, law):
+        assert_sr_equals_round_law_mean(*law)
 
     def test_certain_outcomes(self):
         assert analytic.sr_expected_pairs_per_round(40, 7, 0.0) == 0.0
@@ -291,86 +341,6 @@ class TestRoundPmf:
         assert analytic.round_pmf(10**6, 0.5, 10**6)[1].size < 80 * 500
 
 
-probabilities = st.one_of(
-    st.sampled_from([1e-300, 0.5, 1 - 1e-12]),
-    st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
-)
-
-
-class TestBinomialPmf:
-    """Loader's saddle-point pmf, which the sender-receiver sum reads."""
-
-    @given(st.integers(min_value=1, max_value=2 * 10**6), probabilities)
-    @example(37, 0.2115717911088636)  # scipy's pmf at x = 0 is 2168 ulps off here
-    @example(10, 0.05)  # x = 0 through bd0
-    @example(10, 0.95)  # x = n through bd0
-    @example(40, 0.5)  # x = 0 and x = n through logarithms
-    @example(1_708_078, 0.999999999999)  # x = n - 1, where log1p(-x / n) lost 4.7e-11
-    @settings(max_examples=100, deadline=None)
-    def test_matches_scipy_on_every_count_of_the_window_and_both_ends(self, n, p):
-        lo, hi = analytic._window(n, p)
-        x = np.unique(np.concatenate(([0, n], np.arange(lo, hi + 1))))
-        got = analytic._binomial_pmf(x, n, p)
-        exact = stats.binom.pmf(x, n, p)
-        sure = exact > 1e-280
-        got, exact = got[sure], exact[sure]
-        # The log of either pmf is off by a few ulps of |ln pmf| + |x - n p|: the
-        # second term is the rounding of n p itself (80-digit checks put both at
-        # 1e-12 to 1e-11 relative in the far tails of n = 2e6). scipy's pmf also
-        # errs by up to 5e-13 at x = 0 and at p below 1e-200.
-        conditioning = np.abs(np.log(exact)) + np.abs(x[sure] - n * p)
-        assert np.all(np.abs(got - exact) <= exact * (1e-12 + 4e-15 * conditioning))
-
-    @given(st.integers(min_value=1, max_value=80), probabilities)
-    @settings(max_examples=100, deadline=None)
-    def test_within_a_few_ulps_per_unit_of_conditioning_of_the_exact_pmf(self, n, p):
-        got = analytic._binomial_pmf(np.arange(n + 1), n, p)
-        p_exact = Fraction(p)
-        for x in range(n + 1):
-            exact = math.comb(n, x) * p_exact**x * (1 - p_exact) ** (n - x)
-            if exact > 1e-280:
-                error = abs(Fraction(float(got[x])) - exact) / exact
-                conditioning = 1 + abs(math.log(exact)) + abs(x - n * p)
-                assert error <= 8 * 2.0**-52 * conditioning, (x, float(error))
-
-    def test_stirling_table_and_series_agree_with_lgamma(self):
-        # ln(n!) - ln(sqrt(2 pi n) (n/e)^n), whose doubles cancel to about 1e-14 here
-        direct = [
-            math.lgamma(n + 1) - (n + 0.5) * math.log(n) + n - math.log(2 * math.pi) / 2
-            for n in range(1, 60)
-        ]
-        got = analytic._stirlerr(np.arange(1, 60))
-        np.testing.assert_allclose(got, direct, rtol=0.0, atol=1e-13)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=10**7),
-                st.floats(min_value=-0.0999, max_value=0.0999),
-            ),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_bd0_series_equals_the_series_run_until_no_term_moves_it(self, cases):
-        # the series' own range: mean = x (1 - v) / (1 + v), so |(x - mean) / (x + mean)| < 0.1
-        x = np.array([count for count, _ in cases])
-        mean = np.array([count * (1 - v) / (1 + v) for count, v in cases])
-        expected = []
-        for count, m in zip(x.tolist(), mean.tolist()):
-            v = (count - m) / (count + m)
-            total, term, j = (count - m) * v, 2.0 * count * v, 1
-            while True:
-                term *= v * v
-                step = total + term / (2 * j + 1)
-                if step == total:
-                    break
-                total, j = step, j + 1
-            expected.append(total)
-        assert analytic._bd0(x, mean).tolist() == expected
-
-
 class TestSrAllocation:
     def test_worked_example(self):
         budget = analytic.sr_receiver_allocation(100, 0.0504)
@@ -383,6 +353,15 @@ class TestSrAllocation:
     def test_budget_too_small(self):
         with pytest.raises(ConfigurationError, match="too small"):
             analytic.sr_receiver_allocation(2, 0.5)
+
+    def test_receiver_may_not_outnumber_the_sender(self):
+        # 6 + ceil(14 * 0.5 / 1.5) = 11 receiver qubits leave the sender 3 of 14
+        with pytest.raises(ConfigurationError, match="receiver 11 and leaves the sender 3,"):
+            analytic.sr_receiver_allocation(7, 0.5)
+        with pytest.raises(ConfigurationError, match="receiver 6 and leaves the sender 4,"):
+            analytic.sr_receiver_allocation(5, 0.0)
+        budget = analytic.sr_receiver_allocation(6, 0.0)  # an even split is allowed
+        assert (budget.n_receiver, budget.n_sender) == (6, 6)
 
 
 class TestMpsAttempts:

@@ -665,6 +665,21 @@ class TestMain:
         assert main(base + ["--protocol", protocol, flag, "0"]) == 2
         assert "impossible when p_bsa * p_optical^2 = 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("analytic_rows", [[], ["--analytic"]], ids=["mc", "analytic"])
+    def test_receiver_outnumbering_the_sender_exits_2_before_any_trial(
+        self, tmp_path, capsys, analytic_rows
+    ):
+        # lossless at 5 km and 10 km: p = 0.5 gives the receiver 11 of 14 qubits
+        out = tmp_path / "rates.csv"
+        argv = ["--preset", "fig10-qd", "--protocol", "sr", "--n", "7", "--p-bsa", "0.5",
+                "--collection-efficiency", "1", "--attenuation-km", "inf",
+                "--distances", "5,10", "--trials", "2", "--output", str(out)]
+        assert main(argv + analytic_rows) == 2
+        err = capsys.readouterr().err
+        assert "gives the receiver 11 and leaves the sender 3," in err
+        assert "[replink]" not in err
+        assert not out.exists()
+
     def test_purification_that_never_succeeds_exits_2(self, tmp_path, capsys):
         # (1 - 1)^7 = 0: no purification could succeed, so the rate would read 0
         assert main(CHAIN + ["--epsilon-in", "1"]) == 2
