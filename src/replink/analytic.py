@@ -1,9 +1,9 @@
 """Closed-form rate, utilization, and purification formulas.
 
 These are the deterministic oracles the Monte Carlo engine is validated
-against. Each protocol has a round built from a one-way signalling delay
-plus clocked transmission slots; rates are expected entangled pairs per
-round divided by the round duration.
+against. They take plain counts. ``round_time`` gives every protocol's
+round, one-way signalling delays plus clocked transmission slots; rates
+are expected entangled pairs per round divided by the round duration.
 
 Protocol conventions, with tau_l the one-way link delay and tau_c the
 hardware cycle time:
@@ -34,14 +34,7 @@ import numpy as np
 # ROADMAP item 1 makes that lookup optional.
 import scipy  # noqa: F401
 
-from .params import (
-    ConfigurationError,
-    Duration,
-    MemoryBudget,
-    ProtocolConfig,
-    ProtocolKind,
-    validate_probability,
-)
+from .params import ConfigurationError, Duration, ProtocolKind, validate_probability
 
 __all__ = [
     "RateBundle",
@@ -120,22 +113,18 @@ class FastClockEstimates:
     ratio: float
 
 
-def round_time(config: ProtocolConfig, tau_link: Duration, tau_clock: Duration) -> Duration:
-    """Duration of one protocol round."""
-    if config.kind is ProtocolKind.MITM:
-        return tau_link + config.memory.n_per_side * tau_clock
-    if config.kind is ProtocolKind.SR:
-        return 2 * tau_link + config.memory.n_sender * tau_clock
-    return tau_link + config.memory.n_per_side * config.k_attempts * tau_clock
-
-
-def _scheduled_round_time(
-    kind: ProtocolKind, memory: MemoryBudget, tau_link: Duration, tau_clock: Duration,
-    k_attempts: int | None = None,
+def round_time(
+    kind: ProtocolKind, slots: int, tau_link: Duration, tau_clock: Duration, k_attempts: int = 1
 ) -> Duration:
-    """``round_time`` of a rate's protocol, refusing a round of zero length."""
-    tau_round = round_time(ProtocolConfig(kind, memory, k_attempts), tau_link, tau_clock)
-    if tau_round.ps == 0:
+    """Duration of one round of ``slots`` memory slots (N for mitm and mps,
+    N_A for sr): one link delay, two for sr, plus ``slots * k_attempts``
+    clock cycles. A negative slot count or a round of zero length, in which
+    nothing can be scheduled, is refused."""
+    if slots < 0:
+        raise ConfigurationError(f"memory count must be non-negative, got {slots}")
+    delays = 2 if kind is ProtocolKind.SR else 1
+    tau_round = delays * tau_link + slots * k_attempts * tau_clock
+    if not tau_round:
         raise ConfigurationError("round time is zero; nothing can be scheduled")
     return tau_round
 
@@ -146,12 +135,8 @@ def mitm_rate(n: int, p: float, tau_link: Duration, tau_clock: Duration) -> Rate
     The identity rate == utilization * upper_bound holds exactly: the rate
     is computed as that product.
     """
-    if n < 0:
-        raise ConfigurationError("memory count must be non-negative")
     validate_probability(p, "p")
-    tau_round = _scheduled_round_time(
-        ProtocolKind.MITM, MemoryBudget.symmetric(n), tau_link, tau_clock
-    )
+    tau_round = round_time(ProtocolKind.MITM, n, tau_link, tau_clock)
     utilization = (n * tau_clock.ps) / tau_round.ps
     upper = p / tau_clock.seconds
     return RateBundle(
@@ -171,6 +156,8 @@ def sr_expected_pairs_per_round(n_a: int, n_b: int, p: float) -> float:
     ``round_pmf(N_A, p, N_A)``, the law the sampler's table is built from.
     """
     validate_probability(p, "p")
+    if min(n_a, n_b) < 0:
+        raise ConfigurationError(f"memory counts must be non-negative, got ({n_a}, {n_b})")
     if n_b >= n_a:
         return n_a * p
     lo, pmf = round_pmf(n_a, p, n_a)
@@ -203,7 +190,10 @@ def round_pmf(slots: int, p: float, cap: int) -> tuple[int, np.ndarray]:
     mode, normalised by their sum: the relative error grows by a few ulps
     per count away from the mode, and no gamma function is needed.
     """
+    validate_probability(p, "p")
     top = min(slots, cap)
+    if top < 0:
+        raise ConfigurationError(f"slot and cap counts must be non-negative, got ({slots}, {cap})")
     if p == 0.0 or top == 0:
         return 0, np.ones(1)
     if p == 1.0:
@@ -240,9 +230,7 @@ def sr_rate(n_a: int, n_b: int, p: float, tau_link: Duration, tau_clock: Duratio
     """
     if not n_a >= n_b >= 0:
         raise ConfigurationError(f"need n_sender >= n_receiver >= 0, got ({n_a}, {n_b})")
-    tau_round = _scheduled_round_time(
-        ProtocolKind.SR, MemoryBudget.sender_receiver(n_a, n_b), tau_link, tau_clock
-    )
+    tau_round = round_time(ProtocolKind.SR, n_a, tau_link, tau_clock)
     pairs = sr_expected_pairs_per_round(n_a, n_b, p)
     return RateBundle(
         rate_per_s=pairs / tau_round.seconds,
@@ -252,8 +240,8 @@ def sr_rate(n_a: int, n_b: int, p: float, tau_link: Duration, tau_clock: Duratio
     )
 
 
-def sr_receiver_allocation(n: int, p: float) -> MemoryBudget:
-    """Split a 2N-qubit link budget into sender and receiver shares.
+def sr_receiver_allocation(n: int, p: float) -> tuple[int, int]:
+    """Split a 2N-qubit link budget into (sender, receiver) shares.
 
     The receiver gets 6 + ceil(2*N*p/(p+1)) qubits so that, with
     purification consuming seven pairs at a time, it can hold roughly the
@@ -272,7 +260,7 @@ def sr_receiver_allocation(n: int, p: float) -> MemoryBudget:
             f"gives the receiver {n_receiver} and leaves the sender {n_sender}, and the "
             "sender needs at least as many as the receiver"
         )
-    return MemoryBudget.sender_receiver(n_sender, n_receiver)
+    return n_sender, n_receiver
 
 
 def mps_attempts_per_bin(p_l: float, p_m: float) -> int:
@@ -372,11 +360,7 @@ def mps_bin_utilization(p_l: float, p_m: float, k: int) -> float:
 
 def mps_rate(n: int, ent: MpsEntanglement, tau_link: Duration, tau_clock: Duration) -> RateBundle:
     """Midpoint-source rate N*p_ent/round over a round of N bins of K attempts."""
-    if n < 0:
-        raise ConfigurationError("memory count must be non-negative")
-    tau_round = _scheduled_round_time(
-        ProtocolKind.MPS, MemoryBudget.symmetric(n), tau_link, tau_clock, ent.k_attempts
-    )
+    tau_round = round_time(ProtocolKind.MPS, n, tau_link, tau_clock, ent.k_attempts)
     tau_bin = ent.k_attempts * tau_clock
     f_bin = mps_bin_utilization(ent.p_side, ent.p_mid, ent.k_attempts)
     utilization = n * f_bin * (tau_bin.ps / tau_round.ps)

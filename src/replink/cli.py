@@ -522,7 +522,8 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
         if scenario.protocol == "mitm":
             config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(n))
         else:
-            config = ProtocolConfig(ProtocolKind.SR, analytic.sr_receiver_allocation(n, p))
+            memory = MemoryBudget.sender_receiver(*analytic.sr_receiver_allocation(n, p))
+            config = ProtocolConfig(ProtocolKind.SR, memory)
     return engine.LinkModel(config, p, tau_link, tau_clock, p_mid=scenario.p_mid)
 
 
@@ -543,16 +544,12 @@ def analytic_rate(link: engine.LinkModel) -> analytic.RateBundle:
     """Closed-form rate of the link model a sweep cell's Monte Carlo rows
     sampled, reusing its midpoint-source law; chain rows use the same
     per-link formula (the chain pipeline has no closed form)."""
-    memory = link.config.memory
+    slots, _, cap = link.round_law
     if link.config.kind is ProtocolKind.MITM:
-        return analytic.mitm_rate(memory.n_per_side, link.p, link.tau_link, link.tau_clock)
+        return analytic.mitm_rate(slots, link.p, link.tau_link, link.tau_clock)
     if link.config.kind is ProtocolKind.SR:
-        return analytic.sr_rate(
-            memory.n_sender, memory.n_receiver, link.p, link.tau_link, link.tau_clock
-        )
-    return analytic.mps_rate(
-        memory.n_per_side, link.mps_entanglement, link.tau_link, link.tau_clock
-    )
+        return analytic.sr_rate(slots, cap, link.p, link.tau_link, link.tau_clock)
+    return analytic.mps_rate(slots, link.mps_entanglement, link.tau_link, link.tau_clock)
 
 
 # -- sweep and report ----------------------------------------------------
@@ -659,8 +656,9 @@ def _trace_round(scenario: Scenario) -> list:
     """Step one round of the scenario's first distance, logging its transitions."""
     distance = sorted(scenario.distances_km)[0]
     link = build_link_model(scenario, distance)
+    slots, _, cap = link.round_law
     # N slots for mitm, N_A for sr, and N bins of K latch attempts for mps
-    transmissions = link.round_law[0] * (link.config.k_attempts or 1)
+    transmissions = slots * (link.config.k_attempts or 1)
     if transmissions > _MAX_TRACE_TRANSMISSIONS:
         raise ConfigurationError(
             f"--trace would step {transmissions} transmissions in one round, "
@@ -668,19 +666,13 @@ def _trace_round(scenario: Scenario) -> list:
         )
     rng = np.random.default_rng(scenario.base_seed)
     trace: list = []
-    memory = link.config.memory
     if link.config.kind is ProtocolKind.MITM:
-        protocol.step_mitm_round(
-            rng, memory.n_per_side, link.p, link.tau_link, link.tau_clock, trace=trace
-        )
+        protocol.step_mitm_round(rng, slots, link.p, link.tau_link, link.tau_clock, trace=trace)
     elif link.config.kind is ProtocolKind.SR:
-        protocol.step_sr_round(
-            rng, memory.n_sender, memory.n_receiver, link.p, link.tau_link, link.tau_clock,
-            trace=trace,
-        )
+        protocol.step_sr_round(rng, slots, cap, link.p, link.tau_link, link.tau_clock, trace=trace)
     else:
         protocol.step_mps_round(
-            rng, memory.n_per_side, link.config.k_attempts, link.p_mid, link.p,
+            rng, slots, link.config.k_attempts, link.p_mid, link.p,
             link.tau_link, link.tau_clock, trace=trace,
         )
     return trace

@@ -113,7 +113,11 @@ class LinkModel:
 
     @cached_property
     def round_time(self) -> Duration:
-        return analytic.round_time(self.config, self.tau_link, self.tau_clock)
+        """The round of ``round_law``'s slots; a configuration error if it is empty."""
+        return analytic.round_time(
+            self.config.kind, self.round_law[0], self.tau_link, self.tau_clock,
+            self.config.k_attempts or 1,
+        )
 
     @cached_property
     def mps_entanglement(self) -> analytic.MpsEntanglement:
@@ -123,7 +127,8 @@ class LinkModel:
 
     @cached_property
     def round_law(self) -> tuple[int, float, int]:
-        """(slots, p, cap): each round confirms min(Binomial(slots, p), cap) pairs."""
+        """(slots, p, cap): each round confirms min(Binomial(slots, p), cap) pairs.
+        The one reader of the config's memory split."""
         memory = self.config.memory
         if self.config.kind is ProtocolKind.SR:
             return memory.n_sender, self.p, memory.n_receiver
@@ -161,6 +166,12 @@ class PurificationPolicy:
     buffer_capacity: int
     raw_pair_lifetime: Duration | None
 
+    def __post_init__(self):
+        if self.buffer_capacity < 0:
+            raise ConfigurationError(
+                f"buffer_capacity must be non-negative, got {self.buffer_capacity}"
+            )
+
 
 @dataclass(frozen=True)
 class ChainModel:
@@ -188,8 +199,7 @@ class ChainModel:
     @cached_property
     def lag(self) -> int | None:
         """Whole rounds a raw pair stays fresh (None without a lifetime): a
-        pair from round r is fresh at the end of round q iff r >= q - lag.
-        Read only once the round time is known to be positive."""
+        pair from round r is fresh at the end of round q iff r >= q - lag."""
         lifetime = self.purification.raw_pair_lifetime
         return None if lifetime is None else lifetime.ps // self.link.round_time.ps
 
@@ -275,8 +285,6 @@ def round_count(link: LinkModel, duration: Duration, name: str) -> int:
     """Whole rounds of ``link`` that fit in ``duration``; a configuration
     error that names the link as ``name`` if not even one fits."""
     round_ps = link.round_time.ps
-    if round_ps <= 0:
-        raise ConfigurationError("the round time must be positive")
     if duration.ps < round_ps:
         raise ConfigurationError(
             f"duration {duration.ps} ps is shorter than one round of {name} ({round_ps} ps)"

@@ -12,13 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import special, stats
 
 from replink import analytic, cli
-from replink.params import (
-    ConfigurationError,
-    Duration,
-    MemoryBudget,
-    ProtocolConfig,
-    ProtocolKind,
-)
+from replink.params import ConfigurationError, Duration, ProtocolKind
 
 US = Duration.from_us
 NS = Duration.from_ns
@@ -145,20 +139,27 @@ def assert_sr_equals_round_law_mean(n_a, n_b, p):
 
 class TestRoundTime:
     def test_mitm_example(self):
-        config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(100))
-        assert analytic.round_time(config, US(100), NS(1)).ps == 100_100_000
+        assert analytic.round_time(ProtocolKind.MITM, 100, US(100), NS(1)).ps == 100_100_000
 
     def test_mitm_empty_round(self):
-        config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(0))
-        assert analytic.round_time(config, US(100), NS(1)) == US(100)
+        assert analytic.round_time(ProtocolKind.MITM, 0, US(100), NS(1)) == US(100)
 
     def test_sr_example(self):
-        config = ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(184, 16))
-        assert analytic.round_time(config, US(100), NS(1)).ps == 200_184_000
+        assert analytic.round_time(ProtocolKind.SR, 184, US(100), NS(1)).ps == 200_184_000
 
     def test_mps_counts_bin_width(self):
-        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(3), k_attempts=6)
-        assert analytic.round_time(config, US(100), NS(10)).ps == 100_000_000 + 3 * 6 * 10_000
+        assert analytic.round_time(ProtocolKind.MPS, 3, US(100), NS(10), 6).ps == (
+            100_000_000 + 3 * 6 * 10_000
+        )
+
+    def test_empty_round_is_refused(self):
+        with pytest.raises(ConfigurationError, match="^round time is zero; nothing can be scheduled$"):
+            analytic.round_time(ProtocolKind.MITM, 0, Duration(0), NS(1))
+
+    @pytest.mark.parametrize("kind", list(ProtocolKind))
+    def test_negative_slots_are_refused(self, kind):
+        with pytest.raises(ConfigurationError, match="^memory count must be non-negative, got -1$"):
+            analytic.round_time(kind, -1, US(100), NS(1))
 
 
 class TestMitmRate:
@@ -169,6 +170,10 @@ class TestMitmRate:
 
     def test_no_successes(self):
         assert analytic.mitm_rate(100, 0.0, US(100), NS(1)).rate_per_s == 0.0
+
+    def test_negative_memory_is_refused(self):
+        with pytest.raises(ConfigurationError, match="^memory count must be non-negative"):
+            analytic.mitm_rate(-1, 0.5, US(100), NS(1))
 
     def test_zero_link_delay_saturates_the_bound(self):
         bundle = analytic.mitm_rate(10, 0.3, Duration(0), NS(1))
@@ -283,6 +288,16 @@ class TestSrRate:
         with pytest.raises(ConfigurationError):
             analytic.sr_rate(2, 3, 0.5, US(100), NS(1))
 
+    @pytest.mark.parametrize("n_a,n_b", [(5, -1), (-5, -6), (-1, 3)])
+    def test_negative_counts_are_refused(self, n_a, n_b):
+        with pytest.raises(ConfigurationError, match="^memory counts must be non-negative"):
+            analytic.sr_expected_pairs_per_round(n_a, n_b, 0.5)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_probability_outside_the_unit_interval_is_refused(self, p):
+        with pytest.raises(ConfigurationError, match=r"^p must lie in \[0, 1\]"):
+            analytic.sr_expected_pairs_per_round(5, 3, p)
+
     @given(
         st.integers(min_value=1, max_value=60),
         st.floats(min_value=1e-6, max_value=1.0),
@@ -334,6 +349,16 @@ class TestRoundPmf:
                     tail = stats.binom.sf(top - 1, slots, p)
                 assert tail < 1e-300
 
+    @pytest.mark.parametrize("slots,cap", [(-3, 2), (3, -1)])
+    def test_negative_counts_are_refused(self, slots, cap):
+        with pytest.raises(ConfigurationError, match="^slot and cap counts must be non-negative"):
+            analytic.round_pmf(slots, 0.5, cap)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_probability_outside_the_unit_interval_is_refused(self, p):
+        with pytest.raises(ConfigurationError, match=r"^p must lie in \[0, 1\]"):
+            analytic.round_pmf(3, p, 3)
+
     def test_spread_not_slots_sets_the_length(self):
         # a million slots at p = 1e-5 have the spread of a Poisson law of mean 10
         lo, pmf = analytic.round_pmf(10**6, 1e-5, 10**6)
@@ -343,12 +368,12 @@ class TestRoundPmf:
 
 class TestSrAllocation:
     def test_worked_example(self):
-        budget = analytic.sr_receiver_allocation(100, 0.0504)
-        assert (budget.n_receiver, budget.n_sender) == (16, 184)
+        n_sender, n_receiver = analytic.sr_receiver_allocation(100, 0.0504)
+        assert (n_receiver, n_sender) == (16, 184)
 
     def test_zero_probability_floor(self):
-        budget = analytic.sr_receiver_allocation(100, 0.0)
-        assert (budget.n_receiver, budget.n_sender) == (6, 194)
+        n_sender, n_receiver = analytic.sr_receiver_allocation(100, 0.0)
+        assert (n_receiver, n_sender) == (6, 194)
 
     def test_budget_too_small(self):
         with pytest.raises(ConfigurationError, match="too small"):
@@ -360,8 +385,8 @@ class TestSrAllocation:
             analytic.sr_receiver_allocation(7, 0.5)
         with pytest.raises(ConfigurationError, match="receiver 6 and leaves the sender 4,"):
             analytic.sr_receiver_allocation(5, 0.0)
-        budget = analytic.sr_receiver_allocation(6, 0.0)  # an even split is allowed
-        assert (budget.n_receiver, budget.n_sender) == (6, 6)
+        n_sender, n_receiver = analytic.sr_receiver_allocation(6, 0.0)  # an even split is allowed
+        assert (n_receiver, n_sender) == (6, 6)
 
 
 class TestMpsAttempts:
@@ -517,6 +542,11 @@ class TestMpsRate:
         ent = analytic.mps_entanglement(0.5, 0.0, 6)
         assert analytic.mps_rate(3, ent, US(100), NS(10)).rate_per_s == 0.0
 
+    def test_negative_memory_is_refused(self):
+        ent = analytic.mps_entanglement(0.5, 1.0, 6)
+        with pytest.raises(ConfigurationError, match="^memory count must be non-negative"):
+            analytic.mps_rate(-1, ent, US(100), NS(10))
+
     def test_bin_utilization_matches_rational_brute_force(self):
         # direct sum with exact fractions: y = 1/2, K = 6
         y = Fraction(1, 2)
@@ -621,8 +651,8 @@ class TestMonotonicity:
                 rate = analytic.mitm_rate(100, link_success_probability(0.5, p_opt), tau_link, cycle_time).rate_per_s
             elif protocol == "sr":
                 p = link_success_probability(0.5, p_opt)
-                budget = analytic.sr_receiver_allocation(100, p)
-                rate = analytic.sr_rate(budget.n_sender, budget.n_receiver, p, tau_link, cycle_time).rate_per_s
+                n_sender, n_receiver = analytic.sr_receiver_allocation(100, p)
+                rate = analytic.sr_rate(n_sender, n_receiver, p, tau_link, cycle_time).rate_per_s
             else:
                 p_side = mps_success_probability(0.5, p_opt)
                 k = analytic.mps_attempts_per_bin(p_side, p_mid)

@@ -267,6 +267,16 @@ class TestLinkTrial:
         with pytest.raises(ConfigurationError, match="shorter than one round"):
             run_link_trial(MITM_LINK, US(50), seed=1)
 
+    def test_a_round_of_zero_length_is_refused(self):
+        # an empty mitm round over a link of no delay: the model builds, its round does not
+        empty = LinkModel(
+            ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(0)), 0.5, Duration(0), NS(1)
+        )
+        with pytest.raises(ConfigurationError, match="^round time is zero; nothing can be scheduled$"):
+            run_link_trial(empty, US(10), seed=1)
+        with pytest.raises(ConfigurationError, match="^round time is zero; nothing can be scheduled$"):
+            engine.run_chain_trial(small_chain(empty, 2), US(10), np.random.default_rng(1))
+
     def test_deterministic_for_fixed_seed(self):
         a = run_link_trial(MITM_LINK, US(100_000), seed=77)
         b = run_link_trial(MITM_LINK, US(100_000), seed=77)
@@ -299,11 +309,10 @@ class TestLinkTrial:
             )
             oracle = analytic.mitm_rate(100, p, tau_link, tau_clock).rate_per_s
         elif kind == "sr":
-            budget = analytic.sr_receiver_allocation(100, p)
+            n_sender, n_receiver = analytic.sr_receiver_allocation(100, p)
+            budget = MemoryBudget.sender_receiver(n_sender, n_receiver)
             link = LinkModel(ProtocolConfig(ProtocolKind.SR, budget), p, tau_link, tau_clock)
-            oracle = analytic.sr_rate(
-                budget.n_sender, budget.n_receiver, p, tau_link, tau_clock
-            ).rate_per_s
+            oracle = analytic.sr_rate(n_sender, n_receiver, p, tau_link, tau_clock).rate_per_s
         else:
             k = analytic.mps_attempts_per_bin(p, 1.0)
             link = LinkModel(
@@ -632,6 +641,12 @@ class TestChainModel:
     def test_links_repeat_the_one_link(self, link_count):
         chain = small_chain(MITM_LINK, link_count)
         assert chain.links == (MITM_LINK,) * link_count
+
+    def test_negative_buffer_capacity_is_refused(self):
+        with pytest.raises(ConfigurationError, match="^buffer_capacity must be non-negative, got -1$"):
+            PurificationPolicy(epsilon_in=0.05, buffer_capacity=-1, raw_pair_lifetime=None)
+        # no buffer at all stays valid: the property tests build such chains
+        PurificationPolicy(epsilon_in=0.05, buffer_capacity=0, raw_pair_lifetime=None)
 
     def test_purification_that_never_succeeds_is_refused(self):
         policy = PurificationPolicy(epsilon_in=1, buffer_capacity=3, raw_pair_lifetime=None)

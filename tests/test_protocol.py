@@ -248,7 +248,7 @@ class TestSamplerEquivalence:
     def test_wall_time_matches_round_time(self):
         config = mps_config(3, 4)
         outcome = sample_round(np.random.default_rng(0), link(config, 0.5, p_mid=0.5))
-        assert outcome.wall_time == analytic.round_time(config, TL, TC)
+        assert outcome.wall_time == analytic.round_time(ProtocolKind.MPS, 3, TL, TC, 4)
 
 
 class TestSteppedRoundTrace:
@@ -275,13 +275,10 @@ class TestSteppedRoundTrace:
         tau_link, tau_clock = Duration(tau_link_ps), Duration(tau_clock_ps)
         rng, trace = np.random.default_rng(seed), []
         if kind == "mitm":
-            config = mitm_config(n)
             outcome = step_mitm_round(rng, n, p, tau_link, tau_clock, trace=trace)
         elif kind == "sr":
-            config = sr_config(n, n_b)
             outcome = step_sr_round(rng, n, n_b, p, tau_link, tau_clock, trace=trace)
         else:
-            config = mps_config(n, k)
             outcome = step_mps_round(rng, n, k, p_mid, p, tau_link, tau_clock, trace=trace)
 
         times = [entry[0] for entry in trace]
@@ -302,7 +299,12 @@ class TestSteppedRoundTrace:
         for _, node, slot, _, _, trigger in trace:
             if kind == "mps" and trigger == "confirm":
                 assert latched_at["left", slot] == latched_at["right", slot]
-        assert outcome.wall_time == analytic.round_time(config, tau_link, tau_clock)
+        round_time = (ProtocolKind(kind), n, tau_link, tau_clock, k if kind == "mps" else 1)
+        if outcome.wall_time:
+            assert outcome.wall_time == analytic.round_time(*round_time)
+        else:  # an empty round, in which nothing can be scheduled, is refused
+            with pytest.raises(ConfigurationError, match="round time is zero"):
+                analytic.round_time(*round_time)
 
 
 def enumerate_mps_bin(k, p_mid, p_side):
