@@ -63,7 +63,6 @@ class RateBundle:
     rate_per_s: float
     utilization: float
     upper_bound_per_s: float
-    round_time: Duration
 
     def __post_init__(self):
         if not 0.0 <= self.utilization <= 1.0:
@@ -97,11 +96,9 @@ class MpsEntanglement:
 class PurificationBounds:
     """Error and success numbers for the 7-to-1 code-based purification."""
 
-    epsilon_in: float
     epsilon_out: float
     p_success: float
     epsilon_total: float
-    link_count: int
 
 
 @dataclass(frozen=True)
@@ -143,7 +140,6 @@ def mitm_rate(n: int, p: float, tau_link: Duration, tau_clock: Duration) -> Rate
         rate_per_s=utilization * upper,
         utilization=utilization,
         upper_bound_per_s=upper,
-        round_time=tau_round,
     )
 
 
@@ -236,7 +232,6 @@ def sr_rate(n_a: int, n_b: int, p: float, tau_link: Duration, tau_clock: Duratio
         rate_per_s=pairs / tau_round.seconds,
         utilization=(n_a * tau_clock.ps) / tau_round.ps,
         upper_bound_per_s=(n_a * p) / tau_round.seconds,
-        round_time=tau_round,
     )
 
 
@@ -339,6 +334,10 @@ def mps_bin_utilization(p_l: float, p_m: float, k: int) -> float:
     sum_m (-y)^m * ((m+1)*C(K+1, m+2) + m*C(K+1, m+1)), whose terms fall
     like (K*y)^m / m!. Either way the cost does not grow with K.
     """
+    validate_probability(p_l, "p_l")
+    validate_probability(p_m, "p_m")
+    if k < 1:
+        raise ConfigurationError("at least one latch attempt per bin is required")
     y = p_l * p_m
     if y == 0.0 or y >= 1.0:  # nothing latches, or the first attempt always does
         return 0.0
@@ -369,7 +368,6 @@ def mps_rate(n: int, ent: MpsEntanglement, tau_link: Duration, tau_clock: Durati
         rate_per_s=(n * ent.p_ent_sum) / tau_round.seconds,
         utilization=utilization,
         upper_bound_per_s=(n * bound_prob) / tau_round.seconds,
-        round_time=tau_round,
     )
 
 
@@ -384,6 +382,8 @@ def fast_clock_estimates(
     """
     validate_probability(p_bsa, "p_bsa")
     validate_probability(p_optical, "p_optical")
+    if n < 0:
+        raise ConfigurationError(f"memory count must be non-negative, got {n}")
     if tau_link.ps == 0:
         raise ConfigurationError("fast-clock estimates need a nonzero link delay")
     seconds = tau_link.seconds
@@ -406,9 +406,5 @@ def purification_bounds(epsilon_in: float, link_count: int) -> PurificationBound
         raise ConfigurationError("link count must be non-negative")
     epsilon_out = 7.0 * eps**3 * (1.0 - eps) ** 4 + eps**7
     return PurificationBounds(
-        epsilon_in=eps,
-        epsilon_out=epsilon_out,
-        p_success=(1.0 - eps) ** 7,
-        epsilon_total=link_count * epsilon_out,
-        link_count=link_count,
+        epsilon_out=epsilon_out, p_success=(1.0 - eps) ** 7, epsilon_total=link_count * epsilon_out
     )

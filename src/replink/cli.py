@@ -578,11 +578,12 @@ def run_sweep(scenario: Scenario, progress=None) -> list[ReportRow]:
     rows = []
     for distance, model, link, duration in zip(distances, models, links, durations):
         cell = (model, duration, scenario.base_seed, scenario.trials)
-        if chain:
-            rates = [stats.rate_per_s for stats in engine.run_chain_trials(*cell)]
-        else:
+        if chain:  # a chain trial runs for the full duration
+            events = [stats.end_to_end_ebits for stats in engine.run_chain_trials(*cell)]
+            elapsed = duration
+        else:  # a link trial runs for whole rounds
             events, elapsed = engine.run_link_trials(*cell)
-            rates = events / elapsed.seconds
+        rates = np.divide(events, elapsed.seconds)
         summary = engine.summarize(rates)
         print(
             f"[replink] {scenario.protocol} {preset_label} L={_format_value(distance)} km: "
@@ -656,25 +657,15 @@ def _trace_round(scenario: Scenario) -> list:
     """Step one round of the scenario's first distance, logging its transitions."""
     distance = sorted(scenario.distances_km)[0]
     link = build_link_model(scenario, distance)
-    slots, _, cap = link.round_law
     # N slots for mitm, N_A for sr, and N bins of K latch attempts for mps
-    transmissions = slots * (link.config.k_attempts or 1)
+    transmissions = link.round_law[0] * (link.config.k_attempts or 1)
     if transmissions > _MAX_TRACE_TRANSMISSIONS:
         raise ConfigurationError(
             f"--trace would step {transmissions} transmissions in one round, "
             f"more than {_MAX_TRACE_TRANSMISSIONS}"
         )
-    rng = np.random.default_rng(scenario.base_seed)
     trace: list = []
-    if link.config.kind is ProtocolKind.MITM:
-        protocol.step_mitm_round(rng, slots, link.p, link.tau_link, link.tau_clock, trace=trace)
-    elif link.config.kind is ProtocolKind.SR:
-        protocol.step_sr_round(rng, slots, cap, link.p, link.tau_link, link.tau_clock, trace=trace)
-    else:
-        protocol.step_mps_round(
-            rng, slots, link.config.k_attempts, link.p_mid, link.p,
-            link.tau_link, link.tau_clock, trace=trace,
-        )
+    protocol.step_round(np.random.default_rng(scenario.base_seed), link, trace)
     return trace
 
 

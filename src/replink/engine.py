@@ -217,11 +217,10 @@ class LinkTrialStats:
 
 @dataclass(frozen=True)
 class ChainTrialStats:
+    """One chain trial's counts: the end-to-end ebits, and the rest per link."""
+
     end_to_end_ebits: int
-    elapsed: Duration
-    rate_per_s: float
     per_link_purified_counts: tuple[int, ...]
-    ebit_error: float
     raw_pairs: tuple[int, ...]
     purify_attempts: tuple[int, ...]
     raw_expired: tuple[int, ...]
@@ -242,7 +241,6 @@ class SummaryStats:
     mean: float
     ci90_low: float
     ci90_high: float
-    sample_count: int
 
     def __post_init__(self):
         if not self.ci90_low <= self.ci90_high:
@@ -434,8 +432,7 @@ def run_chain_trial(chain: ChainModel, duration: Duration, rng) -> ChainTrialSta
     pairs wait in the link's reserved buffer (overflow drops the oldest).
     Whenever every link holds a purified pair, one pair per link is
     consumed by deterministic swapping at the intermediate nodes and one
-    end-to-end ebit is counted. Elapsed time is the full duration
-    regardless of how rounds align with it.
+    end-to-end ebit is counted.
     """
     link, n_links, policy = chain.link, chain.link_count, chain.purification
     n_rounds = round_count(link, duration, "a chain link")
@@ -447,10 +444,9 @@ def run_chain_trial(chain: ChainModel, duration: Duration, rng) -> ChainTrialSta
     # in-place arrays, this lowers the trial's heap peak, so fewer pages go back
     # to the OS at glibc's default trim threshold and fault in again next trial
     del counts
-    bounds = chain.bounds
     n_groups = int(groups.sum())
     succeeded = np.zeros(n_groups + 1, np.int64)  # successes before each group
-    np.cumsum(rng.random(n_groups) < bounds.p_success, out=succeeded[1:])
+    np.cumsum(rng.random(n_groups) < chain.bounds.p_success, out=succeeded[1:])
     ends = np.cumsum(groups)
     wins = succeeded[ends]
     ends -= groups
@@ -484,11 +480,9 @@ def run_chain_trial(chain: ChainModel, duration: Duration, rng) -> ChainTrialSta
         for w in (groups, wins)
     )
     stats = ChainTrialStats(
-        end_to_end_ebits=floor, elapsed=duration, rate_per_s=floor / duration.seconds,
-        per_link_purified_counts=successes, ebit_error=bounds.epsilon_total,
-        raw_pairs=tuple(raw.tolist()), purify_attempts=attempts, raw_expired=tuple(expired),
-        raw_pending=tuple(pending), purified_discarded=tuple(discarded),
-        purified_pending=tuple(a - floor for a in accepted),
+        end_to_end_ebits=floor, per_link_purified_counts=successes, raw_pairs=tuple(raw.tolist()),
+        purify_attempts=attempts, raw_expired=tuple(expired), raw_pending=tuple(pending),
+        purified_discarded=tuple(discarded), purified_pending=tuple(a - floor for a in accepted),
     )
     _check_conservation(stats)
     return stats
@@ -522,5 +516,4 @@ def summarize(samples) -> SummaryStats:
         mean=float(np.mean(data)),
         ci90_low=_percentile(ordered, 0.05),
         ci90_high=_percentile(ordered, 0.95),
-        sample_count=int(data.size),
     )

@@ -89,9 +89,6 @@ class Duration:
     def __add__(self, other: "Duration") -> "Duration":
         return Duration(self.ps + other.ps)
 
-    def __sub__(self, other: "Duration") -> "Duration":
-        return Duration(self.ps - other.ps)
-
     def __mul__(self, factor) -> "Duration":
         return Duration(self.ps * operator.index(factor))
 
@@ -99,9 +96,6 @@ class Duration:
 
     def __floordiv__(self, other: "Duration") -> int:
         return self.ps // other.ps
-
-    def __truediv__(self, other: "Duration") -> float:
-        return self.ps / other.ps
 
     def __bool__(self) -> bool:
         return self.ps != 0

@@ -1,11 +1,11 @@
-"""One round of each link protocol, stepped transmission by transmission.
+"""One round of a link model, stepped transmission by transmission.
 
-Each stepper walks one round the way the protocol's nodes do: what a node
-does with each transmission (emit, latch, reject) and how it settles its
-memory when the round ends (confirm, reset, discard). With ``trace`` set,
-it appends every memory-slot transition as ``(time_ps, node, slot, old,
-new, trigger)`` in the order the nodes make them, timed in integer
-picoseconds from the round's start.
+``step_round`` walks the round the way the link protocol's nodes do: what
+a node does with each transmission (emit, latch, reject) and how it
+settles its memory at the link's ``round_time`` (confirm, reset, discard).
+With ``trace`` set, it appends every memory-slot transition as ``(time_ps,
+node, slot, old, new, trigger)`` in the order the nodes make them, timed
+in integer picoseconds from the round's start.
 
 The tests keep a round-level reference sampler
 (``tests/protocol_reference.py``) that draws the same random variates in
@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .params import ConfigurationError, Duration, validate_probability
+from .params import ProtocolKind
 
-__all__ = [
-    "RoundOutcome", "step_mitm_round", "step_sr_round", "step_mps_round", "format_trace_entry",
-]
+__all__ = ["RoundOutcome", "step_round", "format_trace_entry"]
 
 
 @dataclass(frozen=True)
@@ -29,7 +27,6 @@ class RoundOutcome:
     """Confirmed pairs from one protocol round."""
 
     slot_map: tuple[tuple[int, int], ...]
-    wall_time: Duration
 
     @property
     def entangled_pairs(self) -> int:
@@ -51,9 +48,13 @@ def _confirm(trace: list | None, time_ps: int, node: str, slot: int, held: str):
     _log(trace, time_ps, node, slot, "confirmed_entangled", "free", "reset")
 
 
-def step_mitm_round(
-    rng, n: int, p: float, tau_link: Duration, tau_clock: Duration, trace: list | None = None
-) -> RoundOutcome:
+def step_round(rng, link, trace: list | None = None) -> RoundOutcome:
+    """Step one round of ``link`` (an ``engine.LinkModel``) on ``rng``; a
+    configuration error, before any draw, if the round has zero length."""
+    return _WALKERS[link.config.kind](rng, link, link.round_time.ps, trace)
+
+
+def _walk_mitm(rng, link, wall: int, trace: list | None) -> RoundOutcome:
     """Step one meet-in-the-middle round at the sender, ``alice``.
 
     The sender emits slot i at (i - 1)·tau_clock. The analyzer's verdicts
@@ -61,13 +62,10 @@ def step_mitm_round(
     delay after its emission. When the round ends, the sender confirms
     every slot whose verdict was a success and frees the rest.
     """
-    p = validate_probability(p, "p")
-    if n < 0:
-        raise ConfigurationError("slot count must be non-negative")
-    wall = tau_link + n * tau_clock
+    n, p, _ = link.round_law
     won = [rng.random() < p for _ in range(n)]
     if trace is not None:
-        clock = tau_clock.ps
+        clock = link.tau_clock.ps
         trace.extend(
             ((i - 1) * clock, "alice", i, "free", "photon_emitted", "emit") for i in range(1, n + 1)
         )
@@ -75,31 +73,26 @@ def step_mitm_round(
     for i, success in enumerate(won, 1):
         if success:
             pairs.append((i, i))
-            _confirm(trace, wall.ps, "alice", i, "photon_emitted")
+            _confirm(trace, wall, "alice", i, "photon_emitted")
         else:
-            _log(trace, wall.ps, "alice", i, "photon_emitted", "free", "reset")
-    return RoundOutcome(tuple(pairs), wall)
+            _log(trace, wall, "alice", i, "photon_emitted", "free", "reset")
+    return RoundOutcome(tuple(pairs))
 
 
-def step_sr_round(
-    rng, n_a: int, n_b: int, p: float, tau_link: Duration, tau_clock: Duration,
-    trace: list | None = None,
-) -> RoundOutcome:
+def _walk_sr(rng, link, wall: int, trace: list | None) -> RoundOutcome:
     """Step one sender-receiver round at the receiver, ``bob``.
 
-    Transmission i arrives at tau_link + (i - 1)·tau_clock. While a memory
-    qubit is free, the receiver draws a latch into the next free one. Once
-    its memory is full, it rejects every further transmission without a
-    draw. The sender learns each result one link delay later, so the round
-    ends at 2·tau_link + n_a·tau_clock, and the receiver then confirms
-    every latched qubit. The sender's memory mirrors the receiver's, so
-    only the receiver is stepped.
+    Transmission i of the sender's N_A arrives at tau_link +
+    (i - 1)·tau_clock. While one of its N_B memory qubits is free, the
+    receiver draws a latch into the next free one. Once its memory is
+    full, it rejects every further transmission without a draw. The sender
+    learns each result one link delay later, so the round ends at
+    2·tau_link + N_A·tau_clock, and the receiver then confirms every
+    latched qubit. The sender's memory mirrors the receiver's, so only the
+    receiver is stepped.
     """
-    p = validate_probability(p, "p")
-    if n_a < 0 or n_b < 0:
-        raise ConfigurationError("counts must be non-negative")
-    wall = 2 * tau_link + n_a * tau_clock
-    start, clock = tau_link.ps, tau_clock.ps
+    n_a, p, n_b = link.round_law
+    start, clock = link.tau_link.ps, link.tau_clock.ps
     latches = []  # (receiver slot, transmission index)
     for i in range(1, n_a + 1):
         t, slot = start + (i - 1) * clock, len(latches) + 1
@@ -111,31 +104,25 @@ def step_sr_round(
         else:
             _log(trace, t, "bob", slot, "free", "free", "latch_failed")
     for slot, _ in latches:
-        _confirm(trace, wall.ps, "bob", slot, "latched")
-    return RoundOutcome(tuple(latches), wall)
+        _confirm(trace, wall, "bob", slot, "latched")
+    return RoundOutcome(tuple(latches))
 
 
-def step_mps_round(
-    rng, n_bins: int, k: int, p_mid: float, p_side: float, tau_link: Duration,
-    tau_clock: Duration, trace: list | None = None,
-) -> RoundOutcome:
+def _walk_mps(rng, link, wall: int, trace: list | None) -> RoundOutcome:
     """Step one midpoint-source round at both receivers, ``left`` and ``right``.
 
-    Attempt a of bin b leaves the source at ((b - 1)·k + a - 1)·tau_clock
+    Attempt a of bin b leaves the source at ((b - 1)·K + a - 1)·tau_clock
     and reaches both receivers half a link delay later. Per attempt, the
     source emits a pair with probability ``p_mid``. Then each receiver in
-    turn, left first, draws a latch with probability ``p_side`` if its
-    qubit for bin b is still free, and rejects the photon without a draw
-    if it is not. One link delay after the last attempt, each receiver has
-    the other's latch report. It confirms the bins where both sides
-    latched the same attempt, and discards its other latches.
+    turn, left first, draws a latch with probability ``p`` if its qubit
+    for bin b is still free, and rejects the photon without a draw if it
+    is not. One link delay after the last attempt, each receiver has the
+    other's latch report. It confirms the bins where both sides latched
+    the same attempt, and discards its other latches.
     """
-    p_mid = validate_probability(p_mid, "p_mid")
-    p_side = validate_probability(p_side, "p_side")
-    if n_bins < 0 or k < 1:
-        raise ConfigurationError("need n_bins >= 0 and k_attempts >= 1")
-    wall = tau_link + n_bins * k * tau_clock
-    start, clock = tau_link.ps // 2, tau_clock.ps
+    n_bins, k = link.round_law[0], link.config.k_attempts
+    p_mid, p_side = link.p_mid, link.p
+    start, clock = link.tau_link.ps // 2, link.tau_clock.ps
     sides = (("left", {}), ("right", {}))  # each maps a latched bin to its attempt
     for b in range(1, n_bins + 1):
         for a in range(1, k + 1):
@@ -155,7 +142,10 @@ def step_mps_round(
     for node, latched in sides:
         for b in sorted(latched):
             if b in matched:
-                _confirm(trace, wall.ps, node, b, "latched")
+                _confirm(trace, wall, node, b, "latched")
             else:
-                _log(trace, wall.ps, node, b, "latched", "free", "discard")
-    return RoundOutcome(tuple((b, b) for b in sorted(matched)), wall)
+                _log(trace, wall, node, b, "latched", "free", "discard")
+    return RoundOutcome(tuple((b, b) for b in sorted(matched)))
+
+
+_WALKERS = {ProtocolKind.MITM: _walk_mitm, ProtocolKind.SR: _walk_sr, ProtocolKind.MPS: _walk_mps}

@@ -218,10 +218,7 @@ def run_chain_trial(chain: ChainModel, duration: Duration, rng) -> ChainTrialSta
 
     return ChainTrialStats(
         end_to_end_ebits=ebits,
-        elapsed=duration,
-        rate_per_s=ebits / duration.seconds,
         per_link_purified_counts=tuple(p.successes for p in pipelines),
-        ebit_error=bounds.epsilon_total,
         raw_pairs=tuple(p.raw for p in pipelines),
         purify_attempts=tuple(p.attempts for p in pipelines),
         raw_expired=tuple(p.expired for p in pipelines),

@@ -26,7 +26,7 @@ def sample_round(rng, link: LinkModel) -> RoundOutcome:
         pairs = tuple(
             (i, i) for i in range(1, config.memory.n_per_side + 1) if rng.random() < p
         )
-        return RoundOutcome(pairs, link.round_time)
+        return RoundOutcome(pairs)
     if config.kind is ProtocolKind.SR:
         n_a, n_b = config.memory.n_sender, config.memory.n_receiver
         pairs = []
@@ -37,7 +37,7 @@ def sample_round(rng, link: LinkModel) -> RoundOutcome:
             if rng.random() < p:
                 pairs.append((slot, i))
                 slot += 1
-        return RoundOutcome(tuple(pairs), link.round_time)
+        return RoundOutcome(tuple(pairs))
     # midpoint source: iterate every attempt of every bin, drawing pair
     # generation then each free side's latch, and match pair ids
     k = config.k_attempts
@@ -52,4 +52,4 @@ def sample_round(rng, link: LinkModel) -> RoundOutcome:
                     right_k = attempt
         if left_k is not None and left_k == right_k:
             pairs.append((bin_index, bin_index))
-    return RoundOutcome(tuple(pairs), link.round_time)
+    return RoundOutcome(tuple(pairs))

@@ -253,38 +253,29 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
     pvalues = {}
 
     for p in p_values:
-        rng = np.random.default_rng([BASE_SEED, 1])
-        stepped = [
-            protocol.step_mitm_round(rng, 4, p, tau_link, tau_clock).entangled_pairs
-            for _ in range(rounds)
-        ]
-        rng = np.random.default_rng([BASE_SEED, 2])
         config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(4))
         link = engine.LinkModel(config, p, tau_link, tau_clock)
+        rng = np.random.default_rng([BASE_SEED, 1])
+        stepped = [protocol.step_round(rng, link).entangled_pairs for _ in range(rounds)]
+        rng = np.random.default_rng([BASE_SEED, 2])
         sampled = [sample_round(rng, link).entangled_pairs for _ in range(rounds)]
         pvalues[("mitm", p)] = chi2_homogeneity_pvalue(stepped, sampled)
 
     for p in p_values:
-        rng = np.random.default_rng([BASE_SEED, 3])
-        stepped = [
-            protocol.step_sr_round(rng, 4, 2, p, tau_link, tau_clock).entangled_pairs
-            for _ in range(rounds)
-        ]
-        rng = np.random.default_rng([BASE_SEED, 4])
         config = ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(4, 2))
         link = engine.LinkModel(config, p, tau_link, tau_clock)
+        rng = np.random.default_rng([BASE_SEED, 3])
+        stepped = [protocol.step_round(rng, link).entangled_pairs for _ in range(rounds)]
+        rng = np.random.default_rng([BASE_SEED, 4])
         sampled = [sample_round(rng, link).entangled_pairs for _ in range(rounds)]
         pvalues[("sr", p)] = chi2_homogeneity_pvalue(stepped, sampled)
 
     for p in p_values:
-        rng = np.random.default_rng([BASE_SEED, 5])
-        stepped = [
-            protocol.step_mps_round(rng, 2, 4, 0.8, p, tau_link, tau_clock).entangled_pairs
-            for _ in range(rounds)
-        ]
-        rng = np.random.default_rng([BASE_SEED, 6])
         config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(2), k_attempts=4)
         link = engine.LinkModel(config, p, tau_link, tau_clock, p_mid=0.8)
+        rng = np.random.default_rng([BASE_SEED, 5])
+        stepped = [protocol.step_round(rng, link).entangled_pairs for _ in range(rounds)]
+        rng = np.random.default_rng([BASE_SEED, 6])
         sampled = [sample_round(rng, link).entangled_pairs for _ in range(rounds)]
         pvalues[("mps", p)] = chi2_homogeneity_pvalue(stepped, sampled)
 
@@ -292,15 +283,15 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         assert pvalue > 0.01, f"{key}: chi-squared p-value {pvalue:.4f}"
 
     # exhaustive check: every branch of a short bin, stepped round vs formula
+    from conftest import ScriptedRng
+
     for k in (1, 2, 3):
         exact, branches = enumerate_mps_bin(k, 0.6, 0.4)
+        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(1), k_attempts=k)
+        link = engine.LinkModel(config, 0.4, tau_link, tau_clock, p_mid=0.6)
         machine_total = 0.0
         for script, prob, _ in branches:
-            from conftest import ScriptedRng
-
-            outcome = protocol.step_mps_round(
-                ScriptedRng(list(script)), 1, k, 0.6, 0.4, tau_link, tau_clock
-            )
+            outcome = protocol.step_round(ScriptedRng(list(script)), link)
             if outcome.entangled_pairs:
                 machine_total += prob
         formula = analytic.mps_entanglement(0.4, 0.6, k).p_ent_sum

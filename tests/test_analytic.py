@@ -388,6 +388,10 @@ class TestSrAllocation:
         n_sender, n_receiver = analytic.sr_receiver_allocation(6, 0.0)  # an even split is allowed
         assert (n_receiver, n_sender) == (6, 6)
 
+    def test_negative_memory_is_refused(self):
+        with pytest.raises(ConfigurationError, match="^memory count must be non-negative$"):
+            analytic.sr_receiver_allocation(-1, 0.5)
+
 
 class TestMpsAttempts:
     @pytest.mark.parametrize("p_l,p_m,expected", [(1.0, 1.0, 3), (0.5, 1.0, 6), (0.1, 0.1, 300)])
@@ -405,6 +409,10 @@ class TestMpsAttempts:
 
 
 class TestMpsEntanglement:
+    def test_no_attempt_is_refused(self):
+        with pytest.raises(ConfigurationError, match="^at least one latch attempt per bin is required$"):
+            analytic.mps_entanglement(0.5, 0.5, 0)
+
     def test_worked_example(self):
         ent = analytic.mps_entanglement(0.5, 1.0, 6)
         assert ent.p_ent_sum == pytest.approx(0.333251953125, abs=1e-15)
@@ -515,7 +523,8 @@ class TestMpsRate:
     def test_worked_example(self):
         ent = analytic.mps_entanglement(0.5, 1.0, 6)
         bundle = analytic.mps_rate(3, ent, US(100), NS(10))
-        assert bundle.round_time.ps == 100_180_000
+        assert analytic.round_time(ProtocolKind.MPS, 3, US(100), NS(10), 6).ps == 100_180_000
+        assert bundle.rate_per_s == pytest.approx(3 * ent.p_ent_sum / 100.18e-6, rel=1e-15)
         assert bundle.rate_per_s == pytest.approx(9.98e3, rel=1e-3)
 
     @given(
@@ -586,6 +595,18 @@ class TestMpsRate:
     def test_bin_utilization_no_latch_possible(self):
         assert analytic.mps_bin_utilization(0.0, 1.0, 5) == 0.0
 
+    @pytest.mark.parametrize("p_l,p_m,k,message", [
+        (0.5, 0.5, -3, r"at least one latch attempt per bin is required"),
+        (0.5, 0.5, 0, r"at least one latch attempt per bin is required"),
+        (2.0, 1.0, 3, r"p_l must lie in \[0, 1\], got 2.0"),
+        (0.5, -0.1, 3, r"p_m must lie in \[0, 1\], got -0.1"),
+        (float("nan"), 0.5, 3, r"p_l must lie in \[0, 1\], got nan"),
+    ])
+    def test_bin_utilization_refuses_what_mps_entanglement_refuses(self, p_l, p_m, k, message):
+        for law in (analytic.mps_bin_utilization, analytic.mps_entanglement):
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                law(p_l, p_m, k)
+
     def test_utilization_within_unit_interval(self):
         for p_l, p_m in [(0.9, 1.0), (0.05, 0.5), (0.3, 0.1)]:
             k = analytic.mps_attempts_per_bin(p_l, p_m)
@@ -608,6 +629,14 @@ class TestFastClock:
         full = analytic.mitm_rate(100, p_bsa * p_opt**2, US(100), NS(1))
         assert est.r_mitm == pytest.approx(full.rate_per_s, rel=0.01)
 
+    def test_negative_count_is_refused(self):
+        with pytest.raises(ConfigurationError, match="^memory count must be non-negative, got -1$"):
+            analytic.fast_clock_estimates(-1, 0.5, 0.5, US(10))
+
+    def test_zero_link_delay_is_refused(self):
+        with pytest.raises(ConfigurationError, match="^fast-clock estimates need a nonzero link delay$"):
+            analytic.fast_clock_estimates(100, 0.5, 0.5, Duration(0))
+
 
 class TestPurification:
     def test_exact_rational_values(self):
@@ -629,6 +658,10 @@ class TestPurification:
     def test_purification_never_worsens_moderate_errors(self, eps):
         bounds = analytic.purification_bounds(eps, 1)
         assert bounds.epsilon_out <= eps + 1e-15
+
+    def test_negative_link_count_is_refused(self):
+        with pytest.raises(ConfigurationError, match="^link count must be non-negative$"):
+            analytic.purification_bounds(0.05, -1)
 
 
 class TestMonotonicity:

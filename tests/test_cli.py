@@ -262,6 +262,10 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="preset"):
             parse(["--protocol", "mitm", "--preset", "warpdrive", "--distances", "10"])
 
+    def test_unparseable_distance_list_exits_2(self, capsys):
+        assert main(TINY + ["--distances", "5,ten"]) == 2
+        assert "configuration error: cannot parse distance list '5,ten'" in capsys.readouterr().err
+
     def test_distances_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="positive"):
             parse(["--protocol", "mitm", "--preset", "qd", "--distances", "10,-5"])
@@ -466,6 +470,16 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match="warp_factor"):
             parse(["--config", str(config)])
 
+    @pytest.mark.parametrize("line,message", [
+        ("include_analytic = maybe", "cannot parse boolean 'maybe'"),
+        ("trials 7", ":1: expected 'key = value', got 'trials 7'"),
+    ], ids=["boolean", "no-equals-sign"])
+    def test_malformed_line_exits_2(self, tmp_path, capsys, line, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        assert main(TINY + ["--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_file(self):
         with pytest.raises(ConfigurationError, match="cannot read"):
             parse(["--config", "/nonexistent/path.cfg"])
@@ -580,6 +594,12 @@ class TestSweepAndReport:
     def test_empty_report_rejected(self):
         with pytest.raises(ValueError):
             emit_report([], "csv", "-")
+
+    def test_unknown_format_rejected(self, capsys):
+        row = ReportRow("mitm", "optimistic", None, 10.0, 3, 1.0, 1.0, 1.0, 11)
+        with pytest.raises(ConfigurationError, match="^unknown report format 'xml'$"):
+            emit_report([row], "xml", "-")
+        assert capsys.readouterr().out == ""
 
 
 # The (slots, repr(p), cap) round law at 20 km of every preset and protocol
@@ -935,6 +955,10 @@ class TestMain:
         assert main(TINY + ["--trace", str(trace_path), "--output", str(tmp_path / "r.csv")]) == 0
         lines = trace_path.read_text().strip().split("\n")
         assert lines, "expected at least the emission transitions"
+        # the first distance's link confirms its pairs when its round ends
+        link = cli.build_link_model(parse(TINY), 5.0)
+        confirmed = {int(line.split(",")[0]) for line in lines if line.endswith(",confirm")}
+        assert confirmed == {link.round_time.ps}
         for line in lines:
             time_ps, node, slot, old, new, trigger = line.split(",")
             int(time_ps)

@@ -42,7 +42,6 @@ class TestDuration:
         a = Duration(1_000_000)
         b = Duration(3)
         assert (a + b).ps == 1_000_003
-        assert (a - b).ps == 999_997
         assert (7 * b).ps == 21
         assert a // b == 333_333
         assert Duration.from_us(100).ps == 100_000_000
@@ -52,8 +51,6 @@ class TestDuration:
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             Duration(-1)
-        with pytest.raises(ConfigurationError):
-            Duration(5) - Duration(6)
 
     def test_float_ps_rejected(self):
         with pytest.raises(TypeError):

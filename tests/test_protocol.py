@@ -9,13 +9,7 @@ from protocol_reference import sample_round
 from replink import analytic
 from replink.engine import LinkModel
 from replink.params import ConfigurationError, Duration, MemoryBudget, ProtocolConfig, ProtocolKind
-from replink.protocol import (
-    RoundOutcome,
-    format_trace_entry,
-    step_mitm_round,
-    step_mps_round,
-    step_sr_round,
-)
+from replink.protocol import RoundOutcome, format_trace_entry, step_round
 
 TL = Duration.from_us(10)
 TC = Duration.from_ns(1)
@@ -33,32 +27,32 @@ def mps_config(n, k):
     return ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=k)
 
 
-def link(config, p, p_mid=None):
-    return LinkModel(config, p, TL, TC, p_mid=p_mid)
+def link(config, p, p_mid=None, tau_link=TL):
+    return LinkModel(config, p, tau_link, TC, p_mid=p_mid)
 
 
 class TestMitmMachine:
     def test_single_slot_success(self):
-        outcome = step_mitm_round(ScriptedRng([0.1]), 1, 0.5, TL, TC)
-        assert outcome == RoundOutcome(((1, 1),), TL + TC)
+        outcome = step_round(ScriptedRng([0.1]), link(mitm_config(1), 0.5))
+        assert outcome == RoundOutcome(((1, 1),))
         assert outcome.entangled_pairs == 1
 
     def test_certain_herald_succeeds(self):
-        assert step_mitm_round(ScriptedRng([0.999]), 1, 1.0, TL, TC).slot_map == ((1, 1),)
+        assert step_round(ScriptedRng([0.999]), link(mitm_config(1), 1.0)).slot_map == ((1, 1),)
 
     def test_herald_frequency(self):
-        outcome = step_mitm_round(np.random.default_rng(123), 100_000, 0.5, TL, TC)
+        outcome = step_round(np.random.default_rng(123), link(mitm_config(100_000), 0.5))
         assert outcome.entangled_pairs / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_hand_traced_three_slots(self):
         # verdict draws: success, failure, success
         rng = ScriptedRng([0.1, 0.9, 0.1])
-        outcome = step_mitm_round(rng, 3, 0.5, TL, TC)
+        outcome = step_round(rng, link(mitm_config(3), 0.5))
         assert outcome.slot_map == ((1, 1), (3, 3))
         assert rng.remaining == 0
 
     def test_all_failures_confirm_nothing(self):
-        outcome = step_mitm_round(ScriptedRng([0.9, 0.9, 0.9]), 3, 0.5, TL, TC)
+        outcome = step_round(ScriptedRng([0.9, 0.9, 0.9]), link(mitm_config(3), 0.5))
         assert outcome.entangled_pairs == 0
 
 
@@ -67,14 +61,14 @@ class TestSrReceiverMachine:
         # latch draws: 0.9 -> fail, 0.1 -> success; third photon finds the
         # memory full and is rejected without a draw
         rng = ScriptedRng([0.9, 0.1])
-        outcome = step_sr_round(rng, 3, 1, 0.5, TL, TC)
+        outcome = step_round(rng, link(sr_config(3, 1), 0.5))
         assert outcome.slot_map == ((1, 2),)
         assert rng.remaining == 0
 
     def test_messages_report_fail_success_reject(self):
         rng = ScriptedRng([0.9, 0.1])
         trace = []
-        step_sr_round(rng, 3, 1, 0.5, TL, TC, trace=trace)
+        step_round(rng, link(sr_config(3, 1), 0.5), trace)
         # one entry per arrival, then slot 1's confirmation at the round's end
         assert [(slot, trigger) for _, _, slot, _, _, trigger in trace] == [
             (1, "latch_failed"), (1, "latch"), (None, "reject"), (1, "confirm"), (1, "reset"),
@@ -82,12 +76,12 @@ class TestSrReceiverMachine:
 
     def test_perfect_latching_fills_in_order(self):
         rng = ScriptedRng([0.0, 0.0, 0.0])
-        outcome = step_sr_round(rng, 3, 3, 1.0, TL, TC)
+        outcome = step_round(rng, link(sr_config(3, 3), 1.0))
         assert outcome.slot_map == ((1, 1), (2, 2), (3, 3))
 
     def test_zero_receiver_memory_rejects_everything(self):
         rng = ScriptedRng([])  # no draws may happen at all
-        outcome = step_sr_round(rng, 3, 0, 1.0, TL, TC)
+        outcome = step_round(rng, link(sr_config(3, 0), 1.0))
         assert outcome.entangled_pairs == 0
 
     @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=6),
@@ -95,7 +89,7 @@ class TestSrReceiverMachine:
     @settings(max_examples=50)
     def test_confirmed_pairs_never_exceed_receiver_memory(self, n_b, n_a, p, seed):
         rng = np.random.default_rng(seed)
-        outcome = step_sr_round(rng, max(n_a, n_b), n_b, p, TL, TC)
+        outcome = step_round(rng, link(sr_config(max(n_a, n_b), n_b), p))
         assert outcome.entangled_pairs <= n_b
 
 
@@ -103,7 +97,7 @@ class TestMpsReceiverMachine:
     def test_matching_pair_ids_confirm(self):
         # bin 1: k=1 fails both sides, k=2 latches both -> confirmed
         rng = ScriptedRng([0.0, 0.9, 0.9, 0.0, 0.1, 0.1])
-        outcome = step_mps_round(rng, 1, 2, 1.0, 0.5, TL, TC)
+        outcome = step_round(rng, link(mps_config(1, 2), 0.5, p_mid=1.0))
         assert outcome.slot_map == ((1, 1),)
 
     def test_mismatched_pair_ids_discard_the_bin(self):
@@ -113,13 +107,13 @@ class TestMpsReceiverMachine:
                            0.0, 0.9,       # k=3: right only
                            0.0, 0.9,       # k=4
                            0.0, 0.1])      # k=5: right latches
-        outcome = step_mps_round(rng, 1, 5, 1.0, 0.5, TL, TC)
+        outcome = step_round(rng, link(mps_config(1, 5), 0.5, p_mid=1.0))
         assert outcome.entangled_pairs == 0
 
     def test_certain_latching_locks_first_attempt(self):
         # per bin: gen+left+right at k=1, then gen-only draws for k=2,3
         rng = ScriptedRng([0.0] * 15)
-        outcome = step_mps_round(rng, 3, 3, 1.0, 1.0, TL, TC)
+        outcome = step_round(rng, link(mps_config(3, 3), 1.0, p_mid=1.0))
         assert outcome.slot_map == ((1, 1), (2, 2), (3, 3))
         assert rng.remaining == 0
 
@@ -128,7 +122,7 @@ class TestMpsReceiverMachine:
         # taken and are rejected without a latch draw
         rng = ScriptedRng([0.0, 0.0, 0.0, 0.0])
         trace = []
-        step_mps_round(rng, 1, 2, 1.0, 1.0, TL, TC, trace=trace)
+        step_round(rng, link(mps_config(1, 2), 1.0, p_mid=1.0), trace)
         assert [format_trace_entry(entry) for entry in trace[:4]] == [
             "5000000,left,1,free,latched,latch",
             "5000000,right,1,free,latched,latch",
@@ -141,21 +135,21 @@ class TestMpsReceiverMachine:
         # the source emits nothing, so only its three generation draws happen
         rng = ScriptedRng([0.9, 0.9, 0.9])
         trace = []
-        outcome = step_mps_round(rng, 1, 3, 0.5, 1.0, TL, TC, trace=trace)
+        outcome = step_round(rng, link(mps_config(1, 3), 1.0, p_mid=0.5), trace)
         assert outcome.entangled_pairs == 0
         assert trace == []
         assert rng.remaining == 0
 
 
 class TestProbabilityChecks:
-    """A stepper checks its probabilities on entry, so even a round that
-    would draw nothing refuses one outside [0, 1]."""
+    """A round's probabilities are checked when its link is built, so even a
+    round that would draw nothing is never stepped with one outside [0, 1]."""
 
     STEPPERS = {
-        "mitm": ("p", lambda p: step_mitm_round(ScriptedRng([]), 0, p, TL, TC)),
-        "sr": ("p", lambda p: step_sr_round(ScriptedRng([]), 3, 0, p, TL, TC)),
-        "mps-side": ("p_side", lambda p: step_mps_round(ScriptedRng([]), 0, 1, 0.5, p, TL, TC)),
-        "mps-source": ("p_mid", lambda p: step_mps_round(ScriptedRng([]), 0, 1, p, 0.5, TL, TC)),
+        "mitm": ("p", lambda p: step_round(ScriptedRng([]), link(mitm_config(0), p))),
+        "sr": ("p", lambda p: step_round(ScriptedRng([]), link(sr_config(3, 0), p))),
+        "mps-side": ("p", lambda p: step_round(ScriptedRng([]), link(mps_config(0, 1), p, 0.5))),
+        "mps-source": ("p_mid", lambda p: step_round(ScriptedRng([]), link(mps_config(0, 1), 0.5, p))),
     }
 
     @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
@@ -171,23 +165,25 @@ class TestSamplerEquivalence:
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_mitm_seed_paired(self, p):
+        mitm = link(mitm_config(4), p)
         for seed in range(30):
-            stepped = step_mitm_round(np.random.default_rng(seed), 4, p, TL, TC)
-            sampled = sample_round(np.random.default_rng(seed), link(mitm_config(4), p))
+            stepped = step_round(np.random.default_rng(seed), mitm)
+            sampled = sample_round(np.random.default_rng(seed), mitm)
             assert stepped == sampled
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_sr_seed_paired(self, p):
+        sr = link(sr_config(4, 2), p)
         for seed in range(30):
-            stepped = step_sr_round(np.random.default_rng(seed), 4, 2, p, TL, TC)
-            sampled = sample_round(np.random.default_rng(seed), link(sr_config(4, 2), p))
+            stepped = step_round(np.random.default_rng(seed), sr)
+            sampled = sample_round(np.random.default_rng(seed), sr)
             assert stepped == sampled
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_mps_seed_paired(self, p):
         mps = link(mps_config(3, 4), p, p_mid=0.7)
         for seed in range(30):
-            stepped = step_mps_round(np.random.default_rng(seed), 3, 4, 0.7, p, TL, TC)
+            stepped = step_round(np.random.default_rng(seed), mps)
             sampled = sample_round(np.random.default_rng(seed), mps)
             assert stepped == sampled
 
@@ -221,7 +217,7 @@ class TestSamplerEquivalence:
         rng_s = np.random.default_rng(31)
         mitm = link(mitm_config(4), 0.3)
         for _ in range(rounds):
-            stepped = step_mitm_round(rng_m, 4, 0.3, TL, TC)
+            stepped = step_round(rng_m, mitm)
             sampled = sample_round(rng_s, mitm)
             assert stepped.slot_map == sampled.slot_map
 
@@ -229,7 +225,7 @@ class TestSamplerEquivalence:
         rng_s = np.random.default_rng(32)
         sr = link(sr_config(4, 2), 0.3)
         for _ in range(rounds):
-            stepped = step_sr_round(rng_m, 4, 2, 0.3, TL, TC)
+            stepped = step_round(rng_m, sr)
             sampled = sample_round(rng_s, sr)
             assert stepped.slot_map == sampled.slot_map
 
@@ -237,7 +233,7 @@ class TestSamplerEquivalence:
         rng_s = np.random.default_rng(33)
         mps = link(mps_config(2, 4), 0.4, p_mid=0.7)
         for _ in range(rounds):
-            stepped = step_mps_round(rng_m, 2, 4, 0.7, 0.4, TL, TC)
+            stepped = step_round(rng_m, mps)
             sampled = sample_round(rng_s, mps)
             assert stepped.slot_map == sampled.slot_map
 
@@ -246,9 +242,12 @@ class TestSamplerEquivalence:
         assert outcome.entangled_pairs == 5
 
     def test_wall_time_matches_round_time(self):
-        config = mps_config(3, 4)
-        outcome = sample_round(np.random.default_rng(0), link(config, 0.5, p_mid=0.5))
-        assert outcome.wall_time == analytic.round_time(ProtocolKind.MPS, 3, TL, TC, 4)
+        # every bin latches its first attempt on both sides and is confirmed
+        # when the round ends, one link delay after its last attempt
+        mps, trace = link(mps_config(3, 4), 1.0, p_mid=1.0), []
+        assert step_round(np.random.default_rng(0), mps, trace).entangled_pairs == 3
+        settled = {time_ps for time_ps, *_, trigger in trace if trigger in ("confirm", "reset")}
+        assert settled == {mps.round_time.ps} == {TL.ps + 12 * TC.ps}
 
 
 class TestSteppedRoundTrace:
@@ -273,13 +272,17 @@ class TestSteppedRoundTrace:
         self, kind, n, n_b, k, p, p_mid, tau_link_ps, tau_clock_ps, seed
     ):
         tau_link, tau_clock = Duration(tau_link_ps), Duration(tau_clock_ps)
+        config = {"mitm": mitm_config(n), "sr": sr_config(n, n_b), "mps": mps_config(n, k)}[kind]
+        model = LinkModel(config, p, tau_link, tau_clock, p_mid=p_mid if kind == "mps" else None)
         rng, trace = np.random.default_rng(seed), []
-        if kind == "mitm":
-            outcome = step_mitm_round(rng, n, p, tau_link, tau_clock, trace=trace)
-        elif kind == "sr":
-            outcome = step_sr_round(rng, n, n_b, p, tau_link, tau_clock, trace=trace)
-        else:
-            outcome = step_mps_round(rng, n, k, p_mid, p, tau_link, tau_clock, trace=trace)
+        round_time = (ProtocolKind(kind), n, tau_link, tau_clock, k if kind == "mps" else 1)
+        if not tau_link_ps and not n:  # an empty round, in which nothing can be scheduled
+            with pytest.raises(ConfigurationError, match="^round time is zero"):
+                step_round(rng, model, trace)
+            with pytest.raises(ConfigurationError, match="^round time is zero"):
+                analytic.round_time(*round_time)
+            return
+        outcome = step_round(rng, model, trace)
 
         times = [entry[0] for entry in trace]
         assert times == sorted(times)
@@ -299,12 +302,9 @@ class TestSteppedRoundTrace:
         for _, node, slot, _, _, trigger in trace:
             if kind == "mps" and trigger == "confirm":
                 assert latched_at["left", slot] == latched_at["right", slot]
-        round_time = (ProtocolKind(kind), n, tau_link, tau_clock, k if kind == "mps" else 1)
-        if outcome.wall_time:
-            assert outcome.wall_time == analytic.round_time(*round_time)
-        else:  # an empty round, in which nothing can be scheduled, is refused
-            with pytest.raises(ConfigurationError, match="round time is zero"):
-                analytic.round_time(*round_time)
+        # every slot is settled when the round ends
+        settled = {t for t, *_, trigger in trace if trigger in ("confirm", "reset", "discard")}
+        assert settled <= {analytic.round_time(*round_time).ps}
 
 
 def enumerate_mps_bin(k, p_mid, p_side):
@@ -356,9 +356,10 @@ class TestExhaustiveEnumeration:
     def test_machines_match_exhaustive_branching(self, k):
         p_mid, p_side = 0.6, 0.4
         exact, branches = enumerate_mps_bin(k, p_mid, p_side)
+        mps = link(mps_config(1, k), p_side, p_mid=p_mid)
         machine_total = 0.0
         for script, prob, _ in branches:
-            outcome = step_mps_round(ScriptedRng(list(script)), 1, k, p_mid, p_side, TL, TC)
+            outcome = step_round(ScriptedRng(list(script)), mps)
             if outcome.entangled_pairs:
                 machine_total += prob
         assert machine_total == pytest.approx(exact, abs=1e-12)
@@ -380,7 +381,7 @@ class TestDeterminism:
     def test_identical_seeds_produce_identical_traces(self):
         def run(seed):
             trace = []
-            step_mps_round(np.random.default_rng(seed), 2, 3, 0.8, 0.5, TL, TC, trace=trace)
+            step_round(np.random.default_rng(seed), link(mps_config(2, 3), 0.5, p_mid=0.8), trace)
             return trace
 
         assert run(7) == run(7)
@@ -390,7 +391,7 @@ class TestDeterminism:
     def test_sr_trace_reproducible(self):
         def run():
             trace = []
-            step_sr_round(np.random.default_rng(5), 4, 2, 0.5, TL, TC, trace=trace)
+            step_round(np.random.default_rng(5), link(sr_config(4, 2), 0.5), trace)
             return trace
 
         assert run() == run()
@@ -400,8 +401,7 @@ class TestDeterminism:
     # a picosecond, so only the drivers' tie-break keeps the round legal.
     PINNED_ROUNDS = {
         "mitm": (
-            lambda trace: step_mitm_round(np.random.default_rng(11), 3, 0.5, TL, TC, trace=trace),
-            RoundOutcome(((1, 1), (2, 2)), Duration(10_003_000)),
+            11, link(mitm_config(3), 0.5), ((1, 1), (2, 2)),
             [
                 "0,alice,1,free,photon_emitted,emit",
                 "1000,alice,2,free,photon_emitted,emit",
@@ -414,8 +414,7 @@ class TestDeterminism:
             ],
         ),
         "sr": (
-            lambda trace: step_sr_round(np.random.default_rng(12), 4, 2, 0.5, TL, TC, trace=trace),
-            RoundOutcome(((1, 1), (2, 3)), Duration(20_004_000)),
+            12, link(sr_config(4, 2), 0.5), ((1, 1), (2, 3)),
             [
                 "10000000,bob,1,free,latched,latch",
                 "10001000,bob,2,free,free,latch_failed",
@@ -428,10 +427,7 @@ class TestDeterminism:
             ],
         ),
         "mps": (
-            lambda trace: step_mps_round(
-                np.random.default_rng(0), 3, 3, 0.8, 0.5, TL, TC, trace=trace
-            ),
-            RoundOutcome(((1, 1),), Duration(10_009_000)),
+            0, link(mps_config(3, 3), 0.5, p_mid=0.8), ((1, 1),),
             [
                 "5000000,left,1,free,latched,latch",
                 "5000000,right,1,free,latched,latch",
@@ -452,10 +448,7 @@ class TestDeterminism:
             ],
         ),
         "mitm-zero-link-delay": (
-            lambda trace: step_mitm_round(
-                np.random.default_rng(11), 3, 0.5, Duration(0), TC, trace=trace
-            ),
-            RoundOutcome(((1, 1), (2, 2)), Duration(3000)),
+            11, link(mitm_config(3), 0.5, tau_link=Duration(0)), ((1, 1), (2, 2)),
             [
                 "0,alice,1,free,photon_emitted,emit",
                 "1000,alice,2,free,photon_emitted,emit",
@@ -468,10 +461,7 @@ class TestDeterminism:
             ],
         ),
         "sr-zero-link-delay": (
-            lambda trace: step_sr_round(
-                np.random.default_rng(12), 4, 2, 0.5, Duration(0), TC, trace=trace
-            ),
-            RoundOutcome(((1, 1), (2, 3)), Duration(4000)),
+            12, link(sr_config(4, 2), 0.5, tau_link=Duration(0)), ((1, 1), (2, 3)),
             [
                 "0,bob,1,free,latched,latch",
                 "1000,bob,2,free,free,latch_failed",
@@ -487,7 +477,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("case", sorted(PINNED_ROUNDS))
     def test_pinned_round_trace_and_outcome(self, case):
-        step, outcome, lines = self.PINNED_ROUNDS[case]
+        seed, model, pairs, lines = self.PINNED_ROUNDS[case]
         trace = []
-        assert step(trace) == outcome
+        assert step_round(np.random.default_rng(seed), model, trace) == RoundOutcome(pairs)
         assert [format_trace_entry(entry) for entry in trace] == lines
