@@ -25,10 +25,12 @@ beamsplitter (p_mid = 0.5), and a parametric source (p_mid = 0.02).
 
 Each variant's table, closed-form overlay rows included, goes to DIR
 (default results/<figure>): mitm.csv, sr.csv, mps_pmid1.csv, ... for the
-chains, and ion_mitm.csv, ... qd_mps_pmid0.02.csv for fig10.
+chains, and ion_mitm.csv, ... qd_mps_pmid0.02.csv for fig10. Every row
+carries the --seed value: a REPLINK_SEED in the environment is ignored.
 """
 
 import argparse
+import os
 from pathlib import Path
 
 from replink import cli
@@ -52,6 +54,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    os.environ.pop("REPLINK_SEED", None)  # the tables take their seed from --seed only
     outdir = Path(args.outdir or f"results/{args.figure}")
     outdir.mkdir(parents=True, exist_ok=True)
     panels, variants = FIGURES[args.figure]

@@ -15,9 +15,12 @@ link-fig10 cases it also writes the ``--trace`` of one stepped protocol
 round as ``<label>.trace`` (34 traces), so it covers the round steppers
 too, on the ion, NV and quantum-dot presets with their large K. fig9 is
 not traced: the round of its mps p_mid 0.02 case exceeds the trace bound.
-Run it on two checkouts and ``diff -r`` the two directories.
+A REPLINK_SEED in the environment is ignored, so each directory holds its
+own seed's reports. Run it on two checkouts and ``diff -r`` the two
+directories.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -36,6 +39,7 @@ def main() -> int:
     if len(args) != 1:
         print("usage: workload_reports.py OUTDIR", file=sys.stderr)
         return 2
+    os.environ.pop("REPLINK_SEED", None)  # the reports take their seeds from SEEDS only
     written = 0
     for seed in SEEDS:
         outdir = Path(args[0]) / f"seed{seed}"

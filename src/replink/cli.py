@@ -511,8 +511,9 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
     if scenario.protocol == "mps":
         p = params.mps_success_probability(scenario.p_bsa, p_optical)
         k = analytic.mps_attempts_per_bin(p, scenario.p_mid)
-        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=k)
+        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n))
     else:
+        k = None
         p = params.link_success_probability(scenario.p_bsa, p_optical)
         if p <= 0.0:
             raise ConfigurationError(
@@ -524,7 +525,7 @@ def build_link_model(scenario: Scenario, distance_km: float) -> engine.LinkModel
         else:
             memory = MemoryBudget.sender_receiver(*analytic.sr_receiver_allocation(n, p))
             config = ProtocolConfig(ProtocolKind.SR, memory)
-    return engine.LinkModel(config, p, tau_link, tau_clock, p_mid=scenario.p_mid)
+    return engine.LinkModel(config, p, tau_link, tau_clock, p_mid=scenario.p_mid, k_attempts=k)
 
 
 def build_chain_model(scenario: Scenario, distance_km: float) -> engine.ChainModel:
@@ -658,7 +659,7 @@ def _trace_round(scenario: Scenario) -> list:
     distance = sorted(scenario.distances_km)[0]
     link = build_link_model(scenario, distance)
     # N slots for mitm, N_A for sr, and N bins of K latch attempts for mps
-    transmissions = link.round_law[0] * (link.config.k_attempts or 1)
+    transmissions = link.round_law[0] * (link.k_attempts or 1)
     if transmissions > _MAX_TRACE_TRANSMISSIONS:
         raise ConfigurationError(
             f"--trace would step {transmissions} transmissions in one round, "

@@ -67,7 +67,6 @@ __all__ = [
     "LinkModel",
     "ChainModel",
     "PurificationPolicy",
-    "LinkTrialStats",
     "ChainTrialStats",
     "SummaryStats",
     "PAIRS_PER_PURIFICATION",
@@ -89,10 +88,11 @@ class LinkModel:
     """Everything needed to simulate one link: protocol, probabilities, delays.
 
     ``p`` is the success probability of a two-photon herald (mitm, sr) or
-    of one side's latch (mps), the same for both sides; ``p_mid`` is the
-    midpoint source's pair-generation probability, given for mps links
-    and only for them. A sweep distance's Monte Carlo rows and analytic
-    row read one model.
+    of one side's latch (mps), the same for both sides. ``p_mid``, the
+    midpoint source's pair-generation probability, and ``k_attempts``, its
+    K latch attempts per time bin, are given for mps links and only for
+    them. A sweep distance's Monte Carlo rows and analytic row read one
+    model.
     """
 
     config: ProtocolConfig
@@ -100,30 +100,37 @@ class LinkModel:
     tau_link: Duration
     tau_clock: Duration
     p_mid: float | None = None
+    k_attempts: int | None = None
 
     def __post_init__(self):
         validate_probability(self.p, "p")
         kind = self.config.kind
-        if (kind is ProtocolKind.MPS) != (self.p_mid is not None):
-            raise ConfigurationError(
-                f"p_mid goes with mps links and only with them, got {self.p_mid!r} for {kind.value}"
-            )
-        if self.p_mid is not None:
+        for name in ("p_mid", "k_attempts"):
+            value = getattr(self, name)
+            if (kind is ProtocolKind.MPS) != (value is not None):
+                raise ConfigurationError(
+                    f"{name} goes with mps links and only with them, got {value!r} for {kind.value}"
+                )
+        if kind is ProtocolKind.MPS:
             validate_probability(self.p_mid, "p_mid")
+            if self.k_attempts < 1:
+                raise ConfigurationError(
+                    f"an mps link needs k_attempts >= 1 attempts per bin, got {self.k_attempts}"
+                )
 
     @cached_property
     def round_time(self) -> Duration:
         """The round of ``round_law``'s slots; a configuration error if it is empty."""
         return analytic.round_time(
             self.config.kind, self.round_law[0], self.tau_link, self.tau_clock,
-            self.config.k_attempts or 1,
+            self.k_attempts or 1,
         )
 
     @cached_property
     def mps_entanglement(self) -> analytic.MpsEntanglement:
         """The midpoint source's per-bin law (mps links only), derived at its
         first use: many models are built and never sampled."""
-        return analytic.mps_entanglement(self.p, self.p_mid, k=self.config.k_attempts)
+        return analytic.mps_entanglement(self.p, self.p_mid, k=self.k_attempts)
 
     @cached_property
     def round_law(self) -> tuple[int, float, int]:
@@ -206,13 +213,6 @@ class ChainModel:
     @property
     def links(self) -> tuple[LinkModel, ...]:  # for readers that walk the links one by one
         return (self.link,) * self.link_count
-
-
-@dataclass(frozen=True)
-class LinkTrialStats:
-    entanglement_events: int
-    elapsed: Duration
-    rate_per_s: float
 
 
 @dataclass(frozen=True)
@@ -312,10 +312,10 @@ def run_link_trials(
     return events, n_rounds * link.round_time
 
 
-def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> LinkTrialStats:
-    """The one-trial case of ``run_link_trials``, with its rate."""
+def run_link_trial(link: LinkModel, duration: Duration, seed: int) -> tuple[int, Duration]:
+    """The one-trial case of ``run_link_trials``: its pair count and elapsed time."""
     (events,), elapsed = run_link_trials(link, duration, seed, 1)
-    return LinkTrialStats(int(events), elapsed, int(events) / elapsed.seconds)
+    return int(events), elapsed
 
 
 def _stash_recurrence(fresh, arrivals):

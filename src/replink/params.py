@@ -139,16 +139,6 @@ class ProtocolConfig:
 
     kind: ProtocolKind
     memory: MemoryBudget
-    k_attempts: int | None = None
-
-    def __post_init__(self):
-        if self.kind is ProtocolKind.MPS:
-            if self.k_attempts is None or self.k_attempts < 1:
-                raise ConfigurationError(
-                    "midpoint-source configs need k_attempts >= 1 latch attempts per bin"
-                )
-        elif self.k_attempts is not None:
-            raise ConfigurationError(f"k_attempts is only meaningful for mps, not {self.kind.value}")
 
 
 def link_delay(length_m: float, refractive_index: float) -> Duration:

@@ -15,22 +15,9 @@ outcomes from identical generator seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .params import ProtocolKind
 
-__all__ = ["RoundOutcome", "step_round", "format_trace_entry"]
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """Confirmed pairs from one protocol round."""
-
-    slot_map: tuple[tuple[int, int], ...]
-
-    @property
-    def entangled_pairs(self) -> int:
-        return len(self.slot_map)
+__all__ = ["step_round", "format_trace_entry"]
 
 
 def format_trace_entry(entry) -> str:
@@ -48,13 +35,14 @@ def _confirm(trace: list | None, time_ps: int, node: str, slot: int, held: str):
     _log(trace, time_ps, node, slot, "confirmed_entangled", "free", "reset")
 
 
-def step_round(rng, link, trace: list | None = None) -> RoundOutcome:
-    """Step one round of ``link`` (an ``engine.LinkModel``) on ``rng``; a
-    configuration error, before any draw, if the round has zero length."""
+def step_round(rng, link, trace: list | None = None) -> tuple:
+    """Step one round of ``link`` (an ``engine.LinkModel``) on ``rng``: its
+    confirmed pairs as (slot, slot) tuples, so ``len()`` is the pair count.
+    A configuration error, before any draw, if the round has zero length."""
     return _WALKERS[link.config.kind](rng, link, link.round_time.ps, trace)
 
 
-def _walk_mitm(rng, link, wall: int, trace: list | None) -> RoundOutcome:
+def _walk_mitm(rng, link, wall: int, trace: list | None) -> tuple:
     """Step one meet-in-the-middle round at the sender, ``alice``.
 
     The sender emits slot i at (i - 1)·tau_clock. The analyzer's verdicts
@@ -76,10 +64,10 @@ def _walk_mitm(rng, link, wall: int, trace: list | None) -> RoundOutcome:
             _confirm(trace, wall, "alice", i, "photon_emitted")
         else:
             _log(trace, wall, "alice", i, "photon_emitted", "free", "reset")
-    return RoundOutcome(tuple(pairs))
+    return tuple(pairs)
 
 
-def _walk_sr(rng, link, wall: int, trace: list | None) -> RoundOutcome:
+def _walk_sr(rng, link, wall: int, trace: list | None) -> tuple:
     """Step one sender-receiver round at the receiver, ``bob``.
 
     Transmission i of the sender's N_A arrives at tau_link +
@@ -105,10 +93,10 @@ def _walk_sr(rng, link, wall: int, trace: list | None) -> RoundOutcome:
             _log(trace, t, "bob", slot, "free", "free", "latch_failed")
     for slot, _ in latches:
         _confirm(trace, wall, "bob", slot, "latched")
-    return RoundOutcome(tuple(latches))
+    return tuple(latches)
 
 
-def _walk_mps(rng, link, wall: int, trace: list | None) -> RoundOutcome:
+def _walk_mps(rng, link, wall: int, trace: list | None) -> tuple:
     """Step one midpoint-source round at both receivers, ``left`` and ``right``.
 
     Attempt a of bin b leaves the source at ((b - 1)·K + a - 1)·tau_clock
@@ -120,7 +108,7 @@ def _walk_mps(rng, link, wall: int, trace: list | None) -> RoundOutcome:
     other's latch report. It confirms the bins where both sides latched
     the same attempt, and discards its other latches.
     """
-    n_bins, k = link.round_law[0], link.config.k_attempts
+    n_bins, k = link.round_law[0], link.k_attempts
     p_mid, p_side = link.p_mid, link.p
     start, clock = link.tau_link.ps // 2, link.tau_clock.ps
     sides = (("left", {}), ("right", {}))  # each maps a latched bin to its attempt
@@ -145,7 +133,7 @@ def _walk_mps(rng, link, wall: int, trace: list | None) -> RoundOutcome:
                 _confirm(trace, wall, node, b, "latched")
             else:
                 _log(trace, wall, node, b, "latched", "free", "discard")
-    return RoundOutcome(tuple((b, b) for b in sorted(matched)))
+    return tuple((b, b) for b in sorted(matched))
 
 
 _WALKERS = {ProtocolKind.MITM: _walk_mitm, ProtocolKind.SR: _walk_sr, ProtocolKind.MPS: _walk_mps}

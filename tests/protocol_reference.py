@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from replink.engine import LinkModel
 from replink.params import ProtocolKind
-from replink.protocol import RoundOutcome
 
 
-def sample_round(rng, link: LinkModel) -> RoundOutcome:
+def sample_round(rng, link: LinkModel) -> tuple:
     """Sample one round of ``link``'s confirmed pairs without stepping the round.
 
     Draw-for-draw equivalent to the corresponding stepped round: the same
@@ -26,7 +25,7 @@ def sample_round(rng, link: LinkModel) -> RoundOutcome:
         pairs = tuple(
             (i, i) for i in range(1, config.memory.n_per_side + 1) if rng.random() < p
         )
-        return RoundOutcome(pairs)
+        return pairs
     if config.kind is ProtocolKind.SR:
         n_a, n_b = config.memory.n_sender, config.memory.n_receiver
         pairs = []
@@ -37,10 +36,10 @@ def sample_round(rng, link: LinkModel) -> RoundOutcome:
             if rng.random() < p:
                 pairs.append((slot, i))
                 slot += 1
-        return RoundOutcome(tuple(pairs))
+        return tuple(pairs)
     # midpoint source: iterate every attempt of every bin, drawing pair
     # generation then each free side's latch, and match pair ids
-    k = config.k_attempts
+    k = link.k_attempts
     pairs = []
     for bin_index in range(1, config.memory.n_per_side + 1):
         left_k = right_k = None
@@ -52,4 +51,4 @@ def sample_round(rng, link: LinkModel) -> RoundOutcome:
                     right_k = attempt
         if left_k is not None and left_k == right_k:
             pairs.append((bin_index, bin_index))
-    return RoundOutcome(tuple(pairs))
+    return tuple(pairs)

@@ -137,7 +137,7 @@ def test_criterion_4_protocol_ordering_on_the_chain():
     for d in mitm:
         link = cli.build_link_model(mps_dim_scenario, d)
         n = link.config.memory.n_per_side
-        if n * link.config.k_attempts * link.tau_clock.ps < 0.1 * link.tau_link.ps:
+        if n * link.k_attempts * link.tau_clock.ps < 0.1 * link.tau_link.ps:
             fast_clock.append(d)
     for d in fast_clock:
         gap = abs(mps_full[d] - mps_dim[d]) / mps_full[d]
@@ -256,27 +256,27 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
         config = ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(4))
         link = engine.LinkModel(config, p, tau_link, tau_clock)
         rng = np.random.default_rng([BASE_SEED, 1])
-        stepped = [protocol.step_round(rng, link).entangled_pairs for _ in range(rounds)]
+        stepped = [len(protocol.step_round(rng, link)) for _ in range(rounds)]
         rng = np.random.default_rng([BASE_SEED, 2])
-        sampled = [sample_round(rng, link).entangled_pairs for _ in range(rounds)]
+        sampled = [len(sample_round(rng, link)) for _ in range(rounds)]
         pvalues[("mitm", p)] = chi2_homogeneity_pvalue(stepped, sampled)
 
     for p in p_values:
         config = ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(4, 2))
         link = engine.LinkModel(config, p, tau_link, tau_clock)
         rng = np.random.default_rng([BASE_SEED, 3])
-        stepped = [protocol.step_round(rng, link).entangled_pairs for _ in range(rounds)]
+        stepped = [len(protocol.step_round(rng, link)) for _ in range(rounds)]
         rng = np.random.default_rng([BASE_SEED, 4])
-        sampled = [sample_round(rng, link).entangled_pairs for _ in range(rounds)]
+        sampled = [len(sample_round(rng, link)) for _ in range(rounds)]
         pvalues[("sr", p)] = chi2_homogeneity_pvalue(stepped, sampled)
 
     for p in p_values:
-        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(2), k_attempts=4)
-        link = engine.LinkModel(config, p, tau_link, tau_clock, p_mid=0.8)
+        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(2))
+        link = engine.LinkModel(config, p, tau_link, tau_clock, p_mid=0.8, k_attempts=4)
         rng = np.random.default_rng([BASE_SEED, 5])
-        stepped = [protocol.step_round(rng, link).entangled_pairs for _ in range(rounds)]
+        stepped = [len(protocol.step_round(rng, link)) for _ in range(rounds)]
         rng = np.random.default_rng([BASE_SEED, 6])
-        sampled = [sample_round(rng, link).entangled_pairs for _ in range(rounds)]
+        sampled = [len(sample_round(rng, link)) for _ in range(rounds)]
         pvalues[("mps", p)] = chi2_homogeneity_pvalue(stepped, sampled)
 
     for key, pvalue in pvalues.items():
@@ -287,12 +287,12 @@ def test_criterion_8_machine_and_sampler_distributions_agree():
 
     for k in (1, 2, 3):
         exact, branches = enumerate_mps_bin(k, 0.6, 0.4)
-        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(1), k_attempts=k)
-        link = engine.LinkModel(config, 0.4, tau_link, tau_clock, p_mid=0.6)
+        config = ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(1))
+        link = engine.LinkModel(config, 0.4, tau_link, tau_clock, p_mid=0.6, k_attempts=k)
         machine_total = 0.0
         for script, prob, _ in branches:
             outcome = protocol.step_round(ScriptedRng(list(script)), link)
-            if outcome.entangled_pairs:
+            if outcome:
                 machine_total += prob
         formula = analytic.mps_entanglement(0.4, 0.6, k).p_ent_sum
         assert abs(machine_total - exact) <= 1e-12

@@ -162,6 +162,17 @@ class TestRoundTime:
             analytic.round_time(kind, -1, US(100), NS(1))
 
 
+class TestRateBundle:
+    @pytest.mark.parametrize("utilization", [-0.1, 1.5, float("nan")])
+    def test_utilization_outside_the_unit_interval_is_refused(self, utilization):
+        with pytest.raises(ValueError, match="^utilization out of range: "):
+            analytic.RateBundle(rate_per_s=0.0, utilization=utilization, upper_bound_per_s=1.0)
+
+    def test_a_rate_above_its_bound_is_refused(self):
+        with pytest.raises(ValueError, match="^rate 2.0 exceeds its upper bound 1.0$"):
+            analytic.RateBundle(rate_per_s=2.0, utilization=1.0, upper_bound_per_s=1.0)
+
+
 class TestMitmRate:
     def test_worked_example(self):
         bundle = analytic.mitm_rate(100, 0.05, US(100), NS(1))

@@ -464,6 +464,15 @@ class TestConfigFile:
         assert scenario.memory_n == 12  # file wins over defaults
         assert scenario.p_bsa == 0.5  # via preset named in the file
 
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+        plain.write_text("protocol = mitm\npreset = optimistic\ndistances_km = 5,10\ntrials = 7\n")
+        commented.write_text(
+            "# a scenario\n\nprotocol = mitm\n   \n  # trials = 9\npreset = optimistic\n"
+            "distances_km = 5,10\n\ntrials = 7\n# trials = 8\n"
+        )
+        assert parse(["--config", str(commented)]) == parse(["--config", str(plain)])
+
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("warp_factor = 9\n")
@@ -570,6 +579,26 @@ class TestSweepAndReport:
         rows = run_sweep(scenario)
         assert [row.trials for row in rows] == [2, 0, 2, 0]
         assert calls == {"mps_entanglement": 2, "build_link_model": 2, "analytic_rate": 2}
+
+    def test_one_progress_line_per_distance_before_its_analytic_row(self, monkeypatch):
+        # perfbench/campaign.py's ProgressClock times one cell per write that
+        # ends a line, and an analytic row with the next cell: each distance's
+        # line must end before its own analytic row is computed
+        overlays = []
+        rate = cli.analytic_rate
+        monkeypatch.setattr(cli, "analytic_rate", lambda link: overlays.append(link) or rate(link))
+        writes = []  # each write's text, and the analytic rows computed before it
+
+        class Progress:
+            def write(self, text):
+                writes.append((text, len(overlays)))
+                return len(text)
+
+        run_sweep(parse(TINY + ["--distances", "20,5,10", "--analytic"]), progress=Progress())
+        assert [before for text, before in writes if text.endswith("\n")] == [0, 1, 2]
+        lines = "".join(text for text, _ in writes).splitlines()
+        pattern = r"\[replink\] mitm optimistic L=(\S+) km: 3 trials, mean \S+ /s"
+        assert [re.fullmatch(pattern, line)[1] for line in lines] == ["5.0", "10.0", "20.0"]
 
     def test_csv_format_contract(self, tmp_path):
         rows = [ReportRow("mitm", "optimistic", None, 5.0, 3, 49950.123456, 48000.0, 51000.0, 11)]
@@ -891,6 +920,21 @@ class TestMain:
             # neither file is created or truncated
             assert report.read_text() == "kept\n"
             assert not trace.exists() and not missing.parent.exists()
+
+    def test_a_path_without_write_permission_exits_1_before_any_trial(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # as root every path passes os.access, so the denial is simulated
+        trials = _spy_on_link_trials(monkeypatch)
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        out = tmp_path / "out.csv"
+        assert main(TINY + ["--output", str(out)]) == 1
+        # no progress line precedes the error
+        assert capsys.readouterr().err == (
+            f"replink: i/o error: [Errno 13] Permission denied: '{out}'\n"
+        )
+        assert not trials
+        assert not any(tmp_path.iterdir())
 
     def test_output_and_trace_naming_one_file_exit_2_before_any_trial(
         self, tmp_path, monkeypatch, capsys

@@ -10,8 +10,6 @@ from replink.params import (
     ConfigurationError,
     Duration,
     MemoryBudget,
-    ProtocolConfig,
-    ProtocolKind,
     link_delay,
     link_success_probability,
     mps_success_probability,
@@ -218,9 +216,3 @@ class TestValidation:
             MemoryBudget(n_per_side=-1)
         budget = MemoryBudget.sender_receiver(184, 16)
         assert (budget.n_sender, budget.n_receiver, budget.n_per_side) == (184, 16, 100)
-
-    def test_protocol_config_k_attempts(self):
-        with pytest.raises(ConfigurationError):
-            ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(3))
-        with pytest.raises(ConfigurationError):
-            ProtocolConfig(ProtocolKind.MITM, MemoryBudget.symmetric(3), k_attempts=5)

@@ -9,7 +9,7 @@ from protocol_reference import sample_round
 from replink import analytic
 from replink.engine import LinkModel
 from replink.params import ConfigurationError, Duration, MemoryBudget, ProtocolConfig, ProtocolKind
-from replink.protocol import RoundOutcome, format_trace_entry, step_round
+from replink.protocol import format_trace_entry, step_round
 
 TL = Duration.from_us(10)
 TC = Duration.from_ns(1)
@@ -23,37 +23,37 @@ def sr_config(n_a, n_b):
     return ProtocolConfig(ProtocolKind.SR, MemoryBudget.sender_receiver(n_a, n_b))
 
 
-def mps_config(n, k):
-    return ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n), k_attempts=k)
+def mps_config(n):
+    return ProtocolConfig(ProtocolKind.MPS, MemoryBudget.symmetric(n))
 
 
-def link(config, p, p_mid=None, tau_link=TL):
-    return LinkModel(config, p, tau_link, TC, p_mid=p_mid)
+def link(config, p, p_mid=None, tau_link=TL, k=None):
+    return LinkModel(config, p, tau_link, TC, p_mid=p_mid, k_attempts=k)
 
 
 class TestMitmMachine:
     def test_single_slot_success(self):
         outcome = step_round(ScriptedRng([0.1]), link(mitm_config(1), 0.5))
-        assert outcome == RoundOutcome(((1, 1),))
-        assert outcome.entangled_pairs == 1
+        assert outcome == ((1, 1),)
+        assert len(outcome) == 1
 
     def test_certain_herald_succeeds(self):
-        assert step_round(ScriptedRng([0.999]), link(mitm_config(1), 1.0)).slot_map == ((1, 1),)
+        assert step_round(ScriptedRng([0.999]), link(mitm_config(1), 1.0)) == ((1, 1),)
 
     def test_herald_frequency(self):
         outcome = step_round(np.random.default_rng(123), link(mitm_config(100_000), 0.5))
-        assert outcome.entangled_pairs / 100_000 == pytest.approx(0.5, abs=0.01)
+        assert len(outcome) / 100_000 == pytest.approx(0.5, abs=0.01)
 
     def test_hand_traced_three_slots(self):
         # verdict draws: success, failure, success
         rng = ScriptedRng([0.1, 0.9, 0.1])
         outcome = step_round(rng, link(mitm_config(3), 0.5))
-        assert outcome.slot_map == ((1, 1), (3, 3))
+        assert outcome == ((1, 1), (3, 3))
         assert rng.remaining == 0
 
     def test_all_failures_confirm_nothing(self):
         outcome = step_round(ScriptedRng([0.9, 0.9, 0.9]), link(mitm_config(3), 0.5))
-        assert outcome.entangled_pairs == 0
+        assert len(outcome) == 0
 
 
 class TestSrReceiverMachine:
@@ -62,7 +62,7 @@ class TestSrReceiverMachine:
         # memory full and is rejected without a draw
         rng = ScriptedRng([0.9, 0.1])
         outcome = step_round(rng, link(sr_config(3, 1), 0.5))
-        assert outcome.slot_map == ((1, 2),)
+        assert outcome == ((1, 2),)
         assert rng.remaining == 0
 
     def test_messages_report_fail_success_reject(self):
@@ -77,12 +77,12 @@ class TestSrReceiverMachine:
     def test_perfect_latching_fills_in_order(self):
         rng = ScriptedRng([0.0, 0.0, 0.0])
         outcome = step_round(rng, link(sr_config(3, 3), 1.0))
-        assert outcome.slot_map == ((1, 1), (2, 2), (3, 3))
+        assert outcome == ((1, 1), (2, 2), (3, 3))
 
     def test_zero_receiver_memory_rejects_everything(self):
         rng = ScriptedRng([])  # no draws may happen at all
         outcome = step_round(rng, link(sr_config(3, 0), 1.0))
-        assert outcome.entangled_pairs == 0
+        assert len(outcome) == 0
 
     @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=6),
            st.floats(min_value=0.0, max_value=1.0), st.integers(min_value=0, max_value=2**32 - 1))
@@ -90,15 +90,15 @@ class TestSrReceiverMachine:
     def test_confirmed_pairs_never_exceed_receiver_memory(self, n_b, n_a, p, seed):
         rng = np.random.default_rng(seed)
         outcome = step_round(rng, link(sr_config(max(n_a, n_b), n_b), p))
-        assert outcome.entangled_pairs <= n_b
+        assert len(outcome) <= n_b
 
 
 class TestMpsReceiverMachine:
     def test_matching_pair_ids_confirm(self):
         # bin 1: k=1 fails both sides, k=2 latches both -> confirmed
         rng = ScriptedRng([0.0, 0.9, 0.9, 0.0, 0.1, 0.1])
-        outcome = step_round(rng, link(mps_config(1, 2), 0.5, p_mid=1.0))
-        assert outcome.slot_map == ((1, 1),)
+        outcome = step_round(rng, link(mps_config(1), 0.5, p_mid=1.0, k=2))
+        assert outcome == ((1, 1),)
 
     def test_mismatched_pair_ids_discard_the_bin(self):
         # left latches k=2, right keeps failing until k=5
@@ -107,14 +107,14 @@ class TestMpsReceiverMachine:
                            0.0, 0.9,       # k=3: right only
                            0.0, 0.9,       # k=4
                            0.0, 0.1])      # k=5: right latches
-        outcome = step_round(rng, link(mps_config(1, 5), 0.5, p_mid=1.0))
-        assert outcome.entangled_pairs == 0
+        outcome = step_round(rng, link(mps_config(1), 0.5, p_mid=1.0, k=5))
+        assert len(outcome) == 0
 
     def test_certain_latching_locks_first_attempt(self):
         # per bin: gen+left+right at k=1, then gen-only draws for k=2,3
         rng = ScriptedRng([0.0] * 15)
-        outcome = step_round(rng, link(mps_config(3, 3), 1.0, p_mid=1.0))
-        assert outcome.slot_map == ((1, 1), (2, 2), (3, 3))
+        outcome = step_round(rng, link(mps_config(3), 1.0, p_mid=1.0, k=3))
+        assert outcome == ((1, 1), (2, 2), (3, 3))
         assert rng.remaining == 0
 
     def test_rejection_message_after_latch(self):
@@ -122,7 +122,7 @@ class TestMpsReceiverMachine:
         # taken and are rejected without a latch draw
         rng = ScriptedRng([0.0, 0.0, 0.0, 0.0])
         trace = []
-        step_round(rng, link(mps_config(1, 2), 1.0, p_mid=1.0), trace)
+        step_round(rng, link(mps_config(1), 1.0, p_mid=1.0, k=2), trace)
         assert [format_trace_entry(entry) for entry in trace[:4]] == [
             "5000000,left,1,free,latched,latch",
             "5000000,right,1,free,latched,latch",
@@ -135,8 +135,8 @@ class TestMpsReceiverMachine:
         # the source emits nothing, so only its three generation draws happen
         rng = ScriptedRng([0.9, 0.9, 0.9])
         trace = []
-        outcome = step_round(rng, link(mps_config(1, 3), 1.0, p_mid=0.5), trace)
-        assert outcome.entangled_pairs == 0
+        outcome = step_round(rng, link(mps_config(1), 1.0, p_mid=0.5, k=3), trace)
+        assert len(outcome) == 0
         assert trace == []
         assert rng.remaining == 0
 
@@ -148,8 +148,8 @@ class TestProbabilityChecks:
     STEPPERS = {
         "mitm": ("p", lambda p: step_round(ScriptedRng([]), link(mitm_config(0), p))),
         "sr": ("p", lambda p: step_round(ScriptedRng([]), link(sr_config(3, 0), p))),
-        "mps-side": ("p", lambda p: step_round(ScriptedRng([]), link(mps_config(0, 1), p, 0.5))),
-        "mps-source": ("p_mid", lambda p: step_round(ScriptedRng([]), link(mps_config(0, 1), 0.5, p))),
+        "mps-side": ("p", lambda p: step_round(ScriptedRng([]), link(mps_config(0), p, 0.5, k=1))),
+        "mps-source": ("p_mid", lambda p: step_round(ScriptedRng([]), link(mps_config(0), 0.5, p, k=1))),
     }
 
     @pytest.mark.parametrize("p", [1.5, -0.1, float("nan")])
@@ -181,7 +181,7 @@ class TestSamplerEquivalence:
 
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     def test_mps_seed_paired(self, p):
-        mps = link(mps_config(3, 4), p, p_mid=0.7)
+        mps = link(mps_config(3), p, p_mid=0.7, k=4)
         for seed in range(30):
             stepped = step_round(np.random.default_rng(seed), mps)
             sampled = sample_round(np.random.default_rng(seed), mps)
@@ -192,7 +192,7 @@ class TestSamplerEquivalence:
         rounds = 100_000
         sr_mean = np.mean(
             [
-                sample_round(rng, link(sr_config(2, 1), 0.5)).entangled_pairs
+                len(sample_round(rng, link(sr_config(2, 1), 0.5)))
                 for _ in range(rounds)
             ]
         )
@@ -200,10 +200,10 @@ class TestSamplerEquivalence:
 
     def test_mps_sampler_matches_entanglement_probability(self):
         rng = np.random.default_rng(1234)
-        mps = link(mps_config(1, 6), 0.5, p_mid=1.0)
+        mps = link(mps_config(1), 0.5, p_mid=1.0, k=6)
         mean = np.mean(
             [
-                sample_round(rng, mps).entangled_pairs
+                len(sample_round(rng, mps))
                 for _ in range(100_000)
             ]
         )
@@ -219,7 +219,7 @@ class TestSamplerEquivalence:
         for _ in range(rounds):
             stepped = step_round(rng_m, mitm)
             sampled = sample_round(rng_s, mitm)
-            assert stepped.slot_map == sampled.slot_map
+            assert stepped == sampled
 
         rng_m = np.random.default_rng(32)
         rng_s = np.random.default_rng(32)
@@ -227,25 +227,25 @@ class TestSamplerEquivalence:
         for _ in range(rounds):
             stepped = step_round(rng_m, sr)
             sampled = sample_round(rng_s, sr)
-            assert stepped.slot_map == sampled.slot_map
+            assert stepped == sampled
 
         rng_m = np.random.default_rng(33)
         rng_s = np.random.default_rng(33)
-        mps = link(mps_config(2, 4), 0.4, p_mid=0.7)
+        mps = link(mps_config(2), 0.4, p_mid=0.7, k=4)
         for _ in range(rounds):
             stepped = step_round(rng_m, mps)
             sampled = sample_round(rng_s, mps)
-            assert stepped.slot_map == sampled.slot_map
+            assert stepped == sampled
 
     def test_mitm_certain_success_fills_every_slot(self):
         outcome = sample_round(np.random.default_rng(0), link(mitm_config(5), 1.0))
-        assert outcome.entangled_pairs == 5
+        assert len(outcome) == 5
 
     def test_wall_time_matches_round_time(self):
         # every bin latches its first attempt on both sides and is confirmed
         # when the round ends, one link delay after its last attempt
-        mps, trace = link(mps_config(3, 4), 1.0, p_mid=1.0), []
-        assert step_round(np.random.default_rng(0), mps, trace).entangled_pairs == 3
+        mps, trace = link(mps_config(3), 1.0, p_mid=1.0, k=4), []
+        assert len(step_round(np.random.default_rng(0), mps, trace)) == 3
         settled = {time_ps for time_ps, *_, trigger in trace if trigger in ("confirm", "reset")}
         assert settled == {mps.round_time.ps} == {TL.ps + 12 * TC.ps}
 
@@ -272,8 +272,9 @@ class TestSteppedRoundTrace:
         self, kind, n, n_b, k, p, p_mid, tau_link_ps, tau_clock_ps, seed
     ):
         tau_link, tau_clock = Duration(tau_link_ps), Duration(tau_clock_ps)
-        config = {"mitm": mitm_config(n), "sr": sr_config(n, n_b), "mps": mps_config(n, k)}[kind]
-        model = LinkModel(config, p, tau_link, tau_clock, p_mid=p_mid if kind == "mps" else None)
+        config = {"mitm": mitm_config(n), "sr": sr_config(n, n_b), "mps": mps_config(n)}[kind]
+        mps_only = {"p_mid": p_mid, "k_attempts": k} if kind == "mps" else {}
+        model = LinkModel(config, p, tau_link, tau_clock, **mps_only)
         rng, trace = np.random.default_rng(seed), []
         round_time = (ProtocolKind(kind), n, tau_link, tau_clock, k if kind == "mps" else 1)
         if not tau_link_ps and not n:  # an empty round, in which nothing can be scheduled
@@ -296,7 +297,7 @@ class TestSteppedRoundTrace:
             assert all(new == old for (_, new), (old, _) in zip(chain, chain[1:]))
         for node in self.NODES[kind]:
             confirms = [entry for entry in trace if entry[1] == node and entry[5] == "confirm"]
-            assert len(confirms) == outcome.entangled_pairs
+            assert len(confirms) == len(outcome)
         # a confirmed midpoint-source bin holds one attempt on both sides
         latched_at = {(node, slot): t for t, node, slot, _, _, trigger in trace if trigger == "latch"}
         for _, node, slot, _, _, trigger in trace:
@@ -356,11 +357,11 @@ class TestExhaustiveEnumeration:
     def test_machines_match_exhaustive_branching(self, k):
         p_mid, p_side = 0.6, 0.4
         exact, branches = enumerate_mps_bin(k, p_mid, p_side)
-        mps = link(mps_config(1, k), p_side, p_mid=p_mid)
+        mps = link(mps_config(1), p_side, p_mid=p_mid, k=k)
         machine_total = 0.0
         for script, prob, _ in branches:
             outcome = step_round(ScriptedRng(list(script)), mps)
-            if outcome.entangled_pairs:
+            if outcome:
                 machine_total += prob
         assert machine_total == pytest.approx(exact, abs=1e-12)
 
@@ -368,11 +369,11 @@ class TestExhaustiveEnumeration:
     def test_sampler_matches_exhaustive_branching(self, k):
         p_mid, p_side = 0.6, 0.4
         exact, branches = enumerate_mps_bin(k, p_mid, p_side)
-        mps = link(mps_config(1, k), p_side, p_mid=p_mid)
+        mps = link(mps_config(1), p_side, p_mid=p_mid, k=k)
         sampler_total = 0.0
         for script, prob, _ in branches:
             outcome = sample_round(ScriptedRng(list(script)), mps)
-            if outcome.entangled_pairs:
+            if outcome:
                 sampler_total += prob
         assert sampler_total == pytest.approx(exact, abs=1e-12)
 
@@ -381,7 +382,7 @@ class TestDeterminism:
     def test_identical_seeds_produce_identical_traces(self):
         def run(seed):
             trace = []
-            step_round(np.random.default_rng(seed), link(mps_config(2, 3), 0.5, p_mid=0.8), trace)
+            step_round(np.random.default_rng(seed), link(mps_config(2), 0.5, p_mid=0.8, k=3), trace)
             return trace
 
         assert run(7) == run(7)
@@ -427,7 +428,7 @@ class TestDeterminism:
             ],
         ),
         "mps": (
-            0, link(mps_config(3, 3), 0.5, p_mid=0.8), ((1, 1),),
+            0, link(mps_config(3), 0.5, p_mid=0.8, k=3), ((1, 1),),
             [
                 "5000000,left,1,free,latched,latch",
                 "5000000,right,1,free,latched,latch",
@@ -479,5 +480,5 @@ class TestDeterminism:
     def test_pinned_round_trace_and_outcome(self, case):
         seed, model, pairs, lines = self.PINNED_ROUNDS[case]
         trace = []
-        assert step_round(np.random.default_rng(seed), model, trace) == RoundOutcome(pairs)
+        assert step_round(np.random.default_rng(seed), model, trace) == pairs
         assert [format_trace_entry(entry) for entry in trace] == lines

@@ -2,6 +2,7 @@
 workload report script; a check that the benchmark's variant table is the
 figure script's; and a traced benchmark campaign per workload."""
 
+import csv
 import importlib.util
 import json
 import os
@@ -25,10 +26,10 @@ LINK_TABLES = [
 ]
 
 
-def run_script(*args):
+def run_script(*args, **env):
     return subprocess.run(
         [sys.executable, *map(str, args)],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env},
         capture_output=True,
         text=True,
     )
@@ -50,6 +51,22 @@ def test_figure_script_writes_every_table(tmp_path, figure, tables):
         assert header == ",".join(CSV_COLUMNS)
         # ten distances, each with a Monte Carlo row and its closed-form row
         assert len(rows) == 20
+
+
+def seed_column(path):
+    """The set of values in a report's seed column."""
+    with open(path, newline="") as fh:
+        return {row["seed"] for row in csv.DictReader(fh)}
+
+
+def test_figure_script_seeds_its_tables_from_its_seed_flag_only(tmp_path):
+    # a REPLINK_SEED in the shell would outrank --seed in every cli call
+    done = run_script(ROOT / "scripts" / "figures.py", "fig10", "--trials", "1", "--seed", "5",
+                      "--outdir", tmp_path, REPLINK_SEED="9")
+    assert done.returncode == 0, done.stderr
+    written = sorted(tmp_path.glob("*.csv"))
+    assert [path.name for path in written] == LINK_TABLES
+    assert all(seed_column(path) == {"5"} for path in written)
 
 
 def test_figure_script_refuses_an_unknown_figure(tmp_path):
@@ -77,6 +94,19 @@ def test_workload_reports_writes_every_case_at_both_seeds(tmp_path):
         ["fig8-optimistic"] * 10 + ["fig10-ion", "fig10-nv", "fig10-qd"] * 8
     )
     assert all(path.with_suffix(".csv").exists() and path.stat().st_size for path in traces)
+
+
+def test_workload_reports_keep_their_seeds_under_replink_seed(tmp_path):
+    # with REPLINK_SEED honoured, seed3/ and seed4/ would both hold seed 9's
+    # reports, and a comparison of two checkouts would cover one seed
+    done = run_script(ROOT / "scripts" / "workload_reports.py", tmp_path, REPLINK_SEED="9")
+    assert done.returncode == 0, done.stderr
+    for seed in (3, 4):
+        reports = sorted((tmp_path / f"seed{seed}").glob("*.csv"))
+        assert len(reports) == 22
+        for path in reports:
+            assert seed_column(path) == {str(seed)}
+            assert f"\nbase_seed = {seed}\n" in path.with_suffix(".cfg").read_text()
 
 
 def _load(monkeypatch, path):
